@@ -98,7 +98,7 @@ def parse_poly_expression(expr: str, n_vars: int, block: int | None = None) -> F
         m = _TERM_RE.match(raw)
         if m is None:
             raise FormatError(f"cannot parse term {raw!r}")
-        coef = sign * Fraction(m.group("coef") or 1)
+        coef = sign * _parse_frac(m.group("coef") or "1")
         exps = [0] * n_vars
         for var, idx_s, pow_s in _FACTOR_RE.findall(m.group("factors") or ""):
             idx = int(idx_s)
@@ -246,6 +246,9 @@ def cmd_face(args) -> int:
     if a == 0 or b == 0:
         print("error: a and b must be nonzero for face queries", file=sys.stderr)
         return EXIT_ERROR
+    if args.dps < 1:
+        print("error: --dps must be a positive number of digits", file=sys.stderr)
+        return EXIT_ERROR
     fp = FaceParams(a, b)
     print("alphas: " + " ".join(fmt_frac(v) for v in alphas))
     print(f"a: {fmt_frac(a)}")
@@ -328,6 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-tol", type=float, default=1e-9)
     p.add_argument("--dps", type=int, default=30)
     p.set_defaults(func=cmd_face)
+    # argparse takes only -N and -N.M for values, so an alpha such as -4/7
+    # would read as an unknown option
+    p._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
 
     p = sub.add_parser("builtin", help="write a corpus object to a file")
     p.add_argument("name")

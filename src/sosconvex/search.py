@@ -1,19 +1,33 @@
 """Numeric SOS feasibility search with exact rational certification.
 
-The pipeline parameterizes the affine fiber of Gram matrices for a target,
-runs alternating projections between the PSD cone and the fiber, rounds the
-result back to exact rationals (with facial reduction when the solution is
-singular), and accepts only certificates that pass the exact verifiers.
-Refutations are likewise sound-only: a stalled search never claims "not SOS"
-without an exactly verified dual certificate.
+The Gram fiber of a target over a monomial basis z is {Q symmetric :
+z^T Q z = target}. Every entry (r, s) of Q feeds exactly one monomial
+z_r z_s, so the fiber is held in closed form: an index map from entries to
+monomial ids, the number of ordered pairs reaching each monomial, and the
+exact target coefficients. The constraint map then has A A^T diagonal, and
+the Frobenius projection onto the fiber is a per-monomial mean correction
+(Henrion-Malick): add to each entry its monomial's residual divided by its
+pair count.
+
+The pipeline runs Douglas-Rachford iterations between the PSD cone and the
+fiber, then rounds the result to exact rationals in the manner of
+Peyrl-Parrilo: round Q entrywise, once to the grid 1/D and once to
+continued fractions with denominators at most D, for a ladder of bounds D,
+and apply the same per-monomial correction in exact arithmetic, so every
+candidate lies exactly on the fiber. A candidate is accepted only if the
+fraction LDL^T check finds it PSD; when no rounding passes, facial
+reduction restricts the fiber by the exact rows of Q v = 0 for the numeric
+kernel of the point and rounds again. Refutations are likewise sound-only:
+a stalled search never claims "not SOS" without an exactly verified dual
+certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,23 +37,55 @@ from .certificates import (
     Monomial,
     SosCertificate,
     SymRationalMatrix,
-    Verdict,
-    gram_expand,
+    _as_form,
     ldlt_psd_check,
     unit_multiplier,
     verify_sos_certificate,
 )
 from .dual import DualCertificate, bilinear_basis, builtin_dual, verify_refutation
-from .forms import Form, as_frac
+from .forms import Form
 
 
 @dataclass
 class GramParameterization:
-    """Exact affine fiber {base + sum t_i kernel_i} of Gram matrices over z."""
+    """Closed-form Gram fiber {Q : sum of Q[r, s] over pairs reaching m = target[m]}.
+
+    index[r, s] is the id of the monomial z_r z_s, counts[m] the number of
+    ordered pairs (r, s) reaching monomial m, and target[m] its exact
+    coefficient in the target.
+    """
 
     z: list[Monomial]
-    base: SymRationalMatrix
-    kernel: list[SymRationalMatrix]
+    index: np.ndarray
+    counts: np.ndarray
+    target: list[Fraction]
+
+    def __post_init__(self):
+        self._b = np.array([float(c) for c in self.target])
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Frobenius projection of a symmetric matrix onto the fiber."""
+        sums = np.bincount(self.index.ravel(), weights=x.ravel(), minlength=len(self.counts))
+        return x + ((self._b - sums) / self.counts)[self.index]
+
+    def snap(self, upper: Sequence[Fraction]) -> SymRationalMatrix:
+        """Exact projection onto the fiber of the symmetric matrix whose upper
+        triangle, row by row, is `upper`."""
+        d = len(self.z)
+        index = self.index.tolist()
+        counts = self.counts.tolist()
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        residual = list(self.target)
+        values = iter(upper)
+        for r in range(d):
+            for s in range(r, d):
+                v = rows[r][s] = next(values)
+                residual[index[r][s]] -= v if r == s else 2 * v
+        for r in range(d):
+            for s in range(r, d):
+                m = index[r][s]
+                rows[r][s] = rows[s][r] = rows[r][s] + residual[m] / counts[m]
+        return SymRationalMatrix(rows)
 
 
 @dataclass
@@ -58,6 +104,8 @@ class SearchConfig:
             or self.restarts <= 0
         ):
             raise ValueError("all search configuration values must be positive")
+        if not math.isfinite(self.convergence_tol):
+            raise ValueError("convergence tolerance must be finite")
 
 
 @dataclass
@@ -65,10 +113,13 @@ class StallReport:
     iterations: int
     min_eigenvalue: float
     fiber_distance: float
-    direction: np.ndarray  # fiber point minus its PSD projection
     fiber_point: np.ndarray | None = None
     stagnated: bool = False  # progress fell below 1% per window: geometry gap
     state: np.ndarray | None = None  # governing iterate, for warm continuation
+
+    @property
+    def residual(self) -> float:
+        return max(-self.min_eigenvalue, 0.0, self.fiber_distance)
 
 
 @dataclass
@@ -93,59 +144,28 @@ class SearchOutcome:
         return self.status == "ExactCertificate"
 
 
-def _target_form(target) -> Form:
-    if isinstance(target, BiquadraticForm):
-        return target.to_form()
-    if isinstance(target, Form):
-        return target
-    raise TypeError("target must be a Form or BiquadraticForm")
-
-
-def _pairs(dim: int) -> list[tuple[int, int]]:
-    return [(r, s) for r in range(dim) for s in range(r, dim)]
-
-
-def _matrix_from_pair_values(dim: int, values: Sequence[Fraction]) -> SymRationalMatrix:
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for (r, s), v in zip(_pairs(dim), values):
-        rows[r][s] = v
-        rows[s][r] = v
-    return SymRationalMatrix(rows)
-
-
 def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
-    """Exact base point and kernel basis of the Gram fiber of the target."""
-    tf = _target_form(target)
+    """The closed-form Gram fiber of the target over the basis z."""
+    tf = _as_form(target)
     z = [tuple(m) for m in z]
     if not z:
         raise ValueError("empty monomial basis")
     if any(len(m) != tf.n_vars for m in z):
         raise ValueError("basis and target variable counts disagree")
-    pairs = _pairs(len(z))
-    products: dict[Monomial, list[tuple[int, Fraction]]] = {}
-    for idx, (r, s) in enumerate(pairs):
-        mono = tuple(a + b for a, b in zip(z[r], z[s]))
-        weight = Fraction(1 if r == s else 2)
-        products.setdefault(mono, []).append((idx, weight))
+    ids: dict[Monomial, int] = {}
+    index = np.empty((len(z), len(z)), dtype=np.intp)
+    for r, zr in enumerate(z):
+        for s in range(r, len(z)):
+            mono = tuple(a + b for a, b in zip(zr, z[s]))
+            index[r, s] = index[s, r] = ids.setdefault(mono, len(ids))
     for mono in tf.terms:
-        if mono not in products:
+        if mono not in ids:
             raise ValueError(f"target monomial {mono} is not representable over the basis")
-    rows_monos = sorted(products)
-    a = [[Fraction(0)] * len(pairs) for _ in rows_monos]
-    rhs = []
-    for ri, mono in enumerate(rows_monos):
-        for idx, w in products[mono]:
-            a[ri][idx] = w
-        rhs.append(tf.terms.get(mono, Fraction(0)))
-    particular, null = linalg.solve_affine(a, rhs)
-    if particular is None:
-        raise ValueError("target is not representable over the basis")
-    base = _matrix_from_pair_values(len(z), particular)
-    kernel = [_matrix_from_pair_values(len(z), vec) for vec in null]
-    return GramParameterization(list(z), base, kernel)
+    target = [tf.terms.get(mono, Fraction(0)) for mono in ids]
+    return GramParameterization(z, index, np.bincount(index.ravel()), target)
 
 
-# -- numeric linear algebra ------------------------------------------------------
+# -- numeric search --------------------------------------------------------------
 
 
 def jacobi_eigendecomposition(s, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -186,17 +206,6 @@ def jacobi_eigendecomposition(s, tol: float = 1e-12) -> tuple[np.ndarray, np.nda
     return np.diag(a)[order].copy(), v[:, order].copy()
 
 
-def _flatten(m: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of a symmetric matrix (off-diagonals * sqrt 2)."""
-    n = m.shape[0]
-    out = []
-    for r in range(n):
-        out.append(m[r, r])
-        for s in range(r + 1, n):
-            out.append(m[r, s] * math.sqrt(2.0))
-    return np.array(out)
-
-
 def _float_matrix(m: SymRationalMatrix) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in m.rows])
 
@@ -209,39 +218,7 @@ def _project_psd(x: np.ndarray) -> tuple[np.ndarray, float]:
     return (vecs * clipped) @ vecs.T, float(vals[0])
 
 
-class _FiberGeometry:
-    """Float scaffolding shared by projection runs on one parameterization."""
-
-    def __init__(self, pz: GramParameterization):
-        self.g0 = _float_matrix(pz.base)
-        self.kernels = [_float_matrix(k) for k in pz.kernel]
-        self.dim = pz.base.dim
-        self.g0_vec = _flatten(self.g0)
-        if self.kernels:
-            k_mat = np.stack([_flatten(k) for k in self.kernels], axis=1)
-            self.q_basis, _ = np.linalg.qr(k_mat)
-        else:
-            self.q_basis = np.zeros((self.g0_vec.size, 0))
-
-    def unflatten(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        idx = 0
-        for r in range(self.dim):
-            out[r, r] = vec[idx]
-            idx += 1
-            for s in range(r + 1, self.dim):
-                out[r, s] = out[s, r] = vec[idx] / math.sqrt(2.0)
-                idx += 1
-        return out
-
-    def project_fiber(self, mat: np.ndarray) -> np.ndarray:
-        delta = _flatten(mat) - self.g0_vec
-        return self.unflatten(self.g0_vec + self.q_basis @ (self.q_basis.T @ delta))
-
-
-def _projection_run(
-    geo: _FiberGeometry, x0: np.ndarray, max_iterations: int, tol: float
-):
+def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: int, tol: float):
     """One projection run from x0; (fiber matrix, info) or StallReport.
 
     Douglas-Rachford reflections between the PSD cone and the affine fiber;
@@ -260,7 +237,7 @@ def _projection_run(
     stagnated = False
     for it in range(max_iterations):
         y, _ = _project_psd(x)
-        shadow = geo.project_fiber(y)
+        shadow = pz.project(y)
         fiber_dist = float(np.abs(shadow - y).max())
         shadow_eig = float(np.linalg.eigvalsh((shadow + shadow.T) / 2.0)[0])
         if shadow_eig >= -tol and fiber_dist <= tol:
@@ -269,7 +246,7 @@ def _projection_run(
                 "min_eigenvalue": shadow_eig,
                 "fiber_distance": fiber_dist,
             }
-        x = x + geo.project_fiber(2.0 * y - x) - y
+        x = x + pz.project(2.0 * y - x) - y
         # the iteration is non-monotone and plateaus before snapping to the
         # answer, so stagnation needs both a running best and patience
         best_progress = min(best_progress, max(fiber_dist, max(-shadow_eig, 0.0)))
@@ -283,116 +260,170 @@ def _projection_run(
                 flat_windows = 0
             window_best = best_progress
     return StallReport(
-        it + 1, shadow_eig, fiber_dist, shadow - _project_psd(shadow)[0],
-        fiber_point=shadow, stagnated=stagnated, state=x,
+        it + 1, shadow_eig, fiber_dist, fiber_point=shadow, stagnated=stagnated, state=x
     )
 
 
-def alternating_projection_solve(pz: GramParameterization, cfg: SearchConfig):
-    """Alternate PSD-cone and affine-fiber projections.
+def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
+    """Restarted Douglas-Rachford search for a PSD point of the fiber.
 
-    Returns (matrix, info dict) on success; a StallReport otherwise. The
-    returned matrix lies on the fiber with min eigenvalue >= -tol.
+    The first restart starts from project(0), the least-norm fiber point;
+    later ones from projections of random symmetric matrices. Each restart
+    runs in doubling chunks of iterations, each continuing from the last
+    state, until it stagnates or the iteration budget is spent. Returns
+    (matrix, info) from the first chunk that converges. A chunk that stalls
+    within 1e-4 of feasibility hands its fiber point to `attempt`, and a
+    non-None answer ends the search and is returned. Otherwise returns the
+    StallReport with the smallest residual.
     """
-    geo = _FiberGeometry(pz)
     rng = np.random.default_rng(cfg.seed)
-    best_stall = None
+    dim = len(pz.z)
+    best = None
     for restart in range(cfg.restarts):
-        x = geo.g0.copy()
-        if restart > 0 and geo.kernels:
-            coeffs = rng.standard_normal(len(geo.kernels))
-            x = x + sum(c * k for c, k in zip(coeffs, geo.kernels))
-        result = _projection_run(geo, x, cfg.max_iterations, cfg.convergence_tol)
-        if not isinstance(result, StallReport):
-            result[1]["restart"] = restart
-            return result
-        if best_stall is None or result.fiber_distance < best_stall.fiber_distance:
-            best_stall = result
-    return best_stall
+        x = np.zeros((dim, dim)) if restart == 0 else rng.standard_normal((dim, dim))
+        x = pz.project((x + x.T) / 2.0)
+        used = 0
+        chunk = 200
+        while used < cfg.max_iterations:
+            budget = min(chunk, cfg.max_iterations - used)
+            result = _projection_run(pz, x, budget, cfg.convergence_tol)
+            if not isinstance(result, StallReport):
+                result[1]["restart"] = restart
+                return result
+            used += result.iterations
+            x = result.state
+            if best is None or result.residual < best.residual:
+                best = result
+            if attempt is not None and result.residual <= 1e-4:
+                answer = attempt(result.fiber_point)
+                if answer is not None:
+                    return answer
+            if result.stagnated:
+                break
+            chunk *= 2
+    return best
 
 
 # -- exact rounding --------------------------------------------------------------
 
 
-def _fiber_coordinates(g: np.ndarray, pz: GramParameterization) -> np.ndarray:
-    if not pz.kernel:
-        return np.zeros(0)
-    k_mat = np.stack([_flatten(_float_matrix(k)) for k in pz.kernel], axis=1)
-    rhs = _flatten(g) - _flatten(_float_matrix(pz.base))
-    t, *_ = np.linalg.lstsq(k_mat, rhs, rcond=None)
-    return t
+def _roundings(values, cfg: SearchConfig) -> Iterator[tuple[Fraction, ...]]:
+    """Distinct rational roundings of values, simplest denominators first.
+
+    For each bound D the grid 1/D comes first, then continued fractions with
+    denominators at most D: neither alone suffices, since the grid misses
+    rational points with small odd denominators and continued fractions pick
+    needlessly large denominators when the grid would do.
+    """
+    values = [float(v) for v in values]
+    bounds = [2, 16, 256, 4096] + [cfg.denominator_bound * 2**k for k in range(6)]
+    seen = set()
+    for bound in bounds:
+        for rounded in (
+            tuple(Fraction(round(v * bound), bound) for v in values),
+            tuple(Fraction(v).limit_denominator(bound) for v in values),
+        ):
+            if rounded not in seen:
+                seen.add(rounded)
+                yield rounded
 
 
-def _reconstruct(pz: GramParameterization, t: Sequence[Fraction]) -> SymRationalMatrix:
-    acc = pz.base
-    for ti, k in zip(t, pz.kernel):
-        if ti != 0:
-            acc = acc + k.scale(ti)
-    return acc
+def fiber_roundings(
+    g: np.ndarray, pz: GramParameterization, cfg: SearchConfig
+) -> Iterator[SymRationalMatrix]:
+    """Exact fiber points near g: each rounding of g's entries, snapped to the fiber."""
+    upper = ((g + g.T) / 2.0)[np.triu_indices(len(pz.z))]
+    for rounded in _roundings(upper, cfg):
+        yield pz.snap(rounded)
 
 
-def _facial_reduction(pz: GramParameterization, g: np.ndarray, kernel_tol: float = 1e-6):
-    """Restrict the fiber to matrices annihilating the numeric near-kernel of g.
+def _face_roundings(
+    g: np.ndarray, pz: GramParameterization, cfg: SearchConfig, kernel_tol: float = 1e-6
+) -> Iterator[SymRationalMatrix]:
+    """Exact fiber points near g that also annihilate g's numeric kernel.
 
-    The near-kernel eigenvectors are row-reduced numerically and rounded
-    entrywise to rationals over a ladder of denominator bounds; inconsistent
-    guesses are dropped rather than corrupting the fiber. Returns the list of
-    distinct consistent reductions (possibly empty).
+    The entries of all but the first pair reaching each monomial are free
+    coordinates of the fiber; the target then fixes the first pair. The
+    near-kernel eigenvectors of g are row-reduced numerically and rounded
+    entrywise over a ladder of denominator bounds, and the rows of Q v = 0
+    are solved exactly in the free coordinates. Inconsistent guesses are
+    dropped; each distinct face is rounded in its own coordinates.
     """
     vals, vecs = jacobi_eigendecomposition(g)
     null_cols = [i for i, v in enumerate(vals) if abs(v) <= kernel_tol]
     if not null_cols:
-        return []
-    rows = [list(vecs[:, i]) for i in null_cols]
+        return
     # numeric RREF with pivot normalization, then entrywise rationalization
-    mat = np.array(rows)
-    r = 0
+    mat = vecs[:, null_cols].T.copy()
+    rank = 0
     for c in range(mat.shape[1]):
-        piv = np.argmax(np.abs(mat[r:, c])) + r
+        piv = np.argmax(np.abs(mat[rank:, c])) + rank
         if abs(mat[piv, c]) < 1e-8:
             continue
-        mat[[r, piv]] = mat[[piv, r]]
-        mat[r] = mat[r] / mat[r, c]
+        mat[[rank, piv]] = mat[[piv, rank]]
+        mat[rank] = mat[rank] / mat[rank, c]
         for i in range(mat.shape[0]):
-            if i != r:
-                mat[i] = mat[i] - mat[i, c] * mat[r]
-        r += 1
-        if r == mat.shape[0]:
+            if i != rank:
+                mat[i] = mat[i] - mat[i, c] * mat[rank]
+        rank += 1
+        if rank == mat.shape[0]:
             break
-    reductions = []
-    n_t = len(pz.kernel)
+    dim = len(pz.z)
+    index = pz.index.tolist()
+    lead: dict[int, tuple[int, int]] = {}
+    free: list[tuple[int, int]] = []
+    for r in range(dim):
+        for s in range(r, dim):
+            if index[r][s] in lead:
+                free.append((r, s))
+            else:
+                lead[index[r][s]] = (r, s)
+
+    def complete(x: Sequence[Fraction]) -> SymRationalMatrix:
+        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        residual = list(pz.target)
+        for (r, s), v in zip(free, x):
+            rows[r][s] = rows[s][r] = v
+            residual[index[r][s]] -= v if r == s else 2 * v
+        for m, (r, s) in lead.items():
+            rows[r][s] = rows[s][r] = residual[m] / (1 if r == s else 2)
+        return SymRationalMatrix(rows)
+
+    base = complete([Fraction(0)] * len(free))
+    free_values = np.array([g[r, s] for r, s in free])
+    seen = set()
     for den_bound in (12, 100, 10**4, 10**6):
-        exact_vecs = [
-            [Fraction(float(v)).limit_denominator(den_bound) for v in mat[i]] for i in range(r)
-        ]
-        # constraints: (base + sum t_i K_i) v = 0 for every exact kernel vector v
         rows_a: list[list[Fraction]] = []
         rhs: list[Fraction] = []
-        for v in exact_vecs:
-            base_v = pz.base.mat_vec(v)
-            k_vs = [k.mat_vec(v) for k in pz.kernel]
-            for comp in range(pz.base.dim):
-                rows_a.append([k_vs[i][comp] for i in range(n_t)])
-                rhs.append(-base_v[comp])
+        for i in range(rank):
+            v = [Fraction(float(c)).limit_denominator(den_bound) for c in mat[i]]
+            # Q(x) v = base v + sum_f x_f E_f v, where E_f is the unit at the
+            # free pair f minus its weight share at the monomial's first pair
+            block = [[Fraction(0)] * len(free) for _ in range(dim)]
+            for col, (r, s) in enumerate(free):
+                a, b = lead[index[r][s]]
+                share = Fraction(1 if r == s else 2, 1 if a == b else 2)
+                for (p, q), w in (((r, s), 1), ((a, b), -share)):
+                    block[p][col] += w * v[q]
+                    if p != q:
+                        block[q][col] += w * v[p]
+            rows_a += block
+            rhs += [-c for c in base.mat_vec(v)]
         particular, null = linalg.solve_affine(rows_a, rhs)
-        if particular is None:
+        if particular is None or (tuple(particular), len(null)) in seen:
             continue
-        new_base = _reconstruct(pz, particular)
-        new_kernel = []
-        for direction in null:
-            acc = None
-            for ci, k in zip(direction, pz.kernel):
-                if ci == 0:
-                    continue
-                term = k.scale(ci)
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                new_kernel.append(acc)
-        reduction = GramParameterization(pz.z, new_base, new_kernel)
-        if not any(red.base == reduction.base and len(red.kernel) == len(reduction.kernel)
-                   for red in reductions):
-            reductions.append(reduction)
-    return reductions
+        seen.add((tuple(particular), len(null)))
+        t = np.zeros(0)
+        if null:
+            null_mat = np.array([[float(c) for c in vec] for vec in null]).T
+            shift = free_values - np.array([float(c) for c in particular])
+            t, *_ = np.linalg.lstsq(null_mat, shift, rcond=None)
+        for t_exact in _roundings(t, cfg):
+            x = list(particular)
+            for ti, vec in zip(t_exact, null):
+                if ti != 0:
+                    x = [xi + ti * ci for xi, ci in zip(x, vec)]
+            yield complete(x)
 
 
 def rationalize_and_certify(
@@ -404,51 +435,23 @@ def rationalize_and_certify(
 ):
     """Round a numeric fiber point to an exact PSD Gram matrix.
 
-    Tries continued-fraction rounding with the configured denominator bound,
-    doubling it on failure; if plain rounding never yields a PSD matrix, a
-    facial-reduction pass constrains the fiber to the numeric kernel and
-    retries. Returns a SosCertificate or a RoundingFailure.
+    Tries the exact fiber roundings of g in order; if none is PSD, facial
+    reduction restricts the fiber to g's numeric kernel and rounds again.
+    Returns a SosCertificate or a RoundingFailure.
     """
     if multiplier is None:
         multiplier = unit_multiplier(len(pz.z[0]))
     last_report = None
-
-    def try_round(space: GramParameterization):
-        nonlocal last_report
-        t = _fiber_coordinates(g, space)
-        # simplest denominators first: near-feasible points with noisy low
-        # digits still snap to the (typically simple) exact solution
-        bounds = [2, 16, 256, 4096]
-        bound = cfg.denominator_bound
-        for _ in range(6):
-            bounds.append(bound)
-            bound *= 2
-        seen = set()
-        for b in bounds:
-            t_exact = tuple(Fraction(float(v)).limit_denominator(b) for v in t)
-            if t_exact in seen:
-                continue
-            seen.add(t_exact)
-            candidate = _reconstruct(space, t_exact)
-            report = ldlt_psd_check(candidate)
-            last_report = report
-            if report.is_psd():
-                return SosCertificate(list(space.z), candidate, multiplier, scale)
-        return None
-
-    cert = try_round(pz)
-    if cert is None:
-        for reduced in _facial_reduction(pz, g):
-            cert = try_round(reduced)
-            if cert is not None:
-                break
-    if cert is None:
-        return RoundingFailure(
-            "no rounded fiber point passed the PSD check",
-            failure_index=last_report.failure_index if last_report else None,
-            pivot=last_report.pivots[-1] if last_report and last_report.pivots else None,
-        )
-    return cert
+    for candidates in (fiber_roundings(g, pz, cfg), _face_roundings(g, pz, cfg)):
+        for q in candidates:
+            last_report = ldlt_psd_check(q)
+            if last_report.is_psd():
+                return SosCertificate(list(pz.z), q, multiplier, scale)
+    return RoundingFailure(
+        "no rounded fiber point passed the PSD check",
+        failure_index=last_report.failure_index if last_report else None,
+        pivot=last_report.pivots[-1] if last_report and last_report.pivots else None,
+    )
 
 
 # -- dual search -----------------------------------------------------------------
@@ -504,15 +507,14 @@ def refutation_search(target: BiquadraticForm, cfg: SearchConfig) -> DualCertifi
         sol = kkt_inv @ rhs
         return sol[:nc]
 
+    # isometric vectorization of symmetric matrices: upper triangle row by
+    # row, off-diagonal entries times sqrt 2
+    upper = np.triu_indices(m)
+    weights = np.where(upper[0] == upper[1], 1.0, math.sqrt(2.0))
+
     def unflatten(vec: np.ndarray) -> np.ndarray:
         out = np.zeros((m, m))
-        pos = 0
-        for r in range(m):
-            out[r, r] = vec[pos]
-            pos += 1
-            for s in range(r + 1, m):
-                out[r, s] = out[s, r] = vec[pos] / math.sqrt(2.0)
-                pos += 1
+        out[upper] = out[upper[1], upper[0]] = vec / weights
         return out
 
     rng = np.random.default_rng(cfg.seed)
@@ -523,7 +525,7 @@ def refutation_search(target: BiquadraticForm, cfg: SearchConfig) -> DualCertifi
         for it in range(min(cfg.max_iterations, 2000)):
             moment = unflatten(l_map @ c)
             psd, min_eig = _project_psd(moment)
-            c_new = project_affine(_flatten(psd))
+            c_new = project_affine(psd[upper] * weights)
             delta = float(np.abs(c_new - c).max())
             c = c_new
             if min_eig >= -cfg.convergence_tol and delta <= cfg.convergence_tol:
@@ -626,7 +628,7 @@ def check_sos(
     proves target nonnegative when the multiplier is a sum of even powers.
     """
     cfg = cfg or SearchConfig()
-    tf = _target_form(target)
+    tf = _as_form(target)
     search_form = tf if multiplier is None else multiplier * tf
     if z is None:
         if isinstance(target, BiquadraticForm):
@@ -641,75 +643,53 @@ def check_sos(
     except ValueError as exc:
         return SearchOutcome("Stalled", diagnostics=f"parameterization failed: {exc}")
 
-    def attempt(g_num, residual):
+    last_reason = ""
+
+    def attempt(g_num):
+        # every acceptance is gated by the exact verifier, so rounding a
+        # rough numeric point is sound
+        nonlocal last_reason
         cert = rationalize_and_certify(g_num, pz, cfg, multiplier=multiplier)
         if isinstance(cert, RoundingFailure):
-            return None, cert.reason
+            last_reason = cert.reason
+            return None
         check = verify_sos_certificate(tf, cert)
         if not check:
-            return None, check.reason
+            last_reason = check.reason
+            return None
         # the certified Gram matrix lies exactly on the fiber and is exactly
         # PSD; report its own numeric residual, not the rougher search point's
         eigs = np.linalg.eigvalsh(_float_matrix(cert.q))
         residual = max(0.0, -float(eigs[0]))
-        return SearchOutcome("ExactCertificate", certificate=cert, residual=residual), None
+        return SearchOutcome("ExactCertificate", certificate=cert, residual=residual)
 
-    # Staged search: run in growing iteration chunks and attempt exact
-    # rounding at each stage. Early acceptances are gated by the exact
-    # verifier, so they are sound even when the numeric point is rough.
-    geo = _FiberGeometry(pz)
-    rng = np.random.default_rng(cfg.seed)
-    last_stall = None
-    last_reason = ""
-    for restart in range(cfg.restarts):
-        x = geo.g0.copy()
-        if restart > 0 and geo.kernels:
-            coeffs = rng.standard_normal(len(geo.kernels))
-            x = x + sum(c * k for c, k in zip(coeffs, geo.kernels))
-        used = 0
-        chunk = 200
-        while used < cfg.max_iterations:
-            budget = min(chunk, cfg.max_iterations - used)
-            result = _projection_run(geo, x, budget, cfg.convergence_tol)
-            if not isinstance(result, StallReport):
-                g, info = result
-                residual = max(max(-info["min_eigenvalue"], 0.0), info["fiber_distance"])
-                outcome, reason = attempt(g, residual)
-                if outcome is not None:
-                    return outcome
-                return SearchOutcome(
-                    "NumericFeasible",
-                    residual=residual,
-                    diagnostics=f"feasible numerically but rounding failed: {reason}",
-                )
-            used += result.iterations
-            last_stall = result
-            x = result.state if result.state is not None else result.fiber_point
-            residual = max(max(-result.min_eigenvalue, 0.0), result.fiber_distance)
-            if residual <= 1e-4 and result.fiber_point is not None:
-                outcome, last_reason = attempt(result.fiber_point, residual)
-                if outcome is not None:
-                    return outcome
-            if result.stagnated:
-                break
-            chunk *= 2
+    result = douglas_rachford(pz, cfg, attempt)
+    if isinstance(result, SearchOutcome):
+        return result
+    if not isinstance(result, StallReport):
+        g, info = result
+        outcome = attempt(g)
+        if outcome is not None:
+            return outcome
+        residual = max(-info["min_eigenvalue"], 0.0, info["fiber_distance"])
+        return SearchOutcome(
+            "NumericFeasible",
+            residual=residual,
+            diagnostics=f"feasible numerically but rounding failed: {last_reason}",
+        )
 
     dual = None
     if isinstance(target, BiquadraticForm) and multiplier is None:
         dual = refutation_search(target, cfg)
     if dual is not None:
         return SearchOutcome("Refuted", dual=dual)
-    residual = None
-    diagnostics = "search stalled"
-    if last_stall is not None:
-        residual = max(max(-last_stall.min_eigenvalue, 0.0), last_stall.fiber_distance)
-        diagnostics = (
-            f"stalled with min eigenvalue {last_stall.min_eigenvalue:.3e}, "
-            f"fiber distance {last_stall.fiber_distance:.3e}"
-        )
-        if last_reason:
-            diagnostics += f"; last rounding failure: {last_reason}"
-    return SearchOutcome("Stalled", residual=residual, diagnostics=diagnostics)
+    diagnostics = (
+        f"stalled with min eigenvalue {result.min_eigenvalue:.3e}, "
+        f"fiber distance {result.fiber_distance:.3e}"
+    )
+    if last_reason:
+        diagnostics += f"; last rounding failure: {last_reason}"
+    return SearchOutcome("Stalled", residual=result.residual, diagnostics=diagnostics)
 
 
 def check_sos_convexity(p: Form, cfg: SearchConfig | None = None) -> SearchOutcome:

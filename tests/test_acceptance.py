@@ -51,9 +51,9 @@ from sosconvex.forms import Form, euler_recover, hessian, is_valid_hessian
 from sosconvex.search import (
     SearchConfig,
     StallReport,
-    alternating_projection_solve,
     bidegree_basis,
     check_sos_convexity,
+    douglas_rachford,
     parameterize,
 )
 
@@ -220,7 +220,7 @@ def test_criterion_10_non_sos_search_behavior(tmp_path):
     with criterion(10, 60.0):
         b = builtin("b_thm22")
         pz = parameterize(b, bidegree_basis(3, 1, 1))
-        result = alternating_projection_solve(pz, SearchConfig(max_iterations=10_000))
+        result = douglas_rachford(pz, SearchConfig(max_iterations=10_000))
         assert isinstance(result, StallReport)  # soundness: no false certificate
         target = tmp_path / "b.biq"
         assert main(["builtin", "b_thm22", str(target)]) == 0

@@ -107,6 +107,15 @@ class TestCheck:
     def test_odd_multiplier_degree_rejected(self, b_file):
         assert main(["check", b_file, "--nonneg-mult", "x1"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, b_file, tol, capsys):
+        assert main(["check", b_file, "--sos", "--tol", tol]) == EXIT_ERROR
+        assert "finite" in capsys.readouterr().err
+
+    def test_zero_denominator_multiplier_rejected(self, b_file, capsys):
+        assert main(["check", b_file, "--nonneg-mult", "1/0*x1^2"]) == EXIT_ERROR
+        assert "bad rational" in capsys.readouterr().err
+
 
 class TestFace:
     def test_member_with_bound_and_zero(self, capsys):
@@ -132,6 +141,24 @@ class TestFace:
              "--zero"]
         )
         assert code == EXIT_ERROR
+
+    def test_negative_rational_alpha(self, capsys):
+        code = main(
+            ["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "1", "-4/7",
+             "--bound"]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_TRUE
+        assert "alphas: 1/1 1/1 1/1 1/1 -4/7" in out
+        assert "bound: -1/1" in out
+
+    def test_zero_dps_rejected(self, capsys):
+        code = main(
+            ["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "1", "-1",
+             "--zero", "--dps", "0"]
+        )
+        assert code == EXIT_ERROR
+        assert "--dps" in capsys.readouterr().err
 
     def test_degenerate_params(self):
         code = main(["face", "--a", "0", "--b", "1", "--alphas", "1", "1", "1", "1", "0"])

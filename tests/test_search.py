@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_biquadratic
 from sosconvex.certificates import gram_expand, verify_sos_certificate
@@ -12,13 +13,14 @@ from sosconvex.dual import moment_matrix, builtin_dual, verify_refutation
 from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
 from sosconvex.forms import Form
 from sosconvex.search import (
-    GramParameterization,
     SearchConfig,
     StallReport,
-    alternating_projection_solve,
+    _face_roundings,
     bidegree_basis,
     check_sos,
     check_sos_convexity,
+    douglas_rachford,
+    fiber_roundings,
     jacobi_eigendecomposition,
     parameterize,
     rationalize_and_certify,
@@ -31,28 +33,82 @@ def bilinears():
     return bidegree_basis(3, 1, 1)
 
 
+def fiber_dimension(pz):
+    # surjective constraint map: one row per monomial, one column per pair
+    d = len(pz.z)
+    return d * (d + 1) // 2 - len(pz.counts)
+
+
+def random_upper(pz, rng):
+    d = len(pz.z)
+    return [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d * (d + 1) // 2)]
+
+
+def least_norm_point(pz):
+    d = len(pz.z)
+    return pz.project(np.zeros((d, d)))
+
+
 class TestParameterize:
     def test_single_monomial_fiber(self):
         target = BiquadraticForm(1, {(1, 1, 1, 1): F(12)})
         pz = parameterize(target, [(1, 1)])
-        assert pz.base.rows == [[F(12)]]
-        assert pz.kernel == []
+        assert pz.snap([F(5, 7)]).rows == [[F(12)]]
+        assert fiber_dimension(pz) == 0
 
     def test_nine_bilinear_kernel_dimension(self):
         # 45 Gram parameters, 36 coefficient constraints, surjective map
         pz = parameterize(builtin("b_thm22"), bilinears())
-        assert len(pz.kernel) == 9
+        assert len(pz.counts) == 36
+        assert fiber_dimension(pz) == 9
 
     def test_every_fiber_point_expands_to_target(self):
         target = builtin("b_thm22")
         pz = parameterize(target, bilinears())
         tf = target.to_form()
-        assert gram_expand(pz.z, pz.base) == tf
-        point = pz.base
-        for i, k in enumerate(pz.kernel):
-            assert gram_expand(pz.z, k).is_zero()
-            point = point + k.scale(F(i + 1, 3))
-        assert gram_expand(pz.z, point) == tf
+        rng = random.Random(5)
+        base = pz.snap([F(0)] * 45)
+        assert gram_expand(pz.z, base) == tf
+        for _ in range(3):
+            point = pz.snap(random_upper(pz, rng))
+            assert gram_expand(pz.z, point) == tf
+            # the difference of two fiber points is a kernel direction
+            assert gram_expand(pz.z, point + base.scale(-1)).is_zero()
+
+    @pytest.mark.parametrize(
+        "target, z",
+        [
+            (builtin("b_thm22"), bidegree_basis(3, 1, 1)),
+            (builtin("choi_biquadratic"), bidegree_basis(3, 1, 1)),
+            (Form.linear([1, -2, 3]) ** 4, sos_basis_for(Form.linear([1, -2, 3]) ** 4)),
+        ],
+        ids=["b_thm22", "choi", "linear_power"],
+    )
+    def test_projection_matches_dense_least_squares(self, target, z):
+        pz = parameterize(target, z)
+        d = len(pz.z)
+        # one constraint row per monomial over all d*d ordered entries
+        a = np.zeros((len(pz.counts), d * d))
+        a[pz.index.ravel(), np.arange(d * d)] = 1.0
+        b = np.array([float(c) for c in pz.target])
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            x = rng.standard_normal((d, d))
+            x = x + x.T
+            step, *_ = np.linalg.lstsq(a, b - a @ x.ravel(), rcond=None)
+            dense = x + step.reshape(d, d)
+            assert np.abs(pz.project(x) - dense).max() <= 1e-10
+
+    def test_roundings_expand_exactly_to_target(self):
+        # no PSD assumption: a random symmetric matrix far from the cone
+        target = builtin("b_thm22")
+        pz = parameterize(target, bilinears())
+        rng = np.random.default_rng(2)
+        g = rng.standard_normal((9, 9))
+        candidates = list(fiber_roundings(g + g.T, pz, SearchConfig()))
+        assert len(candidates) > 1
+        for q in candidates:
+            assert gram_expand(pz.z, q) == target.to_form()
 
     def test_unrepresentable_monomial_reported(self):
         target = Form(2, 4, {(3, 1): F(1), (1, 3): F(1)})
@@ -92,7 +148,7 @@ class TestProjections:
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
         h = hessian_biquadratic(p)
         pz = parameterize(h, bilinears())
-        result = alternating_projection_solve(pz, SearchConfig())
+        result = douglas_rachford(pz, SearchConfig())
         assert not isinstance(result, StallReport)
         g, info = result
         assert info["min_eigenvalue"] >= -1e-8
@@ -106,14 +162,14 @@ class TestProjections:
 
     def test_builtin_b_stalls_on_bilinears(self):
         pz = parameterize(builtin("b_thm22"), bilinears())
-        result = alternating_projection_solve(pz, SearchConfig(max_iterations=10_000))
+        result = douglas_rachford(pz, SearchConfig(max_iterations=10_000))
         assert isinstance(result, StallReport)
 
     def test_deterministic_given_seed(self):
         pz = parameterize(builtin("choi_biquadratic"), bilinears())
         cfg = SearchConfig(max_iterations=500, restarts=2, seed=42)
-        r1 = alternating_projection_solve(pz, cfg)
-        r2 = alternating_projection_solve(pz, cfg)
+        r1 = douglas_rachford(pz, cfg)
+        r2 = douglas_rachford(pz, cfg)
         assert isinstance(r1, StallReport) and isinstance(r2, StallReport)
         assert r1.min_eigenvalue == r2.min_eigenvalue
         assert r1.fiber_distance == r2.fiber_distance
@@ -124,16 +180,32 @@ class TestRounding:
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
         h = hessian_biquadratic(p)
         pz = parameterize(h, bilinears())
-        g = np.array([[float(v) for v in row] for row in pz.base.rows])
+        g = least_norm_point(pz)
         rng = np.random.default_rng(3)
         g = g + 1e-7 * rng.standard_normal(g.shape)
         cert = rationalize_and_certify(g, pz, SearchConfig())
         assert verify_sos_certificate(h, cert)
 
+    def test_face_roundings_stay_on_fiber_and_kernel(self):
+        forms = ([1, 2, 0], [0, 1, -1], [1, 0, 3])
+        p = sum((Form.linear(c) ** 4 for c in forms[1:]), Form.linear(forms[0]) ** 4)
+        h = hessian_biquadratic(p)
+        pz = parameterize(h, bilinears())
+        g, _ = douglas_rachford(pz, SearchConfig())
+        vals, vecs = np.linalg.eigh(g)
+        kernel = vecs[:, np.abs(vals) <= 1e-6]
+        assert kernel.shape[1] == 6
+        candidates = list(_face_roundings(g, pz, SearchConfig()))
+        assert candidates
+        for q in candidates:
+            assert gram_expand(pz.z, q) == h.to_form()
+            q_float = np.array([[float(v) for v in row] for row in q.rows])
+            assert np.abs(q_float @ kernel).max() <= 1e-9
+
     def test_failure_is_falsy_with_reason(self):
         # the shipped b has no PSD Gram at all, so every rounding must fail
         pz = parameterize(builtin("b_thm22"), bilinears())
-        g = np.array([[float(v) for v in row] for row in pz.base.rows])
+        g = least_norm_point(pz)
         result = rationalize_and_certify(g, pz, SearchConfig())
         assert not result
         assert "PSD" in result.reason
@@ -190,6 +262,34 @@ class TestEndToEnd:
         p = sum((Form.variable(2, i) ** 6 for i in (2,)), Form.variable(2, 1) ** 6)
         outcome = check_sos_convexity(p)
         assert outcome.is_certified()
+
+
+class TestPowerSumProperty:
+    """Forms that are sos-convex by construction must certify."""
+
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=30,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.integers(n, n + 3).flatmap(
+                lambda k: st.lists(
+                    st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any),
+                    min_size=k,
+                    max_size=k,
+                )
+            )
+        )
+    )
+    def test_quartic_power_sums_certify(self, forms):
+        # sum of (l_i . x)^4 has Hessian form 12 sum (l_i . x)^2 (l_i . y)^2
+        p = sum((Form.linear(c) ** 4 for c in forms[1:]), Form.linear(forms[0]) ** 4)
+        outcome = check_sos_convexity(p)
+        assert outcome.status == "ExactCertificate"
+        assert verify_sos_certificate(hessian_biquadratic(p), outcome.certificate)
 
 
 class TestConfig:

@@ -176,22 +176,25 @@ def ordering_by_name(name: str, n: int = 3) -> MonomialOrdering:
 # -- operations ---------------------------------------------------------------
 
 
-def hessian_biquadratic(p: Form) -> BiquadraticForm:
-    """The Hessian form y^T H_p(x) y of a quartic p."""
-    if p.degree != 4:
-        raise ValueError("hessian_biquadratic requires a quartic form")
-    n = p.n_vars
-    h = hessian(p)
+def biquadratic_from_polymatrix(a: PolyMatrix) -> BiquadraticForm:
+    """y^T A(x) y for a symmetric polynomial matrix with quadratic entries."""
+    n = a.dim
     coeffs: dict[Key, Fraction] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            entry = h[i, j]
             k0, l0 = (i, j) if i <= j else (j, i)
-            for exps, c in entry.terms.items():
+            for exps, c in a[i, j].terms.items():
                 xs = [t + 1 for t, e in enumerate(exps) for _ in range(e)]
                 key = (xs[0], xs[1], k0, l0)
                 coeffs[key] = coeffs.get(key, Fraction(0)) + c
     return BiquadraticForm(n, coeffs)
+
+
+def hessian_biquadratic(p: Form) -> BiquadraticForm:
+    """The Hessian form y^T H_p(x) y of a quartic p."""
+    if p.degree != 4:
+        raise ValueError("hessian_biquadratic requires a quartic form")
+    return biquadratic_from_polymatrix(hessian(p))
 
 
 def hessian_form(p: Form) -> Form:
@@ -285,12 +288,14 @@ def dim_hessian(n: int) -> int:
 
 # -- builtin corpus -----------------------------------------------------------
 
-_BUILTIN_FILES = {
-    "choi_matrix": "choi_matrix.polymat",
-    "choi_biquadratic": "choi_biquadratic.biq",
+BUILTIN_FILES = {
     "b_thm22": "b_thm22.biq",
+    "c_dual": "c_dual.dcert",
+    "choi_biquadratic": "choi_biquadratic.biq",
+    "choi_matrix": "choi_matrix.polymat",
     "f_lemma32": "f_lemma32.form",
     "q_reduction": "q_reduction.form",
+    "q22_cert": "q22_cert.cert",
 }
 
 
@@ -299,33 +304,22 @@ def corpus_text(filename: str) -> str:
 
 
 def builtin(name: str):
-    """Load a corpus object by name.
+    """Load a corpus form or matrix by name.
 
     Names: choi_matrix (PolyMatrix), choi_biquadratic and b_thm22
-    (BiquadraticForm), f_lemma32 and q_reduction (Form).
+    (BiquadraticForm), f_lemma32 and q_reduction (Form). The shipped
+    certificates c_dual and q22_cert are loaded by dual.builtin_dual and
+    certificates.builtin_certificate.
     """
-    if name not in _BUILTIN_FILES:
+    filename = BUILTIN_FILES.get(name, "")
+    parse = {
+        "polymat": polymatrix_from_text,
+        "biq": biquadratic_from_text,
+        "form": form_from_text,
+    }.get(filename.rpartition(".")[2])
+    if parse is None:
         raise ValueError(f"unknown builtin {name!r}")
-    text = corpus_text(_BUILTIN_FILES[name])
-    if name == "choi_matrix":
-        return polymatrix_from_text(text)
-    if name in ("choi_biquadratic", "b_thm22"):
-        return biquadratic_from_text(text)
-    return form_from_text(text)
-
-
-def choi_biquadratic_from_matrix(c: PolyMatrix) -> BiquadraticForm:
-    """y^T A(x) y for a symmetric quadratic-entry polynomial matrix."""
-    n = c.dim
-    coeffs: dict[Key, Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            k0, l0 = (i, j) if i <= j else (j, i)
-            for exps, v in c[i, j].terms.items():
-                xs = [t + 1 for t, e in enumerate(exps) for _ in range(e)]
-                key = (xs[0], xs[1], k0, l0)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + v
-    return BiquadraticForm(n, coeffs)
+    return parse(corpus_text(filename))
 
 
 # -- brute-force dimension oracles (used by the verification suites) ----------

@@ -12,12 +12,15 @@ import sys
 from fractions import Fraction
 
 from .biquadratic import (
+    BUILTIN_FILES,
     BiquadraticForm,
     biquadratic_from_text,
     corpus_text,
     dim_hessian,
     dim_nary,
     dim_symmetric,
+    hessian_biquadratic,
+    hessian_form,
 )
 from .certificates import certificate_from_text, certificate_to_text, verify_sos_certificate
 from .dual import dual_from_text, verify_refutation
@@ -37,17 +40,6 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
-
-_BUILTIN_FILES = {
-    "b_thm22": "b_thm22.biq",
-    "c_dual": "c_dual.dcert",
-    "choi_biquadratic": "choi_biquadratic.biq",
-    "choi_matrix": "choi_matrix.polymat",
-    "f_lemma32": "f_lemma32.form",
-    "q_reduction": "q_reduction.form",
-    "q22_cert": "q22_cert.cert",
-}
-
 
 def _read(path: str) -> str:
     try:
@@ -162,8 +154,6 @@ def cmd_verify(args) -> int:
         and target.degree % 2 == 0
     ):
         # sos-convexity certificate: it attests y^T H_p(x) y over 2n variables
-        from .biquadratic import hessian_biquadratic, hessian_form
-
         target = (
             hessian_biquadratic(target) if target.degree == 4 else hessian_form(target)
         )
@@ -218,22 +208,12 @@ def cmd_check(args) -> int:
         print(f"certificate: {out_path}")
         return EXIT_TRUE
     if outcome.status == "Refuted":
-        print(f"refuted: not SOS, pairing = {_pairing_of(outcome, target)}")
+        # the refuted biquadratic: the Hessian form under --sos-convex
+        searched = hessian_biquadratic(target) if args.sos_convex else target
+        value = verify_refutation(outcome.dual, searched).pairing_value
+        print(f"refuted: not SOS, pairing = {value}")
         return EXIT_FALSE
     return EXIT_UNKNOWN
-
-
-def _pairing_of(outcome, target) -> Fraction:
-    from .dual import pairing
-
-    b = target if isinstance(target, BiquadraticForm) else None
-    if b is None and isinstance(target, Form):
-        b = BiquadraticForm.from_form(target, outcome.dual.ordering.n)
-    if b is None:
-        from .biquadratic import hessian_biquadratic
-
-        b = hessian_biquadratic(target)
-    return pairing(outcome.dual, b)
 
 
 def cmd_face(args) -> int:
@@ -281,11 +261,11 @@ def cmd_face(args) -> int:
 
 
 def cmd_builtin(args) -> int:
-    if args.name not in _BUILTIN_FILES:
-        known = ", ".join(sorted(_BUILTIN_FILES))
+    if args.name not in BUILTIN_FILES:
+        known = ", ".join(sorted(BUILTIN_FILES))
         print(f"error: unknown builtin {args.name!r} (known: {known})", file=sys.stderr)
         return EXIT_ERROR
-    text = corpus_text(_BUILTIN_FILES[args.name])
+    text = corpus_text(BUILTIN_FILES[args.name])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.out}")

@@ -330,8 +330,6 @@ def find_additional_zero(
 
         best = None
         for xr, yr in candidates:
-            xf = [mpmath.mpf(str(v)) if isinstance(v, Fraction) else v for v in xr]
-            yf = [mpmath.mpf(str(v)) if isinstance(v, Fraction) else v for v in yr]
             xf = [mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v for v in xr]
             yf = [mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v for v in yr]
             nx = mpmath.sqrt(sum(v * v for v in xf))

@@ -17,9 +17,15 @@ and apply the same per-monomial correction in exact arithmetic, so every
 candidate lies exactly on the fiber. A candidate is accepted only if the
 fraction LDL^T check finds it PSD; when no rounding passes, facial
 reduction restricts the fiber by the exact rows of Q v = 0 for the numeric
-kernel of the point and rounds again. Refutations are likewise sound-only:
-a stalled search never claims "not SOS" without an exactly verified dual
-certificate.
+kernel of the point and rounds again.
+
+The same run also answers "not SOS" for biquadratic targets. When the fiber
+and the PSD cone do not meet, a restart ends without converging, and the gap
+Y = P_psd(f) - f at its fiber point f is PSD, constant over the pairs reaching
+each monomial, and pairs negatively with every Gram matrix of the target: the
+moments of a separating functional (Banjac et al., the DR gap vector).
+refutation_search rounds them to a primitive integer functional, and a
+stalled search never claims "not SOS" unless verify_refutation accepts it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .biquadratic import BiquadraticForm, canonical_ordering, coefficient_vector, hessian_biquadratic
+from .biquadratic import BiquadraticForm, canonical_ordering, hessian_biquadratic
 from .certificates import (
     Monomial,
     SosCertificate,
@@ -42,7 +48,7 @@ from .certificates import (
     unit_multiplier,
     verify_sos_certificate,
 )
-from .dual import DualCertificate, bilinear_basis, builtin_dual, verify_refutation
+from .dual import DualCertificate, bilinear_basis, verify_refutation
 from .forms import Form
 
 
@@ -168,51 +174,11 @@ def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
 # -- numeric search --------------------------------------------------------------
 
 
-def jacobi_eigendecomposition(s, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations; returns (eigenvalues ascending, column eigenvectors)."""
-    a = np.array(s, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("input must be a square matrix")
-    if not np.allclose(a, a.T, atol=max(tol, 1e-12) * max(1.0, np.abs(a).max())):
-        raise ValueError("input matrix is not symmetric")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(100):
-        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / (n * n + 1):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                sn = t * c
-                # in-place Givens update of rows/columns p and q
-                row_p, row_q = a[p].copy(), a[q].copy()
-                a[p] = c * row_p - sn * row_q
-                a[q] = sn * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vcol_p - sn * vcol_q
-                v[:, q] = sn * vcol_p + c * vcol_q
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order].copy(), v[:, order].copy()
-
-
 def _float_matrix(m: SymRationalMatrix) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in m.rows])
 
 
 def _project_psd(x: np.ndarray) -> tuple[np.ndarray, float]:
-    # LAPACK eigendecomposition in the hot loop; jacobi_eigendecomposition is
-    # the reference implementation and they agree to working precision
     vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
     clipped = np.clip(vals, 0.0, None)
     return (vecs * clipped) @ vecs.T, float(vals[0])
@@ -272,8 +238,9 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
     runs in doubling chunks of iterations, each continuing from the last
     state, until it stagnates or the iteration budget is spent. Returns
     (matrix, info) from the first chunk that converges. A chunk that stalls
-    within 1e-4 of feasibility hands its fiber point to `attempt`, and a
-    non-None answer ends the search and is returned. Otherwise returns the
+    within 1e-4 of feasibility, and the last chunk of a restart that ends
+    without converging, hand their StallReport to `attempt`; a non-None
+    answer ends the search and is returned. Otherwise returns the
     StallReport with the smallest residual.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -294,8 +261,9 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
             x = result.state
             if best is None or result.residual < best.residual:
                 best = result
-            if attempt is not None and result.residual <= 1e-4:
-                answer = attempt(result.fiber_point)
+            ended = result.stagnated or used >= cfg.max_iterations
+            if attempt is not None and (result.residual <= 1e-4 or ended):
+                answer = attempt(result)
                 if answer is not None:
                     return answer
             if result.stagnated:
@@ -349,7 +317,7 @@ def _face_roundings(
     are solved exactly in the free coordinates. Inconsistent guesses are
     dropped; each distinct face is rounded in its own coordinates.
     """
-    vals, vecs = jacobi_eigendecomposition(g)
+    vals, vecs = np.linalg.eigh((g + g.T) / 2.0)
     null_cols = [i for i, v in enumerate(vals) if abs(v) <= kernel_tol]
     if not null_cols:
         return
@@ -457,101 +425,80 @@ def rationalize_and_certify(
 # -- dual search -----------------------------------------------------------------
 
 
-def refutation_search(target: BiquadraticForm, cfg: SearchConfig) -> DualCertificate | None:
-    """Best-effort search for an exactly verified dual refutation.
+def refutation_search(
+    target: BiquadraticForm, pz: GramParameterization, f: np.ndarray
+) -> DualCertificate | None:
+    """An exactly verified dual refutation from the DR gap at a fiber point f.
 
-    Alternates PSD projection with projection onto the affine set of
-    moment-structured matrices normalized to pairing -1; the rounded
-    functional is accepted only if verify_refutation passes. Falls back to
-    the shipped functional when the target is the shipped form. Returns None
-    when no sound certificate is found.
+    When the fiber and the PSD cone do not meet, Y = P_psd(f) - f tends to
+    the DR gap vector (Banjac et al. 2019): Y is PSD, constant over the pairs
+    reaching each monomial, and <Y, Q> = -||Y||^2 < 0 for every Gram matrix
+    Q of the target, so its monomial means are the moments of a separating
+    functional. Shifts on the moments of the z_r^2, within the margin that
+    keeps the pairing negative, buy strict positivity; each shift is
+    screened by one float eigvalsh before any exact work. The square of a
+    bilinear outside the pruned basis gets a value large enough to keep the
+    full moment matrix PSD (the target has no coefficient there), and every
+    other unreached monomial gets 0. The moments are rounded to the
+    primitive integer vectors round(D m) / gcd, and a candidate is returned
+    only if verify_refutation accepts it; otherwise None.
     """
-    if not isinstance(target, BiquadraticForm):
-        raise TypeError("refutation search operates on biquadratic forms")
-    fallback = _refutation_fallback(target)
-    if fallback is not None:
-        return fallback
     n = target.n
     ordering = canonical_ordering(n)
-    bvec = coefficient_vector(target, ordering)
+    y = _project_psd(f)[0] - f
+    sums = np.bincount(pz.index.ravel(), weights=y.ravel(), minlength=len(pz.counts))
+    moments = sums / pz.counts
+    peak = float(np.abs(moments).max())
+    if not peak > 0:
+        return None
+    moments /= peak
+    pairing = float(moments @ pz._b)
+    if not pairing < 0:
+        return None
+    # the ordering slot of each fiber monomial, read off its first pair
+    _, first = np.unique(pz.index, return_index=True)
+    slots = []
+    for r, s in zip(*np.unravel_index(first, pz.index.shape)):
+        mono = [a + b for a, b in zip(pz.z[r], pz.z[s])]
+        xs = [i + 1 for i, e in enumerate(mono[:n]) for _ in range(e)]
+        ys = [i + 1 for i, e in enumerate(mono[n:]) for _ in range(e)]
+        if len(xs) != 2 or len(ys) != 2:
+            return None
+        slots.append(ordering.index(*xs, *ys))
     basis = bilinear_basis(n)
-    m = len(basis)
-    nc = len(ordering)
-
-    # flatten(M(c)) is linear in c; build the map column by column
-    flat_len = m * (m + 1) // 2
-    l_map = np.zeros((flat_len, nc))
-    idx = 0
-    for r in range(m):
-        i, j = basis[r]
-        for s in range(r, m):
-            k, l = basis[s]
-            col = ordering.index(i, k, j, l)
-            l_map[idx, col] += 1.0 if r == s else math.sqrt(2.0)
-            idx += 1
-    a_vec = np.array([float(v) for v in bvec])
-
-    # KKT system for min ||L c - y||^2 subject to a.c = -1
-    lt_l = l_map.T @ l_map
-    kkt = np.zeros((nc + 1, nc + 1))
-    kkt[:nc, :nc] = lt_l
-    kkt[:nc, nc] = a_vec
-    kkt[nc, :nc] = a_vec
-    try:
-        kkt_inv = np.linalg.inv(kkt)
-    except np.linalg.LinAlgError:
-        return _refutation_fallback(target)
-
-    def project_affine(y_flat: np.ndarray) -> np.ndarray:
-        rhs = np.concatenate([l_map.T @ y_flat, [-1.0]])
-        sol = kkt_inv @ rhs
-        return sol[:nc]
-
-    # isometric vectorization of symmetric matrices: upper triangle row by
-    # row, off-diagonal entries times sqrt 2
-    upper = np.triu_indices(m)
-    weights = np.where(upper[0] == upper[1], 1.0, math.sqrt(2.0))
-
-    def unflatten(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros((m, m))
-        out[upper] = out[upper[1], upper[0]] = vec / weights
-        return out
-
-    rng = np.random.default_rng(cfg.seed)
-    for restart in range(cfg.restarts):
-        c = project_affine(np.zeros(flat_len) if restart == 0 else rng.standard_normal(flat_len))
-        converged = False
-        window_delta = math.inf
-        for it in range(min(cfg.max_iterations, 2000)):
-            moment = unflatten(l_map @ c)
-            psd, min_eig = _project_psd(moment)
-            c_new = project_affine(psd[upper] * weights)
-            delta = float(np.abs(c_new - c).max())
-            c = c_new
-            if min_eig >= -cfg.convergence_tol and delta <= cfg.convergence_tol:
-                converged = True
-                break
-            if (it + 1) % 200 == 0:
-                if delta >= 0.99 * window_delta:
-                    break
-                window_delta = delta
-        if not converged:
+    full = np.array([[ordering.index(i, k, j, l) for k, l in basis] for i, j in basis])
+    reached = np.zeros(len(ordering), dtype=bool)
+    reached[slots] = True
+    free = ~reached[np.diag(full)]
+    squares = np.unique(np.diag(pz.index))
+    seen = set()
+    # a shift s on the squares raises the pairing by s times their target
+    # coefficients; shifts within half that margin keep the pairing negative
+    room = -pairing / max(float(pz._b[squares].sum()), -pairing)
+    for shift in (0.0, room / 4, room / 2):
+        m = moments.copy()
+        m[squares] += shift
+        if np.linalg.eigvalsh(m[pz.index])[0] <= 0:
             continue
-        bound = cfg.denominator_bound
-        for _ in range(6):
-            c_exact = [Fraction(float(v)).limit_denominator(bound) for v in c]
-            cand = DualCertificate(ordering, c_exact)
+        c = np.zeros(len(ordering))
+        c[slots] = m
+        if free.any():
+            # the Schur complement of the reached block bounds the free squares
+            mat = c[full]
+            kept, cross = mat[np.ix_(~free, ~free)], mat[np.ix_(~free, free)]
+            need = cross.T @ np.linalg.solve(kept, cross) - mat[np.ix_(free, free)]
+            c[np.diag(full)[free]] = 2.0 * max(float(np.linalg.eigvalsh(need)[-1]), 0.0) + 1.0
+        values = c.tolist()
+        for den in (4**k for k in range(1, 9)):
+            ints = [round(den * v) for v in values]
+            g = math.gcd(*ints)
+            key = tuple(v // g for v in ints) if g else None
+            if key is None or key in seen:
+                continue
+            seen.add(key)
+            cand = DualCertificate(ordering, list(key))
             if verify_refutation(cand, target):
                 return cand
-            bound *= 2
-    return None
-
-
-def _refutation_fallback(target: BiquadraticForm) -> DualCertificate | None:
-    if target.n == 3:
-        builtin = builtin_dual()
-        if verify_refutation(builtin, target):
-            return builtin
     return None
 
 
@@ -645,7 +592,7 @@ def check_sos(
 
     last_reason = ""
 
-    def attempt(g_num):
+    def certify(g_num):
         # every acceptance is gated by the exact verifier, so rounding a
         # rough numeric point is sound
         nonlocal last_reason
@@ -663,12 +610,25 @@ def check_sos(
         residual = max(0.0, -float(eigs[0]))
         return SearchOutcome("ExactCertificate", certificate=cert, residual=residual)
 
+    refutable = isinstance(target, BiquadraticForm) and multiplier is None
+
+    def attempt(report: StallReport):
+        # a stall near the fiber is rounded; a restart that ends far from it
+        # carries the DR gap, which may separate the target from the SOS cone
+        if report.residual <= 1e-4:
+            return certify(report.fiber_point)
+        if refutable:
+            dual = refutation_search(target, pz, report.fiber_point)
+            if dual is not None:
+                return SearchOutcome("Refuted", dual=dual)
+        return None
+
     result = douglas_rachford(pz, cfg, attempt)
     if isinstance(result, SearchOutcome):
         return result
     if not isinstance(result, StallReport):
         g, info = result
-        outcome = attempt(g)
+        outcome = certify(g)
         if outcome is not None:
             return outcome
         residual = max(-info["min_eigenvalue"], 0.0, info["fiber_distance"])
@@ -677,12 +637,6 @@ def check_sos(
             residual=residual,
             diagnostics=f"feasible numerically but rounding failed: {last_reason}",
         )
-
-    dual = None
-    if isinstance(target, BiquadraticForm) and multiplier is None:
-        dual = refutation_search(target, cfg)
-    if dual is not None:
-        return SearchOutcome("Refuted", dual=dual)
     diagnostics = (
         f"stalled with min eigenvalue {result.min_eigenvalue:.3e}, "
         f"fiber distance {result.fiber_distance:.3e}"

@@ -10,6 +10,7 @@ from sosconvex.biquadratic import (
     BUILTIN36,
     BiquadraticForm,
     antisymmetric_dimension,
+    biquadratic_from_polymatrix,
     biquadratic_from_text,
     biquadratic_to_text,
     builtin,
@@ -77,6 +78,9 @@ class TestHessian:
     def test_hessian_form_agrees_for_quartics(self):
         p = random_quartic(random.Random(9))
         assert hessian_form(p) == hessian_biquadratic(p).to_form()
+
+    def test_choi_matrix_gives_choi_biquadratic(self):
+        assert biquadratic_from_polymatrix(builtin("choi_matrix")) == builtin("choi_biquadratic")
 
     def test_choi_biquadratic_not_symmetric(self):
         verdict = is_symmetric(builtin("choi_biquadratic"))
@@ -154,3 +158,8 @@ class TestCorpus:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             builtin("nope")
+
+    @pytest.mark.parametrize("name", ["c_dual", "q22_cert"])
+    def test_certificates_are_not_parsed_as_forms(self, name):
+        with pytest.raises(ValueError):
+            builtin(name)

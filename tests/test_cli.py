@@ -29,6 +29,11 @@ def write_x4_sum(tmp_path):
     return str(path)
 
 
+def negative_pairing(out):
+    line = next(ln for ln in out.splitlines() if ln.startswith("refuted:"))
+    return F(line.rpartition("= ")[2]) < 0
+
+
 class TestDims:
     def test_ternary_counts(self, capsys):
         assert main(["dims", "3"]) == EXIT_TRUE
@@ -95,6 +100,19 @@ class TestCheck:
     def test_builtin_b_refuted(self, b_file, capsys):
         assert main(["check", b_file, "--sos"]) == EXIT_FALSE
         assert "Refuted" in capsys.readouterr().out
+
+    def test_nonconvex_quartic_refuted_with_pairing(self, tmp_path, capsys):
+        target = tmp_path / "quartic.form"
+        p = Form(3, 4, {(4, 0, 0): F(1), (2, 2, 0): F(-6), (0, 4, 0): F(1), (0, 0, 4): F(1)})
+        target.write_text(form_to_text(p))
+        assert main(["check", str(target), "--sos-convex"]) == EXIT_FALSE
+        assert negative_pairing(capsys.readouterr().out)
+
+    def test_choi_refuted_with_pairing(self, tmp_path, capsys):
+        target = tmp_path / "choi.biq"
+        assert main(["builtin", "choi_biquadratic", str(target)]) == EXIT_TRUE
+        assert main(["check", str(target), "--sos"]) == EXIT_FALSE
+        assert negative_pairing(capsys.readouterr().out)
 
     def test_multiplier_search(self, tmp_path, b_file):
         out = tmp_path / "mult.cert"

@@ -21,10 +21,8 @@ from sosconvex.search import (
     check_sos_convexity,
     douglas_rachford,
     fiber_roundings,
-    jacobi_eigendecomposition,
     parameterize,
     rationalize_and_certify,
-    refutation_search,
     sos_basis_for,
 )
 
@@ -120,29 +118,6 @@ class TestParameterize:
             parameterize(Form(2, 2, {(2, 0): F(1)}), [])
 
 
-class TestJacobi:
-    def test_diagonal_fixed_point(self):
-        vals, vecs = jacobi_eigendecomposition([[3.0, 0.0], [0.0, -1.0]])
-        assert np.allclose(vals, [-1.0, 3.0])
-        assert np.allclose(np.abs(vecs), np.eye(2)[:, ::-1])
-
-    def test_swap_matrix(self):
-        vals, _ = jacobi_eigendecomposition([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(vals, [-1.0, 1.0])
-
-    def test_moment_matrix_all_positive(self):
-        mm = moment_matrix(builtin_dual()).matrix
-        floated = [[float(v) for v in row] for row in mm.rows]
-        vals, vecs = jacobi_eigendecomposition(floated)
-        assert vals[0] > 0
-        assert np.allclose(vecs @ vecs.T, np.eye(9), atol=1e-10)
-        assert np.allclose((vecs * vals) @ vecs.T, floated, atol=1e-8)
-
-    def test_nonsymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_eigendecomposition([[0.0, 1.0], [0.0, 0.0]])
-
-
 class TestProjections:
     def test_diagonal_target_feasible_quickly(self):
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
@@ -211,16 +186,49 @@ class TestRounding:
         assert "PSD" in result.reason
 
 
+def assert_integer_refutation(outcome, b):
+    assert outcome.status == "Refuted"
+    assert all(v.denominator == 1 for v in outcome.dual.c)
+    result = verify_refutation(outcome.dual, b)
+    assert result and result.pairing_value < 0
+
+
 class TestRefutation:
+    """Refutations come from the gap of the DR run, not from a shipped file."""
+
     def test_builtin_b_refuted_exactly(self):
-        dual = refutation_search(builtin("b_thm22"), SearchConfig())
-        assert dual is not None
-        assert verify_refutation(dual, builtin("b_thm22"))
+        assert_integer_refutation(check_sos(builtin("b_thm22")), builtin("b_thm22"))
 
     def test_scaled_b_still_refuted(self):
         scaled = builtin("b_thm22").scale(F(5, 3))
-        dual = refutation_search(scaled, SearchConfig())
-        assert dual is not None and verify_refutation(dual, scaled)
+        assert_integer_refutation(check_sos(scaled), scaled)
+
+    def test_choi_form_refuted(self):
+        # PSD but not SOS; its pruned basis leaves squares the gap never sees
+        choi = builtin("choi_biquadratic")
+        assert_integer_refutation(check_sos(choi), choi)
+
+    def test_nonconvex_quartic_not_sos_convex(self):
+        p = Form(3, 4, {(4, 0, 0): F(1), (2, 2, 0): F(-6), (0, 4, 0): F(1), (0, 0, 4): F(1)})
+        assert_integer_refutation(check_sos_convexity(p), hessian_biquadratic(p))
+
+    @pytest.mark.parametrize(
+        "a, b, alphas", [(1, 1, [1, 1, 1, 1]), (2, 3, [1, 2, 3, 4])], ids=["T11", "T23"]
+    )
+    def test_face_form_below_bound_refuted(self, a, b, alphas):
+        # the gap is nearly a point evaluation, so only a shift within the
+        # pairing's margin keeps the rounded functional separating
+        fp = FaceParams(a, b)
+        p = face_form(alphas + [alpha5_lower_bound(alphas, fp) - F(1, 10)], fp)
+        assert_integer_refutation(check_sos_convexity(p), hessian_biquadratic(p))
+
+    def test_moment_matrix_all_positive(self):
+        mm = moment_matrix(builtin_dual()).matrix
+        floated = np.array([[float(v) for v in row] for row in mm.rows])
+        vals, vecs = np.linalg.eigh(floated)
+        assert vals[0] > 0
+        assert np.allclose(vecs @ vecs.T, np.eye(9), atol=1e-10)
+        assert np.allclose((vecs * vals) @ vecs.T, floated, atol=1e-8)
 
 
 class TestEndToEnd:

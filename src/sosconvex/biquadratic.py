@@ -8,6 +8,7 @@ stored value is the coefficient of the written monomial.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from importlib import resources
 from typing import Sequence
@@ -153,8 +154,10 @@ def _pairs_ascending(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
+@functools.cache
 def canonical_ordering(n: int) -> MonomialOrdering:
-    """Graded-lex ordering, x-block pairs before y-block pairs."""
+    """Graded-lex ordering, x-block pairs before y-block pairs; one shared
+    instance per block size, never mutated."""
     pairs = _pairs_ascending(n)
     return MonomialOrdering("lex", n, [(p, q) for p in pairs for q in pairs])
 

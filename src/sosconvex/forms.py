@@ -439,16 +439,23 @@ def polymatrix_from_text(text: str) -> PolyMatrix:
         parts = line.split()
         if parts[0] == "entry":
             flush()
-            if len(parts) != 3:
-                raise FormatError(f"bad entry line: {line!r}")
-            current = (int(parts[1]), int(parts[2]))
+            try:
+                i, j = (int(v) for v in parts[1:])
+            except ValueError as exc:
+                raise FormatError(f"bad entry line: {line!r}") from exc
+            if not (1 <= i <= dim and 1 <= j <= dim):
+                raise FormatError(f"entry index out of range 1..{dim}: {line!r}")
+            current = (i, j)
             terms = {}
         else:
             if current is None:
                 raise FormatError(f"term line before any entry: {line!r}")
             if len(parts) != n + 1:
                 raise FormatError(f"bad term line: {line!r}")
-            terms[tuple(int(x) for x in parts[1:])] = Fraction(parts[0])
+            try:
+                terms[tuple(int(x) for x in parts[1:])] = Fraction(parts[0])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FormatError(f"bad term line: {line!r}") from exc
     flush()
     try:
         return PolyMatrix(grid)

@@ -20,10 +20,11 @@ reduction restricts the fiber by the exact rows of Q v = 0 for the numeric
 kernel of the point and rounds again.
 
 The same run also answers "not SOS" for biquadratic targets. When the fiber
-and the PSD cone do not meet, a restart ends without converging, and the gap
-Y = P_psd(f) - f at its fiber point f is PSD, constant over the pairs reaching
-each monomial, and pairs negatively with every Gram matrix of the target: the
-moments of a separating functional (Banjac et al., the DR gap vector).
+and the PSD cone do not meet, no chunk of DR iterations converges, and the
+gap Y = P_psd(f) - f at the fiber point f a chunk ends on tends to a PSD
+matrix, constant over the pairs reaching each monomial, that pairs
+negatively with every Gram matrix of the target: the moments of a
+separating functional (Banjac et al., the DR gap vector). After every chunk,
 refutation_search rounds them to a primitive integer functional, and a
 stalled search never claims "not SOS" unless verify_refutation accepts it.
 """
@@ -178,10 +179,9 @@ def _float_matrix(m: SymRationalMatrix) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in m.rows])
 
 
-def _project_psd(x: np.ndarray) -> tuple[np.ndarray, float]:
+def _project_psd(x: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
-    clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ vecs.T, float(vals[0])
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
 
 
 def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: int, tol: float):
@@ -190,11 +190,12 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
     Douglas-Rachford reflections between the PSD cone and the affine fiber;
     the monitored iterate is the shadow sequence P_fiber(P_psd(x)), which
     converges to a feasible point when one exists and whose residual
-    stagnates at the gap when none does.
+    stagnates at the gap when none does. y = P_psd(x) is PSD, so
+    lambda_min(shadow) >= -d * fiber_dist: the shadow's spectrum is needed
+    only once the fiber distance is within tol, and for a stalled run's report.
     """
     x = x0
     shadow = x0
-    shadow_eig = -math.inf
     fiber_dist = math.inf
     it = 0
     best_progress = math.inf
@@ -202,20 +203,22 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
     flat_windows = 0
     stagnated = False
     for it in range(max_iterations):
-        y, _ = _project_psd(x)
+        y = _project_psd(x)
         shadow = pz.project(y)
         fiber_dist = float(np.abs(shadow - y).max())
-        shadow_eig = float(np.linalg.eigvalsh((shadow + shadow.T) / 2.0)[0])
-        if shadow_eig >= -tol and fiber_dist <= tol:
-            return shadow, {
-                "iterations": it + 1,
-                "min_eigenvalue": shadow_eig,
-                "fiber_distance": fiber_dist,
-            }
+        if fiber_dist <= tol:
+            shadow_eig = float(np.linalg.eigvalsh((shadow + shadow.T) / 2.0)[0])
+            if shadow_eig >= -tol:
+                return shadow, {
+                    "iterations": it + 1,
+                    "min_eigenvalue": shadow_eig,
+                    "fiber_distance": fiber_dist,
+                }
         x = x + pz.project(2.0 * y - x) - y
         # the iteration is non-monotone and plateaus before snapping to the
-        # answer, so stagnation needs both a running best and patience
-        best_progress = min(best_progress, max(fiber_dist, max(-shadow_eig, 0.0)))
+        # answer, so stagnation needs both a running best and patience; the
+        # fiber distance bounds -lambda_min(shadow), so it alone is progress
+        best_progress = min(best_progress, fiber_dist)
         if (it + 1) % 200 == 0:
             if best_progress >= 0.99 * window_best:
                 flat_windows += 1
@@ -225,6 +228,7 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
             else:
                 flat_windows = 0
             window_best = best_progress
+    shadow_eig = float(np.linalg.eigvalsh((shadow + shadow.T) / 2.0)[0])
     return StallReport(
         it + 1, shadow_eig, fiber_dist, fiber_point=shadow, stagnated=stagnated, state=x
     )
@@ -237,11 +241,11 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
     later ones from projections of random symmetric matrices. Each restart
     runs in doubling chunks of iterations, each continuing from the last
     state, until it stagnates or the iteration budget is spent. Returns
-    (matrix, info) from the first chunk that converges. A chunk that stalls
-    within 1e-4 of feasibility, and the last chunk of a restart that ends
-    without converging, hand their StallReport to `attempt`; a non-None
-    answer ends the search and is returned. Otherwise returns the
-    StallReport with the smallest residual.
+    (matrix, info) from the first chunk that converges. Every chunk that
+    stalls hands its StallReport to `attempt`, so an answer can come long
+    before the restart stagnates; chunks double, so a restart makes about
+    log2(max_iterations) attempts. A non-None answer ends the search and is
+    returned. Otherwise returns the StallReport with the smallest residual.
     """
     rng = np.random.default_rng(cfg.seed)
     dim = len(pz.z)
@@ -261,8 +265,7 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
             x = result.state
             if best is None or result.residual < best.residual:
                 best = result
-            ended = result.stagnated or used >= cfg.max_iterations
-            if attempt is not None and (result.residual <= 1e-4 or ended):
+            if attempt is not None:
                 answer = attempt(result)
                 if answer is not None:
                     return answer
@@ -445,7 +448,7 @@ def refutation_search(
     """
     n = target.n
     ordering = canonical_ordering(n)
-    y = _project_psd(f)[0] - f
+    y = _project_psd(f) - f
     sums = np.bincount(pz.index.ravel(), weights=y.ravel(), minlength=len(pz.counts))
     moments = sums / pz.counts
     peak = float(np.abs(moments).max())
@@ -613,7 +616,7 @@ def check_sos(
     refutable = isinstance(target, BiquadraticForm) and multiplier is None
 
     def attempt(report: StallReport):
-        # a stall near the fiber is rounded; a restart that ends far from it
+        # a stall near the fiber is rounded; a chunk that ends far from it
         # carries the DR gap, which may separate the target from the SOS cone
         if report.residual <= 1e-4:
             return certify(report.fiber_point)

@@ -114,6 +114,10 @@ class TestOrderings:
         lex = canonical_ordering(3)
         assert from_coefficient_vector(coefficient_vector(b, lex), lex) == b
 
+    def test_canonical_ordering_shared_per_block_size(self):
+        assert canonical_ordering(3) is canonical_ordering(3)
+        assert ordering_by_name("lex", 2) is canonical_ordering(2)
+
     def test_unknown_ordering_name(self):
         with pytest.raises(ValueError):
             ordering_by_name("nope")

@@ -1,6 +1,7 @@
 """Tests for exact sparse forms, calculus, and serialization."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -141,6 +142,20 @@ class TestSerialization:
     def test_bad_header_raises_format_error(self):
         with pytest.raises(FormatError):
             form_from_text("not a form\n")
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("entry 1 1\n1/0 2 0\n", "1/0 2 0"),
+            ("entry 3 1\n1 2 0\n", "entry 3 1"),
+            ("entry 0 1\n1 2 0\n", "entry 0 1"),
+            ("entry 1 1\n1 1.5 0.5\n", "1 1.5 0.5"),
+        ],
+        ids=["zero_denominator", "index_above_dim", "index_zero", "fractional_exponent"],
+    )
+    def test_bad_polymat_line_raises_format_error(self, body, line):
+        with pytest.raises(FormatError, match=re.escape(repr(line))):
+            polymatrix_from_text("polymat n=2 dim=2 d=2\n" + body)
 
     def test_bad_rational_raises_format_error(self):
         with pytest.raises(FormatError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sosconvex import search
 from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_biquadratic
 from sosconvex.certificates import gram_expand, verify_sos_certificate
 from sosconvex.dual import moment_matrix, builtin_dual, verify_refutation
@@ -16,6 +17,7 @@ from sosconvex.search import (
     SearchConfig,
     StallReport,
     _face_roundings,
+    _prune_basis,
     bidegree_basis,
     check_sos,
     check_sos_convexity,
@@ -127,6 +129,7 @@ class TestProjections:
         assert not isinstance(result, StallReport)
         g, info = result
         assert info["min_eigenvalue"] >= -1e-8
+        assert info["fiber_distance"] <= 1e-8
 
     def test_multiplier_target_numerically_feasible(self):
         b = builtin("b_thm22")
@@ -139,6 +142,19 @@ class TestProjections:
         pz = parameterize(builtin("b_thm22"), bilinears())
         result = douglas_rachford(pz, SearchConfig(max_iterations=10_000))
         assert isinstance(result, StallReport)
+
+    def test_stalled_iterations_skip_the_shadow_spectrum(self, monkeypatch):
+        # one eigh per iteration for the PSD projection; the shadow's
+        # eigvalsh only when the fiber distance is within tolerance, and
+        # once for the report
+        b = builtin("b_thm22")
+        pz = parameterize(b, _prune_basis(bilinears(), b.to_form()))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        result = search._projection_run(pz, least_norm_point(pz), 200, 1e-8)
+        assert isinstance(result, StallReport) and result.iterations == 200
+        assert len(calls) <= 1
 
     def test_deterministic_given_seed(self):
         pz = parameterize(builtin("choi_biquadratic"), bilinears())
@@ -202,6 +218,24 @@ class TestRefutation:
     def test_scaled_b_still_refuted(self):
         scaled = builtin("b_thm22").scale(F(5, 3))
         assert_integer_refutation(check_sos(scaled), scaled)
+
+    @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
+    def test_refuted_after_first_chunk(self, name, monkeypatch):
+        # every stalled chunk is offered to the gap rounding, so the first
+        # 200-iteration chunk already refutes
+        iterations = []
+        run = search._projection_run
+
+        def counted(*args):
+            result = run(*args)
+            stalled = isinstance(result, StallReport)
+            iterations.append(result.iterations if stalled else result[1]["iterations"])
+            return result
+
+        monkeypatch.setattr(search, "_projection_run", counted)
+        b = builtin(name)
+        assert_integer_refutation(check_sos(b), b)
+        assert sum(iterations) <= 200
 
     def test_choi_form_refuted(self):
         # PSD but not SOS; its pruned basis leaves squares the gap never sees

@@ -204,16 +204,18 @@ def hessian_form(p: Form) -> Form:
     """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2."""
     n = p.n_vars
     h = hessian(p)
-    acc = Form.zero(2 * n, p.degree)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            entry = h[i, j]
-            lifted_terms = {exps + (0,) * n: c for exps, c in entry.terms.items()}
-            lifted = Form(2 * n, entry.degree, lifted_terms)
-            yi = Form.variable(2 * n, n + i)
-            yj = Form.variable(2 * n, n + j)
-            acc = acc + lifted * yi * yj
-    return acc
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for i in range(n):
+        for j in range(i, n):
+            # H is symmetric: entries (i, j) and (j, i) both feed y_i y_j
+            y = [0] * n
+            y[i] += 1
+            y[j] += 1
+            y = tuple(y)
+            weight = 1 if i == j else 2
+            for exps, c in h[i + 1, j + 1].terms.items():
+                terms[exps + y] = weight * c
+    return Form(2 * n, p.degree, terms)
 
 
 class SymmetryVerdict:

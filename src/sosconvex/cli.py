@@ -19,7 +19,6 @@ from .biquadratic import (
     dim_hessian,
     dim_nary,
     dim_symmetric,
-    hessian_biquadratic,
     hessian_form,
 )
 from .certificates import certificate_from_text, certificate_to_text, verify_sos_certificate
@@ -140,10 +139,7 @@ def cmd_verify(args) -> int:
         (ln.strip() for ln in cert_text.splitlines() if ln.split("#", 1)[0].strip()), ""
     )
     if head.upper().startswith("ORDER:"):
-        dual = dual_from_text(cert_text)
-        if isinstance(target, Form):
-            target = BiquadraticForm.from_form(target, dual.ordering.n)
-        result = verify_refutation(dual, target)
+        result = verify_refutation(dual_from_text(cert_text), target)
         print(result.reason)
         return EXIT_FALSE if result.accepted else EXIT_UNKNOWN
     cert = certificate_from_text(cert_text)
@@ -154,9 +150,7 @@ def cmd_verify(args) -> int:
         and target.degree % 2 == 0
     ):
         # sos-convexity certificate: it attests y^T H_p(x) y over 2n variables
-        target = (
-            hessian_biquadratic(target) if target.degree == 4 else hessian_form(target)
-        )
+        target = hessian_form(target)
     result = verify_sos_certificate(target, cert)
     print(result.reason)
     return EXIT_TRUE if result.accepted else EXIT_FALSE
@@ -208,8 +202,8 @@ def cmd_check(args) -> int:
         print(f"certificate: {out_path}")
         return EXIT_TRUE
     if outcome.status == "Refuted":
-        # the refuted biquadratic: the Hessian form under --sos-convex
-        searched = hessian_biquadratic(target) if args.sos_convex else target
+        # the refuted form: the Hessian form under --sos-convex
+        searched = hessian_form(target) if args.sos_convex else target
         value = verify_refutation(outcome.dual, searched).pairing_value
         print(f"refuted: not SOS, pairing = {value}")
         return EXIT_FALSE

@@ -20,7 +20,7 @@ from .biquadratic import (
     ordering_by_name,
 )
 from .certificates import LdltReport, SymRationalMatrix, ldlt_psd_check
-from .forms import FormatError, as_frac, fmt_frac
+from .forms import Form, FormatError, as_frac, fmt_frac
 
 
 @dataclass
@@ -80,12 +80,16 @@ class RefutationResult:
         return self.accepted
 
 
-def verify_refutation(cert: DualCertificate, b: BiquadraticForm) -> RefutationResult:
+def verify_refutation(cert: DualCertificate, b: BiquadraticForm | Form) -> RefutationResult:
     """Accept iff the moment matrix is PSD and <c, b> < 0.
 
-    Acceptance is a sound proof that b is not SOS. PSD (not necessarily PD)
-    suffices for the trace argument.
+    A Form is read as a biquadratic form at the ordering's block size, so it
+    must be of bidegree (2, 2) in twice that many variables. Acceptance is a
+    sound proof that b is not SOS. PSD (not necessarily PD) suffices for the
+    trace argument.
     """
+    if isinstance(b, Form):
+        b = BiquadraticForm.from_form(b, cert.ordering.n)
     value = pairing(cert, b)
     report = ldlt_psd_check(moment_matrix(cert).matrix)
     if not report.is_psd():

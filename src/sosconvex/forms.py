@@ -426,6 +426,7 @@ def polymatrix_from_text(text: str) -> PolyMatrix:
         raise FormatError(f"bad polymat header: {lines[0]!r}") from exc
     grid = [[Form.zero(n, d) for _ in range(dim)] for _ in range(dim)]
     current: tuple[int, int] | None = None
+    seen: set[tuple[int, int]] = set()
     terms: dict[tuple[int, ...], Fraction] = {}
 
     def flush():
@@ -445,6 +446,11 @@ def polymatrix_from_text(text: str) -> PolyMatrix:
                 raise FormatError(f"bad entry line: {line!r}") from exc
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise FormatError(f"entry index out of range 1..{dim}: {line!r}")
+            # entry i j also sets entry j i
+            pair = (min(i, j), max(i, j))
+            if pair in seen:
+                raise FormatError(f"duplicate entry: {line!r}")
+            seen.add(pair)
             current = (i, j)
             terms = {}
         else:
@@ -453,9 +459,13 @@ def polymatrix_from_text(text: str) -> PolyMatrix:
             if len(parts) != n + 1:
                 raise FormatError(f"bad term line: {line!r}")
             try:
-                terms[tuple(int(x) for x in parts[1:])] = Fraction(parts[0])
+                coeff = Fraction(parts[0])
+                exps = tuple(int(x) for x in parts[1:])
             except (ValueError, ZeroDivisionError) as exc:
                 raise FormatError(f"bad term line: {line!r}") from exc
+            if exps in terms:
+                raise FormatError(f"duplicate monomial: {line!r}")
+            terms[exps] = coeff
     flush()
     try:
         return PolyMatrix(grid)

@@ -75,13 +75,6 @@ def solve_affine(
     return particular, basis
 
 
-def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not rows:
-        return []
-    _, basis = solve_affine(rows, [Fraction(0)] * len(rows))
-    return basis
-
-
 def det(rows: list[list[Fraction]]) -> Fraction:
     """Determinant by fraction Gaussian elimination with partial pivoting."""
     m = [list(r) for r in rows]
@@ -106,15 +99,6 @@ def det(rows: list[list[Fraction]]) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return sign * result
-
-
-def invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
 
 
 def mat_vec(rows: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:

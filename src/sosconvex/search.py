@@ -19,14 +19,20 @@ fraction LDL^T check finds it PSD; when no rounding passes, facial
 reduction restricts the fiber by the exact rows of Q v = 0 for the numeric
 kernel of the point and rounds again.
 
-The same run also answers "not SOS" for biquadratic targets. When the fiber
-and the PSD cone do not meet, no chunk of DR iterations converges, and the
-gap Y = P_psd(f) - f at the fiber point f a chunk ends on tends to a PSD
-matrix, constant over the pairs reaching each monomial, that pairs
-negatively with every Gram matrix of the target: the moments of a
-separating functional (Banjac et al., the DR gap vector). After every chunk,
-refutation_search rounds them to a primitive integer functional, and a
-stalled search never claims "not SOS" unless verify_refutation accepts it.
+The basis comes from the target alone: when every term has the same even
+(x-degree, y-degree) split of the variables at n_vars/2, as the Hessian
+form y^T H_p(x) y does, the bidegree basis suffices; otherwise all
+half-degree monomials are used.
+
+The same run also answers "not SOS" for targets of bidegree (2, 2), whatever
+their type. When the fiber and the PSD cone do not meet, no chunk of DR
+iterations converges, and the gap Y = P_psd(f) - f at the fiber point f a
+chunk ends on tends to a PSD matrix, constant over the pairs reaching each
+monomial, that pairs negatively with every Gram matrix of the target: the
+moments of a separating functional (Banjac et al., the DR gap vector). After
+every chunk, refutation_search rounds them to a primitive integer
+functional, and a stalled search never claims "not SOS" unless
+verify_refutation accepts it.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .biquadratic import BiquadraticForm, canonical_ordering, hessian_biquadratic
+from .biquadratic import BiquadraticForm, _monomials, canonical_ordering, hessian_form
 from .certificates import (
     Monomial,
     SosCertificate,
@@ -116,13 +122,16 @@ class SearchConfig:
 
 
 @dataclass
-class StallReport:
+class DRReport:
+    """Where one chunk of Douglas-Rachford iterations ended."""
+
     iterations: int
     min_eigenvalue: float
     fiber_distance: float
-    fiber_point: np.ndarray | None = None
+    fiber_point: np.ndarray  # the shadow the chunk ended on
+    state: np.ndarray  # governing iterate, for warm continuation
+    converged: bool = False
     stagnated: bool = False  # progress fell below 1% per window: geometry gap
-    state: np.ndarray | None = None  # governing iterate, for warm continuation
 
     @property
     def residual(self) -> float:
@@ -185,7 +194,7 @@ def _project_psd(x: np.ndarray) -> np.ndarray:
 
 
 def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: int, tol: float):
-    """One projection run from x0; (fiber matrix, info) or StallReport.
+    """One projection run from x0, reported as a DRReport.
 
     Douglas-Rachford reflections between the PSD cone and the affine fiber;
     the monitored iterate is the shadow sequence P_fiber(P_psd(x)), which
@@ -209,11 +218,7 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
         if fiber_dist <= tol:
             shadow_eig = float(np.linalg.eigvalsh((shadow + shadow.T) / 2.0)[0])
             if shadow_eig >= -tol:
-                return shadow, {
-                    "iterations": it + 1,
-                    "min_eigenvalue": shadow_eig,
-                    "fiber_distance": fiber_dist,
-                }
+                return DRReport(it + 1, shadow_eig, fiber_dist, shadow, x, converged=True)
         x = x + pz.project(2.0 * y - x) - y
         # the iteration is non-monotone and plateaus before snapping to the
         # answer, so stagnation needs both a running best and patience; the
@@ -229,9 +234,7 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
                 flat_windows = 0
             window_best = best_progress
     shadow_eig = float(np.linalg.eigvalsh((shadow + shadow.T) / 2.0)[0])
-    return StallReport(
-        it + 1, shadow_eig, fiber_dist, fiber_point=shadow, stagnated=stagnated, state=x
-    )
+    return DRReport(it + 1, shadow_eig, fiber_dist, shadow, x, stagnated=stagnated)
 
 
 def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
@@ -240,12 +243,13 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
     The first restart starts from project(0), the least-norm fiber point;
     later ones from projections of random symmetric matrices. Each restart
     runs in doubling chunks of iterations, each continuing from the last
-    state, until it stagnates or the iteration budget is spent. Returns
-    (matrix, info) from the first chunk that converges. Every chunk that
-    stalls hands its StallReport to `attempt`, so an answer can come long
-    before the restart stagnates; chunks double, so a restart makes about
-    log2(max_iterations) attempts. A non-None answer ends the search and is
-    returned. Otherwise returns the StallReport with the smallest residual.
+    state, until it converges, stagnates or spends the iteration budget.
+    Every chunk, converged or not, hands its DRReport to `attempt`, so an
+    answer can come long before the restart stagnates; chunks double, so a
+    restart makes about log2(max_iterations) attempts. A non-None answer ends
+    the search and is returned. Otherwise the first converged report ends the
+    search and is returned; when no chunk converges, the report with the
+    smallest residual is returned.
     """
     rng = np.random.default_rng(cfg.seed)
     dim = len(pz.z)
@@ -257,19 +261,18 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
         chunk = 200
         while used < cfg.max_iterations:
             budget = min(chunk, cfg.max_iterations - used)
-            result = _projection_run(pz, x, budget, cfg.convergence_tol)
-            if not isinstance(result, StallReport):
-                result[1]["restart"] = restart
-                return result
-            used += result.iterations
-            x = result.state
-            if best is None or result.residual < best.residual:
-                best = result
+            report = _projection_run(pz, x, budget, cfg.convergence_tol)
+            used += report.iterations
+            x = report.state
+            if best is None or report.residual < best.residual:
+                best = report
             if attempt is not None:
-                answer = attempt(result)
+                answer = attempt(report)
                 if answer is not None:
                     return answer
-            if result.stagnated:
+            if report.converged:
+                return report
+            if report.stagnated:
                 break
             chunk *= 2
     return best
@@ -538,60 +541,57 @@ def sos_basis_for(tf: Form) -> list[Monomial]:
     """All half-degree monomials of a form of even degree, before pruning."""
     if tf.degree % 2 != 0:
         raise ValueError("only even-degree forms can be sums of squares")
-    from .biquadratic import _monomials
-
     return _monomials(tf.n_vars, tf.degree // 2)
 
 
 def bidegree_basis(n: int, dx: int, dy: int) -> list[Monomial]:
     """Monomials of x-degree dx and y-degree dy over 2n split variables."""
-    from .biquadratic import _monomials
-
-    return [
-        xm + ym for xm in _monomials(n, dx) for ym in _monomials(n, dy)
-    ]
+    return [xm + ym for xm in _monomials(n, dx) for ym in _monomials(n, dy)]
 
 
-def _biquadratic_basis(n: int, search_form: Form) -> list[Monomial]:
-    """Half-bidegree monomial basis for a biquadratic (times multiplier) target."""
-    dx = dy = None
-    for mono in search_form.terms:
-        mx, my = sum(mono[:n]), sum(mono[n:])
-        if dx is None:
-            dx, dy = mx, my
-        elif (mx, my) != (dx, dy):
-            return sos_basis_for(search_form)
-    if dx is None or dx % 2 or dy % 2:
-        return sos_basis_for(search_form)
-    return bidegree_basis(n, dx // 2, dy // 2)
+def _bidegree(form: Form) -> tuple[int, int] | None:
+    """The (x-degree, y-degree) split at n_vars/2 that every term shares, if any."""
+    n, odd = divmod(form.n_vars, 2)
+    splits = {(sum(mono[:n]), sum(mono[n:])) for mono in form.terms}
+    return splits.pop() if not odd and len(splits) == 1 else None
+
+
+def _basis(form: Form) -> list[Monomial]:
+    """Monomial basis for Gram matrices of the form, before pruning.
+
+    When every term has the same even bidegree (dx, dy), each square of an
+    SOS decomposition has its Newton polytope in half the form's, so the
+    bidegree (dx/2, dy/2) monomials suffice; otherwise all half-degree ones.
+    """
+    split = _bidegree(form)
+    if split is None or split[0] % 2 or split[1] % 2:
+        return sos_basis_for(form)
+    return bidegree_basis(form.n_vars // 2, split[0] // 2, split[1] // 2)
 
 
 def check_sos(
-    target,
-    cfg: SearchConfig | None = None,
-    multiplier: Form | None = None,
-    z: Sequence[Monomial] | None = None,
+    target, cfg: SearchConfig | None = None, multiplier: Form | None = None
 ) -> SearchOutcome:
     """Full SOS pipeline: parameterize, search, round, verify exactly.
 
     With a multiplier the certificate attests multiplier * target SOS, which
     proves target nonnegative when the multiplier is a sum of even powers.
+    Without one, a target of bidegree (2, 2) can also be refuted.
     """
     cfg = cfg or SearchConfig()
     tf = _as_form(target)
     search_form = tf if multiplier is None else multiplier * tf
-    if z is None:
-        if isinstance(target, BiquadraticForm):
-            z = _biquadratic_basis(target.n, search_form)
-        else:
-            z = sos_basis_for(search_form)
-    z = _prune_basis([tuple(m) for m in z], search_form)
+    z = _prune_basis(_basis(search_form), search_form)
     if not z:
         return SearchOutcome("Stalled", diagnostics="empty basis after pruning")
     try:
         pz = parameterize(search_form, z)
     except ValueError as exc:
         return SearchOutcome("Stalled", diagnostics=f"parameterization failed: {exc}")
+    # a dual certificate is a functional on biquadratic forms
+    biquadratic = None
+    if multiplier is None and _bidegree(tf) == (2, 2):
+        biquadratic = BiquadraticForm.from_form(tf, tf.n_vars // 2)
 
     last_reason = ""
 
@@ -613,15 +613,14 @@ def check_sos(
         residual = max(0.0, -float(eigs[0]))
         return SearchOutcome("ExactCertificate", certificate=cert, residual=residual)
 
-    refutable = isinstance(target, BiquadraticForm) and multiplier is None
-
-    def attempt(report: StallReport):
-        # a stall near the fiber is rounded; a chunk that ends far from it
-        # carries the DR gap, which may separate the target from the SOS cone
-        if report.residual <= 1e-4:
+    def attempt(report: DRReport):
+        # a chunk that converged or stalled near the fiber is rounded; one
+        # that ends far from it carries the DR gap, which may separate the
+        # target from the SOS cone
+        if report.converged or report.residual <= 1e-4:
             return certify(report.fiber_point)
-        if refutable:
-            dual = refutation_search(target, pz, report.fiber_point)
+        if biquadratic is not None:
+            dual = refutation_search(biquadratic, pz, report.fiber_point)
             if dual is not None:
                 return SearchOutcome("Refuted", dual=dual)
         return None
@@ -629,15 +628,10 @@ def check_sos(
     result = douglas_rachford(pz, cfg, attempt)
     if isinstance(result, SearchOutcome):
         return result
-    if not isinstance(result, StallReport):
-        g, info = result
-        outcome = certify(g)
-        if outcome is not None:
-            return outcome
-        residual = max(-info["min_eigenvalue"], 0.0, info["fiber_distance"])
+    if result.converged:
         return SearchOutcome(
             "NumericFeasible",
-            residual=residual,
+            residual=result.residual,
             diagnostics=f"feasible numerically but rounding failed: {last_reason}",
         )
     diagnostics = (
@@ -656,14 +650,6 @@ def check_sos_convexity(p: Form, cfg: SearchConfig | None = None) -> SearchOutco
     the Hessian form is not SOS, so p is not sos-convex (it may still be
     convex); Stalled decides nothing.
     """
-    cfg = cfg or SearchConfig()
     if p.degree % 2 != 0:
         raise ValueError("sos-convexity requires even degree")
-    if p.degree == 4:
-        h = hessian_biquadratic(p)
-        return check_sos(h, cfg)
-    from .biquadratic import hessian_form
-
-    hf = hessian_form(p)
-    z = bidegree_basis(p.n_vars, (p.degree - 2) // 2, 1)
-    return check_sos(hf, cfg, z=z)
+    return check_sos(hessian_form(p), cfg)

@@ -50,7 +50,6 @@ from sosconvex.face import (
 from sosconvex.forms import Form, euler_recover, hessian, is_valid_hessian
 from sosconvex.search import (
     SearchConfig,
-    StallReport,
     bidegree_basis,
     check_sos_convexity,
     douglas_rachford,
@@ -221,7 +220,7 @@ def test_criterion_10_non_sos_search_behavior(tmp_path):
         b = builtin("b_thm22")
         pz = parameterize(b, bidegree_basis(3, 1, 1))
         result = douglas_rachford(pz, SearchConfig(max_iterations=10_000))
-        assert isinstance(result, StallReport)  # soundness: no false certificate
+        assert not result.converged  # soundness: no false certificate
         target = tmp_path / "b.biq"
         assert main(["builtin", "b_thm22", str(target)]) == 0
         assert main(["check", str(target), "--sos"]) == 1

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from sosconvex.biquadratic import (
     BUILTIN36,
@@ -38,6 +39,20 @@ def random_quartic(rng, n=3):
             exps[rng.randrange(n)] += 1
         p = p + Form(n, 4, {tuple(exps): F(rng.randint(-9, 9), rng.randint(1, 4))})
     return p
+
+
+def sympy_hessian_form(p):
+    """y^T H_p(x) y from sympy's own Hessian, as a Form in 2n variables."""
+    xs = sympy.symbols(f"x1:{p.n_vars + 1}")
+    ys = sympy.symbols(f"y1:{p.n_vars + 1}")
+    poly = sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(xs, m))
+        for m, c in p.terms.items()
+    )
+    y = sympy.Matrix(ys)
+    expr = sympy.expand((y.T * sympy.hessian(poly, xs) * y)[0])
+    terms = sympy.Poly(expr, *xs, *ys).terms()
+    return Form(2 * p.n_vars, p.degree, {m: F(int(c.p), int(c.q)) for m, c in terms})
 
 
 class TestForms:
@@ -78,6 +93,9 @@ class TestHessian:
     def test_hessian_form_agrees_for_quartics(self):
         p = random_quartic(random.Random(9))
         assert hessian_form(p) == hessian_biquadratic(p).to_form()
+        # and with sympy's Hessian, for the quartic and for a sextic
+        for q in (p, p * Form.linear([1, -2, 3]) ** 2):
+            assert hessian_form(q) == sympy_hessian_form(q)
 
     def test_choi_matrix_gives_choi_biquadratic(self):
         assert biquadratic_from_polymatrix(builtin("choi_matrix")) == builtin("choi_biquadratic")

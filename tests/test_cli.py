@@ -22,6 +22,15 @@ def b_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def b_form_file(tmp_path):
+    from sosconvex.biquadratic import builtin
+
+    path = tmp_path / "b.form"
+    path.write_text(form_to_text(builtin("b_thm22").to_form()))
+    return str(path)
+
+
 def write_x4_sum(tmp_path):
     p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
     path = tmp_path / "x4sum.form"
@@ -75,6 +84,11 @@ class TestVerify:
         main(["builtin", "c_dual", str(dual)])
         assert main(["verify", b_file, str(dual)]) == EXIT_FALSE
 
+    def test_dual_refutation_of_form_file_exit_one(self, tmp_path, b_form_file):
+        dual = tmp_path / "c.dcert"
+        main(["builtin", "c_dual", str(dual)])
+        assert main(["verify", b_form_file, str(dual)]) == EXIT_FALSE
+
     def test_rejected_refutation_exit_two(self, tmp_path):
         from sosconvex.biquadratic import biquadratic_to_text, builtin
 
@@ -100,6 +114,10 @@ class TestCheck:
     def test_builtin_b_refuted(self, b_file, capsys):
         assert main(["check", b_file, "--sos"]) == EXIT_FALSE
         assert "Refuted" in capsys.readouterr().out
+
+    def test_form_file_of_b_refuted_with_pairing(self, b_form_file, capsys):
+        assert main(["check", b_form_file, "--sos"]) == EXIT_FALSE
+        assert negative_pairing(capsys.readouterr().out)
 
     def test_nonconvex_quartic_refuted_with_pairing(self, tmp_path, capsys):
         target = tmp_path / "quartic.form"

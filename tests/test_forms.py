@@ -150,8 +150,19 @@ class TestSerialization:
             ("entry 3 1\n1 2 0\n", "entry 3 1"),
             ("entry 0 1\n1 2 0\n", "entry 0 1"),
             ("entry 1 1\n1 1.5 0.5\n", "1 1.5 0.5"),
+            ("entry 1 1\n1 1 1\n2 1 1\n", "2 1 1"),
+            ("entry 1 1\n1 2 0\nentry 1 1\n3 0 2\n", "entry 1 1"),
+            ("entry 1 2\n1 2 0\nentry 2 1\n3 0 2\n", "entry 2 1"),
         ],
-        ids=["zero_denominator", "index_above_dim", "index_zero", "fractional_exponent"],
+        ids=[
+            "zero_denominator",
+            "index_above_dim",
+            "index_zero",
+            "fractional_exponent",
+            "duplicate_term",
+            "duplicate_entry",
+            "transposed_entry",
+        ],
     )
     def test_bad_polymat_line_raises_format_error(self, body, line):
         with pytest.raises(FormatError, match=re.escape(repr(line))):

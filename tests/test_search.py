@@ -8,14 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sosconvex import search
-from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_biquadratic
+from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_biquadratic, hessian_form
 from sosconvex.certificates import gram_expand, verify_sos_certificate
 from sosconvex.dual import moment_matrix, builtin_dual, verify_refutation
 from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
 from sosconvex.forms import Form
 from sosconvex.search import (
     SearchConfig,
-    StallReport,
     _face_roundings,
     _prune_basis,
     bidegree_basis,
@@ -126,10 +125,9 @@ class TestProjections:
         h = hessian_biquadratic(p)
         pz = parameterize(h, bilinears())
         result = douglas_rachford(pz, SearchConfig())
-        assert not isinstance(result, StallReport)
-        g, info = result
-        assert info["min_eigenvalue"] >= -1e-8
-        assert info["fiber_distance"] <= 1e-8
+        assert result.converged
+        assert result.min_eigenvalue >= -1e-8
+        assert result.fiber_distance <= 1e-8
 
     def test_multiplier_target_numerically_feasible(self):
         b = builtin("b_thm22")
@@ -141,7 +139,7 @@ class TestProjections:
     def test_builtin_b_stalls_on_bilinears(self):
         pz = parameterize(builtin("b_thm22"), bilinears())
         result = douglas_rachford(pz, SearchConfig(max_iterations=10_000))
-        assert isinstance(result, StallReport)
+        assert not result.converged
 
     def test_stalled_iterations_skip_the_shadow_spectrum(self, monkeypatch):
         # one eigh per iteration for the PSD projection; the shadow's
@@ -153,7 +151,7 @@ class TestProjections:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         result = search._projection_run(pz, least_norm_point(pz), 200, 1e-8)
-        assert isinstance(result, StallReport) and result.iterations == 200
+        assert not result.converged and result.iterations == 200
         assert len(calls) <= 1
 
     def test_deterministic_given_seed(self):
@@ -161,7 +159,7 @@ class TestProjections:
         cfg = SearchConfig(max_iterations=500, restarts=2, seed=42)
         r1 = douglas_rachford(pz, cfg)
         r2 = douglas_rachford(pz, cfg)
-        assert isinstance(r1, StallReport) and isinstance(r2, StallReport)
+        assert not r1.converged and not r2.converged
         assert r1.min_eigenvalue == r2.min_eigenvalue
         assert r1.fiber_distance == r2.fiber_distance
 
@@ -182,7 +180,9 @@ class TestRounding:
         p = sum((Form.linear(c) ** 4 for c in forms[1:]), Form.linear(forms[0]) ** 4)
         h = hessian_biquadratic(p)
         pz = parameterize(h, bilinears())
-        g, _ = douglas_rachford(pz, SearchConfig())
+        result = douglas_rachford(pz, SearchConfig())
+        assert result.converged
+        g = result.fiber_point
         vals, vecs = np.linalg.eigh(g)
         kernel = vecs[:, np.abs(vals) <= 1e-6]
         assert kernel.shape[1] == 6
@@ -228,14 +228,19 @@ class TestRefutation:
 
         def counted(*args):
             result = run(*args)
-            stalled = isinstance(result, StallReport)
-            iterations.append(result.iterations if stalled else result[1]["iterations"])
+            iterations.append(result.iterations)
             return result
 
         monkeypatch.setattr(search, "_projection_run", counted)
         b = builtin(name)
         assert_integer_refutation(check_sos(b), b)
         assert sum(iterations) <= 200
+
+    @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
+    def test_plain_form_target_refuted(self, name):
+        # the search form, not the target's type, makes a target refutable
+        form = builtin(name).to_form()
+        assert_integer_refutation(check_sos(form), form)
 
     def test_choi_form_refuted(self):
         # PSD but not SOS; its pruned basis leaves squares the gap never sees
@@ -332,6 +337,32 @@ class TestPowerSumProperty:
         outcome = check_sos_convexity(p)
         assert outcome.status == "ExactCertificate"
         assert verify_sos_certificate(hessian_biquadratic(p), outcome.certificate)
+
+
+class TestBelowBoundProperty:
+    """Face forms below the alpha5 bound are not sos-convex: never certified."""
+
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=40,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.integers(-3, 3).filter(bool),
+        st.integers(-3, 3).filter(bool),
+        st.lists(st.fractions(F(1, 4), 4, max_denominator=4), min_size=4, max_size=4),
+        st.sampled_from([F(1, 10), F(1, 2)]),
+    )
+    def test_face_forms_below_bound_never_certify(self, a, b, alphas, delta):
+        fp = FaceParams(a, b)
+        # the bound is negative, so bound * (1 + delta) lies below it
+        alpha5 = alpha5_lower_bound(alphas, fp) * (1 + delta)
+        p = face_form(alphas + [alpha5], fp)
+        outcome = check_sos_convexity(p, SearchConfig(max_iterations=2000, restarts=1))
+        assert outcome.status != "ExactCertificate"
+        if outcome.status == "Refuted":
+            assert verify_refutation(outcome.dual, hessian_form(p))
 
 
 class TestConfig:

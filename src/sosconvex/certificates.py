@@ -1,13 +1,17 @@
-"""Exact SOS certificates: Gram expansion, rational LDL^T, verification.
+"""Exact SOS certificates: Gram expansion, exact LDL^T, verification.
 
 A certificate asserts multiplier * target = scale * z^T Q z with Q positive
 semidefinite, which proves the target nonnegative (and SOS when the
 multiplier is 1). All checks are exact; no floating point enters this module.
+The PSD decision is a fraction-free LDL^T: symmetric Bareiss elimination on
+the integer matrix S Q S, with S the diagonal of per-row denominator lcms,
+whose LDL^T pivots are ratios of consecutive Bareiss pivots.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -97,30 +101,40 @@ def ldlt_psd_check(s: SymRationalMatrix) -> LdltReport:
     At step k: a negative pivot means NotPSD; a zero pivot with a nonzero
     residual row means NotPSD; a zero pivot with a zero row is skipped. Sound
     and complete for PSD on exact input.
+
+    The elimination is fraction-free. Row i is scaled by s_i, the lcm of its
+    denominators, so S Q S is an integer matrix congruent to Q, with the same
+    verdict, failure step and zero rows. Symmetric Bareiss elimination on it
+    keeps every entry an integer (each update divides exactly by the previous
+    nonzero pivot, by Sylvester's identity), and the LDL^T pivot of Q at step
+    k is the ratio of consecutive Bareiss pivots, bareiss_k / (prev * s_k^2).
+    A skipped zero row leaves prev unchanged.
     """
     n = s.dim
-    a = [list(r) for r in s.rows]
+    scales = [math.lcm(*(v.denominator for v in row)) for row in s.rows]
+    # upper triangle only: the residual matrix stays symmetric
+    a = [
+        [0] * i + [v.numerator * (si // v.denominator) * sj for v, sj in zip(row[i:], scales[i:])]
+        for i, (row, si) in enumerate(zip(s.rows, scales))
+    ]
     pivots: list[Fraction] = []
+    prev = 1
     saw_zero = False
     for k in range(n):
-        piv = a[k][k]
-        pivots.append(piv)
+        row = a[k]
+        piv = row[k]
+        pivots.append(Fraction(piv, prev * scales[k] ** 2))
         if piv < 0:
             return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
         if piv == 0:
-            if any(a[k][j] != 0 for j in range(k, n)):
+            if any(row[k + 1 :]):
                 return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
             saw_zero = True
             continue
-        # eliminate below the pivot; row k must stay intact until all rows
-        # below are updated, so only rows i > k are touched
         for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / piv
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-            a[i][k] = Fraction(0)
+            f = row[i]
+            a[i][i:] = [(piv * x - f * y) // prev for x, y in zip(a[i][i:], row[i:])]
+        prev = piv
     verdict = Verdict.POSITIVE_SEMIDEFINITE if saw_zero else Verdict.POSITIVE_DEFINITE
     return LdltReport(verdict, pivots)
 

@@ -14,10 +14,12 @@ fiber, then rounds the result to exact rationals in the manner of
 Peyrl-Parrilo: round Q entrywise, once to the grid 1/D and once to
 continued fractions with denominators at most D, for a ladder of bounds D,
 and apply the same per-monomial correction in exact arithmetic, so every
-candidate lies exactly on the fiber. A candidate is accepted only if the
-fraction LDL^T check finds it PSD; when no rounding passes, facial
-reduction restricts the fiber by the exact rows of Q v = 0 for the numeric
-kernel of the point and rounds again.
+candidate lies exactly on the fiber. A chunk is rounded when it ends near
+the fiber or on a numerically PSD shadow. A candidate is accepted only if
+the exact LDL^T check finds it PSD, by fraction-free elimination on a
+row-scaled integer copy; when no rounding passes, facial reduction restricts
+the fiber by the exact rows of Q v = 0 for the numeric kernel of the point
+and rounds again.
 
 The basis comes from the target alone: when every term has the same even
 (x-degree, y-degree) split of the variables at n_vars/2, as the Hessian
@@ -55,7 +57,7 @@ from .certificates import (
     unit_multiplier,
     verify_sos_certificate,
 )
-from .dual import DualCertificate, bilinear_basis, verify_refutation
+from .dual import DualCertificate, RefutationResult, bilinear_basis, verify_refutation
 from .forms import Form
 
 
@@ -153,6 +155,7 @@ class SearchOutcome:
     status: str  # ExactCertificate | NumericFeasible | Refuted | Stalled
     certificate: SosCertificate | None = None
     dual: DualCertificate | None = None
+    refutation: RefutationResult | None = None  # verify_refutation's verdict on dual
     residual: float | None = None
     diagnostics: str = ""
 
@@ -420,6 +423,10 @@ def rationalize_and_certify(
         for q in candidates:
             last_report = ldlt_psd_check(q)
             if last_report.is_psd():
+                # a certificate outlives the search and its entries repeat a
+                # few values: keep one Fraction object per distinct value
+                shared: dict[Fraction, Fraction] = {}
+                q.rows = [[shared.setdefault(v, v) for v in row] for row in q.rows]
                 return SosCertificate(list(pz.z), q, multiplier, scale)
     return RoundingFailure(
         "no rounded fiber point passed the PSD check",
@@ -433,7 +440,7 @@ def rationalize_and_certify(
 
 def refutation_search(
     target: BiquadraticForm, pz: GramParameterization, f: np.ndarray
-) -> DualCertificate | None:
+) -> tuple[DualCertificate, RefutationResult] | None:
     """An exactly verified dual refutation from the DR gap at a fiber point f.
 
     When the fiber and the PSD cone do not meet, Y = P_psd(f) - f tends to
@@ -446,8 +453,9 @@ def refutation_search(
     bilinear outside the pruned basis gets a value large enough to keep the
     full moment matrix PSD (the target has no coefficient there), and every
     other unreached monomial gets 0. The moments are rounded to the
-    primitive integer vectors round(D m) / gcd, and a candidate is returned
-    only if verify_refutation accepts it; otherwise None.
+    primitive integer vectors round(D m) / gcd, and a candidate is returned,
+    with the RefutationResult that accepted it, only if verify_refutation
+    accepts it; otherwise None.
     """
     n = target.n
     ordering = canonical_ordering(n)
@@ -503,8 +511,9 @@ def refutation_search(
                 continue
             seen.add(key)
             cand = DualCertificate(ordering, list(key))
-            if verify_refutation(cand, target):
-                return cand
+            result = verify_refutation(cand, target)
+            if result:
+                return cand, result
     return None
 
 
@@ -614,15 +623,19 @@ def check_sos(
         return SearchOutcome("ExactCertificate", certificate=cert, residual=residual)
 
     def attempt(report: DRReport):
-        # a chunk that converged or stalled near the fiber is rounded; one
-        # that ends far from it carries the DR gap, which may separate the
+        # a chunk that ends near the fiber or on a PSD shadow (a fiber point
+        # by construction; a converged chunk is one) is rounded; a chunk
+        # that is not certified carries the DR gap, which may separate the
         # target from the SOS cone
-        if report.converged or report.residual <= 1e-4:
-            return certify(report.fiber_point)
+        if report.residual <= 1e-4 or report.min_eigenvalue >= -cfg.convergence_tol:
+            outcome = certify(report.fiber_point)
+            if outcome is not None:
+                return outcome
         if biquadratic is not None:
-            dual = refutation_search(biquadratic, pz, report.fiber_point)
-            if dual is not None:
-                return SearchOutcome("Refuted", dual=dual)
+            found = refutation_search(biquadratic, pz, report.fiber_point)
+            if found is not None:
+                dual, refutation = found
+                return SearchOutcome("Refuted", dual=dual, refutation=refutation)
         return None
 
     result = douglas_rachford(pz, cfg, attempt)

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from sosconvex.biquadratic import builtin
 from sosconvex.certificates import (
@@ -57,6 +59,78 @@ class TestLdlt:
             ours = ldlt_psd_check(SymRationalMatrix(rows)).is_psd()
             theirs = sympy.Matrix(4, 4, lambda i, j: sympy.Rational(rows[i][j])).is_positive_semidefinite
             assert ours == theirs
+
+
+def reference_ldlt(rows):
+    """Textbook LDL^T in Fractions: (verdict, pivots, failure index)."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    pivots = []
+    saw_zero = False
+    for k in range(n):
+        piv = a[k][k]
+        pivots.append(piv)
+        if piv < 0 or (piv == 0 and any(a[k][k:])):
+            return Verdict.NOT_PSD, pivots, k + 1
+        if piv == 0:
+            saw_zero = True
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / piv
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return (Verdict.POSITIVE_SEMIDEFINITE if saw_zero else Verdict.POSITIVE_DEFINITE), pivots, None
+
+
+def assert_matches_reference(m):
+    report = ldlt_psd_check(m)
+    assert (report.verdict, report.pivots, report.failure_index) == reference_ldlt(m.rows)
+
+
+rationals = st.fractions(-5, 5, max_denominator=12)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Low-rank sums of weighted rational outer products, optionally with one
+    row and column zeroed or with a signed diagonal shift."""
+    d = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, d))
+    vectors = draw(st.lists(st.lists(rationals, min_size=d, max_size=d), min_size=rank, max_size=rank))
+    weights = draw(st.lists(st.fractions(F(1, 9), 3, max_denominator=9), min_size=rank, max_size=rank))
+    rows = [
+        [sum((w * v[i] * v[j] for w, v in zip(weights, vectors)), F(0)) for j in range(d)]
+        for i in range(d)
+    ]
+    kind = draw(st.sampled_from(["psd", "zeroed", "shifted"]))
+    if kind == "zeroed":
+        z = draw(st.integers(0, d - 1))
+        for i in range(d):
+            rows[i][z] = rows[z][i] = F(0)
+    elif kind == "shifted":
+        for i, shift in enumerate(draw(st.lists(rationals, min_size=d, max_size=d))):
+            rows[i][i] += shift
+    return SymRationalMatrix(rows)
+
+
+class TestLdltAgainstReference:
+    """The fraction-free elimination reports what textbook LDL^T reports."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(symmetric_matrices())
+    def test_generated_matrices(self, m):
+        assert_matches_reference(m)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parents[1] / "perfbench" / "corpus" / "verify").glob("*.cert")),
+        ids=lambda p: p.stem,
+    )
+    def test_corpus_certificates(self, path):
+        assert_matches_reference(certificate_from_text(path.read_text()).q)
+
+    def test_shipped_certificate(self):
+        assert_matches_reference(builtin_certificate().q)
 
 
 class TestGramExpand:

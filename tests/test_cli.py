@@ -115,6 +115,35 @@ class TestCheck:
         assert main(["check", b_file, "--sos"]) == EXIT_FALSE
         assert "Refuted" in capsys.readouterr().out
 
+    def test_refuted_pairing_needs_no_second_exact_check(self, b_file, capsys, monkeypatch):
+        # the search verified the dual already; the CLI prints that pairing
+        from sosconvex import cli, search
+        from sosconvex.biquadratic import builtin
+
+        calls = []
+        searched = []  # (outcome, verify_refutation calls so far) per search
+        verify = search.verify_refutation
+        check = cli.check_sos
+
+        def counted(*args):
+            calls.append(1)
+            return verify(*args)
+
+        def checked(*args, **kwargs):
+            outcome = check(*args, **kwargs)
+            searched.append((outcome, len(calls)))
+            return outcome
+
+        monkeypatch.setattr(search, "verify_refutation", counted)
+        monkeypatch.setattr(cli, "verify_refutation", counted)
+        monkeypatch.setattr(cli, "check_sos", checked)
+        assert main(["check", b_file, "--sos"]) == EXIT_FALSE
+        [(outcome, by_search)] = searched
+        assert by_search >= 1 and len(calls) == by_search
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("refuted:"))
+        value = verify(outcome.dual, builtin("b_thm22")).pairing_value
+        assert line == f"refuted: not SOS, pairing = {value}"
+
     def test_form_file_of_b_refuted_with_pairing(self, b_form_file, capsys):
         assert main(["check", b_form_file, "--sos"]) == EXIT_FALSE
         assert negative_pairing(capsys.readouterr().out)

@@ -305,6 +305,16 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             check_sos_convexity(Form(2, 3, {(3, 0): F(1)}))
 
+    def test_sextic_power_sum_with_psd_shadow_certified(self):
+        # the third DR chunk ends on a PSD shadow, a feasible point, while its
+        # fiber distance is still about 2; rounding it certifies, where
+        # waiting for the fiber distance stalled
+        forms = [[3, 3, -3], [-3, -3, -1], [3, -2, 2], [3, 2, 3], [-1, -1, 1], [-2, 1, -3]]
+        p = sum((Form.linear(c) ** 6 for c in forms[1:]), Form.linear(forms[0]) ** 6)
+        outcome = check_sos_convexity(p)
+        assert outcome.is_certified()
+        assert verify_sos_certificate(hessian_form(p), outcome.certificate)
+
     def test_sextic_sos_convexity(self):
         p = sum((Form.variable(2, i) ** 6 for i in (2,)), Form.variable(2, 1) ** 6)
         outcome = check_sos_convexity(p)

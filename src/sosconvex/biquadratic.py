@@ -36,6 +36,15 @@ def _norm_key(i: int, j: int, k: int, l: int) -> Key:
     return (i, j, k, l)
 
 
+def key_exponents(n: int, key: Key) -> tuple[int, ...]:
+    """Exponent vector of x_i x_j y_k y_l over 2n variables, x-block first."""
+    i, j, k, l = key
+    e = [0] * (2 * n)
+    for t in (i, j, n + k, n + l):
+        e[t - 1] += 1
+    return tuple(e)
+
+
 class BiquadraticForm:
     """Sparse biquadratic form with exact rational coefficients."""
 
@@ -91,16 +100,8 @@ class BiquadraticForm:
 
     def to_form(self) -> Form:
         """As a quartic Form in 2n ambient variables (x-block then y-block)."""
-        n = self.n
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for (i, j, k, l), c in self.coeffs.items():
-            e = [0] * (2 * n)
-            e[i - 1] += 1
-            e[j - 1] += 1
-            e[n + k - 1] += 1
-            e[n + l - 1] += 1
-            terms[tuple(e)] = c
-        return Form(2 * n, 4, terms)
+        terms = {key_exponents(self.n, key): c for key, c in self.coeffs.items()}
+        return Form(2 * self.n, 4, terms)
 
     @staticmethod
     def from_form(f: Form, n: int) -> "BiquadraticForm":

@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Sequence
 
 from . import linalg
-from .biquadratic import BiquadraticForm
+from .biquadratic import BiquadraticForm, _monomials
 from .forms import Form, FormatError, as_frac, fmt_frac, form_from_text, form_to_text
 
 
@@ -214,6 +214,74 @@ def _as_form(target) -> Form:
     if isinstance(target, Form):
         return target
     raise TypeError("target must be a Form or BiquadraticForm")
+
+
+# -- SOS bases -------------------------------------------------------------------
+
+
+def _prune_basis(z: list[Monomial], tf: Form) -> list[Monomial]:
+    """Drop z monomials whose squared monomial cannot appear in any Gram.
+
+    If the target coefficient of 2m is zero and no cross product z_r z_s
+    (r != s) reaches 2m, then Q[m,m] = 0 in every Gram and PSD forces the
+    whole row to vanish; iterate to a fixed point.
+    """
+    z = list(z)
+    changed = True
+    while changed:
+        changed = False
+        for m in list(z):
+            sq = tuple(2 * e for e in m)
+            if tf.terms.get(sq, Fraction(0)) != 0:
+                continue
+            reachable = any(
+                tuple(a + b for a, b in zip(z[r], z[s])) == sq
+                for r in range(len(z))
+                for s in range(r + 1, len(z))
+            )
+            if not reachable:
+                z.remove(m)
+                changed = True
+    return z
+
+
+def sos_basis_for(tf: Form) -> list[Monomial]:
+    """All half-degree monomials of a form of even degree, before pruning."""
+    if tf.degree % 2 != 0:
+        raise ValueError("only even-degree forms can be sums of squares")
+    return _monomials(tf.n_vars, tf.degree // 2)
+
+
+def bidegree_basis(n: int, dx: int, dy: int) -> list[Monomial]:
+    """Monomials of x-degree dx and y-degree dy over 2n split variables."""
+    return [xm + ym for xm in _monomials(n, dx) for ym in _monomials(n, dy)]
+
+
+def _bidegree(form: Form) -> tuple[int, int] | None:
+    """The (x-degree, y-degree) split at n_vars/2 that every term shares, if any."""
+    n, odd = divmod(form.n_vars, 2)
+    splits = {(sum(mono[:n]), sum(mono[n:])) for mono in form.terms}
+    return splits.pop() if not odd and len(splits) == 1 else None
+
+
+def _basis(form: Form) -> list[Monomial]:
+    """Monomial basis for Gram matrices of the form, before pruning.
+
+    When every term has the same even bidegree (dx, dy), each square of an
+    SOS decomposition has its Newton polytope in half the form's, so the
+    bidegree (dx/2, dy/2) monomials suffice; otherwise all half-degree ones.
+    """
+    split = _bidegree(form)
+    if split is None or split[0] % 2 or split[1] % 2:
+        return sos_basis_for(form)
+    return bidegree_basis(form.n_vars // 2, split[0] // 2, split[1] // 2)
+
+
+def sos_basis(target) -> list[Monomial]:
+    """The pruned basis z over which every SOS decomposition of the target
+    is z^T Q z with Q PSD; empty when only the zero form qualifies."""
+    tf = _as_form(target)
+    return _prune_basis(_basis(tf), tf)
 
 
 def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:

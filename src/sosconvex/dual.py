@@ -1,9 +1,15 @@
-"""Dual-cone refutations: functionals proving a biquadratic form is not SOS.
+"""Dual-cone refutations: linear functionals proving a form is not SOS.
 
-A dual certificate is a rational vector c over a monomial ordering. If the
-localized moment matrix (z~ z~^T)|_c is PSD and <c, b> < 0, then b cannot be
-a sum of squares: for any PSD Gram matrix Q of an SOS form w we would have
-<c, w> = Tr(Q * moment) >= 0.
+A dual certificate is a rational functional c on monomials: a value on each
+listed exponent vector, 0 on every other monomial. Let z = sos_basis(t), the
+pruned Newton basis of the target t, and let M[r, s] = c(z_r z_s) be the
+moment matrix over it. If M is PSD and <c, t> = sum_m c(m) t_m < 0, then t
+is not a sum of squares: every SOS decomposition of t is z^T Q z with Q PSD
+over that same basis (each square's Newton polytope lies in half of t's, and
+pruning drops only rows that vanish in every PSD Gram matrix), so
+<c, t> = Tr(Q M) >= 0. PSD, not necessarily PD, suffices for the trace
+argument, and the check holds for any target, whatever its degree or number
+of variables.
 """
 
 from __future__ import annotations
@@ -13,60 +19,49 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from .biquadratic import (
-    BiquadraticForm,
-    MonomialOrdering,
-    coefficient_vector,
-    ordering_by_name,
+from .biquadratic import key_exponents, ordering_by_name
+from .certificates import (
+    LdltReport,
+    Monomial,
+    SymRationalMatrix,
+    Verdict,
+    _as_form,
+    ldlt_psd_check,
+    sos_basis,
 )
-from .certificates import LdltReport, SymRationalMatrix, ldlt_psd_check
-from .forms import Form, FormatError, as_frac, fmt_frac
+from .forms import FormatError, as_frac
 
 
 @dataclass
 class DualCertificate:
-    ordering: MonomialOrdering
+    """The functional with value c[t] on monomials[t] and 0 elsewhere."""
+
+    monomials: list[Monomial]  # kept, not copied: the duals of one search share it
     c: list[Fraction]
 
     def __post_init__(self):
         self.c = [as_frac(v) for v in self.c]
-        if len(self.c) != len(self.ordering):
-            raise ValueError("vector length does not match the ordering")
+        if len(self.c) != len(self.monomials):
+            raise ValueError("the functional needs one value per monomial")
+        if len(set(self.monomials)) != len(self.monomials):
+            raise ValueError("repeated monomial in the functional")
 
 
-def bilinear_basis(n: int) -> list[tuple[int, int]]:
-    """The bilinear monomials x_i y_j, ordered x1y1, x1y2, ..., xny_n."""
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+def pairing(cert: DualCertificate, target) -> Fraction:
+    """Exact value <c, t> of the functional on a Form or BiquadraticForm."""
+    tf = _as_form(target)
+    if any(len(m) != tf.n_vars for m in cert.monomials):
+        raise ValueError("functional and target variable counts disagree")
+    values = dict(zip(cert.monomials, cert.c))
+    return sum((values.get(m, 0) * t for m, t in tf.terms.items()), Fraction(0))
 
 
-@dataclass
-class MomentMatrix:
-    basis: list[tuple[int, int]]  # (i, j) meaning x_i y_j
-    matrix: SymRationalMatrix
-
-
-def pairing(cert: DualCertificate, b: BiquadraticForm) -> Fraction:
-    """Exact inner product c . coefficient_vector(b)."""
-    if cert.ordering.n != b.n:
-        raise ValueError("ordering block size does not match the form")
-    vec = coefficient_vector(b, cert.ordering)
-    return sum((x * y for x, y in zip(cert.c, vec)), Fraction(0))
-
-
-def moment_matrix(cert: DualCertificate) -> MomentMatrix:
-    """Replace each monomial of z~ z~^T with the matching entry of c."""
-    n = cert.ordering.n
-    basis = bilinear_basis(n)
-    m = len(basis)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for r in range(m):
-        i, jy = basis[r]
-        for s in range(r, m):
-            k, ly = basis[s]
-            v = cert.c[cert.ordering.index(i, k, jy, ly)]
-            rows[r][s] = v
-            rows[s][r] = v
-    return MomentMatrix(basis, SymRationalMatrix(rows))
+def moment_matrix(cert: DualCertificate, z: Sequence[Monomial]) -> SymRationalMatrix:
+    """M[r, s] = c(z_r z_s) over the monomial basis z."""
+    values = dict(zip(cert.monomials, cert.c))
+    return SymRationalMatrix(
+        [[values.get(tuple(a + b for a, b in zip(u, v)), 0) for v in z] for u in z]
+    )
 
 
 @dataclass
@@ -80,18 +75,20 @@ class RefutationResult:
         return self.accepted
 
 
-def verify_refutation(cert: DualCertificate, b: BiquadraticForm | Form) -> RefutationResult:
-    """Accept iff the moment matrix is PSD and <c, b> < 0.
+def verify_refutation(cert: DualCertificate, target) -> RefutationResult:
+    """Accept iff the moment matrix over sos_basis(target) is PSD and <c, t> < 0.
 
-    A Form is read as a biquadratic form at the ordering's block size, so it
-    must be of bidegree (2, 2) in twice that many variables. Acceptance is a
-    sound proof that b is not SOS. PSD (not necessarily PD) suffices for the
-    trace argument.
+    The target is a Form or a BiquadraticForm. Acceptance is a sound proof
+    that it is not SOS (see the module docstring). An empty basis admits
+    only the zero form, so there any negative pairing refutes.
     """
-    if isinstance(b, Form):
-        b = BiquadraticForm.from_form(b, cert.ordering.n)
-    value = pairing(cert, b)
-    report = ldlt_psd_check(moment_matrix(cert).matrix)
+    tf = _as_form(target)
+    value = pairing(cert, tf)
+    z = sos_basis(tf)
+    if z:
+        report = ldlt_psd_check(moment_matrix(cert, z))
+    else:
+        report = LdltReport(Verdict.POSITIVE_DEFINITE, [])
     if not report.is_psd():
         return RefutationResult(False, value, report, "moment matrix is not PSD")
     if value >= 0:
@@ -101,13 +98,8 @@ def verify_refutation(cert: DualCertificate, b: BiquadraticForm | Form) -> Refut
 
 # -- text format ---------------------------------------------------------------
 #
-# "ORDER: builtin36" or "ORDER: lex", then "C:" with one rational per line.
-
-
-def dual_to_text(cert: DualCertificate) -> str:
-    lines = [f"ORDER: {cert.ordering.name}", "C:"]
-    lines.extend(fmt_frac(v) for v in cert.c)
-    return "\n".join(lines) + "\n"
+# "ORDER: builtin36" or "ORDER: lex", then "C:" with one rational per line: the
+# values on the biquadratic monomials x_i x_j y_k y_l in that ordering.
 
 
 def dual_from_text(text: str) -> DualCertificate:
@@ -134,10 +126,10 @@ def dual_from_text(text: str) -> DualCertificate:
         ordering = ordering_by_name("lex", n)
     else:
         raise FormatError(f"unknown ordering {order_name!r}")
-    try:
-        return DualCertificate(ordering, values)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    if len(values) != len(ordering):
+        raise FormatError("vector length does not match the ordering")
+    monomials = [key_exponents(ordering.n, (*xs, *ys)) for xs, ys in ordering.entries]
+    return DualCertificate(monomials, values)
 
 
 def builtin_dual() -> DualCertificate:

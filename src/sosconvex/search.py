@@ -26,15 +26,17 @@ The basis comes from the target alone: when every term has the same even
 form y^T H_p(x) y does, the bidegree basis suffices; otherwise all
 half-degree monomials are used.
 
-The same run also answers "not SOS" for targets of bidegree (2, 2), whatever
-their type. When the fiber and the PSD cone do not meet, no chunk of DR
+The same run also answers "not SOS" for any target searched without a
+multiplier. When the fiber and the PSD cone do not meet, no chunk of DR
 iterations converges, and the gap Y = P_psd(f) - f at the fiber point f a
 chunk ends on tends to a PSD matrix, constant over the pairs reaching each
 monomial, that pairs negatively with every Gram matrix of the target: the
-moments of a separating functional (Banjac et al., the DR gap vector). After
-every chunk, refutation_search rounds them to a primitive integer
-functional, and a stalled search never claims "not SOS" unless
-verify_refutation accepts it.
+moments of a separating functional on the fiber's monomials (Banjac et al.,
+the DR gap vector). After every chunk, refutation_search rounds them to a
+primitive integer functional on those monomials, and a stalled search never
+claims "not SOS" unless verify_refutation accepts it on the same pruned
+basis. A target monomial that no product of two basis monomials reaches is
+refuted at once by the functional that is nonzero only there.
 """
 
 from __future__ import annotations
@@ -47,17 +49,18 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .biquadratic import BiquadraticForm, _monomials, canonical_ordering, hessian_form
+from .biquadratic import hessian_form
 from .certificates import (
     Monomial,
     SosCertificate,
     SymRationalMatrix,
     _as_form,
     ldlt_psd_check,
+    sos_basis,
     unit_multiplier,
     verify_sos_certificate,
 )
-from .dual import DualCertificate, RefutationResult, bilinear_basis, verify_refutation
+from .dual import DualCertificate, RefutationResult, verify_refutation
 from .forms import Form
 
 
@@ -65,13 +68,14 @@ from .forms import Form
 class GramParameterization:
     """Closed-form Gram fiber {Q : sum of Q[r, s] over pairs reaching m = target[m]}.
 
-    index[r, s] is the id of the monomial z_r z_s, counts[m] the number of
-    ordered pairs (r, s) reaching monomial m, and target[m] its exact
-    coefficient in the target.
+    index[r, s] is the id of the monomial z_r z_s, monomials[m] the monomial
+    with id m, counts[m] the number of ordered pairs (r, s) reaching it, and
+    target[m] its exact coefficient in the target.
     """
 
     z: list[Monomial]
     index: np.ndarray
+    monomials: list[Monomial]
     counts: np.ndarray
     target: list[Fraction]
 
@@ -163,6 +167,14 @@ class SearchOutcome:
         return self.status == "ExactCertificate"
 
 
+class UnrepresentableMonomial(ValueError):
+    """A target monomial that is no product z_r z_s of two basis monomials."""
+
+    def __init__(self, monomial: Monomial):
+        super().__init__(f"target monomial {monomial} is not representable over the basis")
+        self.monomial = monomial
+
+
 def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
     """The closed-form Gram fiber of the target over the basis z."""
     tf = _as_form(target)
@@ -179,9 +191,9 @@ def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
             index[r, s] = index[s, r] = ids.setdefault(mono, len(ids))
     for mono in tf.terms:
         if mono not in ids:
-            raise ValueError(f"target monomial {mono} is not representable over the basis")
+            raise UnrepresentableMonomial(mono)
     target = [tf.terms.get(mono, Fraction(0)) for mono in ids]
-    return GramParameterization(z, index, np.bincount(index.ravel()), target)
+    return GramParameterization(z, index, list(ids), np.bincount(index.ravel()), target)
 
 
 # -- numeric search --------------------------------------------------------------
@@ -439,7 +451,7 @@ def rationalize_and_certify(
 
 
 def refutation_search(
-    target: BiquadraticForm, pz: GramParameterization, f: np.ndarray
+    target, pz: GramParameterization, f: np.ndarray
 ) -> tuple[DualCertificate, RefutationResult] | None:
     """An exactly verified dual refutation from the DR gap at a fiber point f.
 
@@ -447,18 +459,14 @@ def refutation_search(
     the DR gap vector (Banjac et al. 2019): Y is PSD, constant over the pairs
     reaching each monomial, and <Y, Q> = -||Y||^2 < 0 for every Gram matrix
     Q of the target, so its monomial means are the moments of a separating
-    functional. Shifts on the moments of the z_r^2, within the margin that
-    keeps the pairing negative, buy strict positivity; each shift is
-    screened by one float eigvalsh before any exact work. The square of a
-    bilinear outside the pruned basis gets a value large enough to keep the
-    full moment matrix PSD (the target has no coefficient there), and every
-    other unreached monomial gets 0. The moments are rounded to the
-    primitive integer vectors round(D m) / gcd, and a candidate is returned,
-    with the RefutationResult that accepted it, only if verify_refutation
-    accepts it; otherwise None.
+    functional on pz.monomials, and m[pz.index] is its moment matrix over
+    the pruned basis. Shifts on the moments of the z_r^2, within the margin
+    that keeps the pairing negative, buy strict positivity; each shift is
+    screened by one float eigvalsh of that matrix before any exact work. The
+    moments are rounded to the primitive integer vectors round(D m) / gcd,
+    and a candidate is returned, with the RefutationResult that accepted it,
+    only if verify_refutation accepts it against the target; otherwise None.
     """
-    n = target.n
-    ordering = canonical_ordering(n)
     y = _project_psd(f) - f
     sums = np.bincount(pz.index.ravel(), weights=y.ravel(), minlength=len(pz.counts))
     moments = sums / pz.counts
@@ -469,21 +477,6 @@ def refutation_search(
     pairing = float(moments @ pz._b)
     if not pairing < 0:
         return None
-    # the ordering slot of each fiber monomial, read off its first pair
-    _, first = np.unique(pz.index, return_index=True)
-    slots = []
-    for r, s in zip(*np.unravel_index(first, pz.index.shape)):
-        mono = [a + b for a, b in zip(pz.z[r], pz.z[s])]
-        xs = [i + 1 for i, e in enumerate(mono[:n]) for _ in range(e)]
-        ys = [i + 1 for i, e in enumerate(mono[n:]) for _ in range(e)]
-        if len(xs) != 2 or len(ys) != 2:
-            return None
-        slots.append(ordering.index(*xs, *ys))
-    basis = bilinear_basis(n)
-    full = np.array([[ordering.index(i, k, j, l) for k, l in basis] for i, j in basis])
-    reached = np.zeros(len(ordering), dtype=bool)
-    reached[slots] = True
-    free = ~reached[np.diag(full)]
     squares = np.unique(np.diag(pz.index))
     seen = set()
     # a shift s on the squares raises the pairing by s times their target
@@ -494,15 +487,7 @@ def refutation_search(
         m[squares] += shift
         if np.linalg.eigvalsh(m[pz.index])[0] <= 0:
             continue
-        c = np.zeros(len(ordering))
-        c[slots] = m
-        if free.any():
-            # the Schur complement of the reached block bounds the free squares
-            mat = c[full]
-            kept, cross = mat[np.ix_(~free, ~free)], mat[np.ix_(~free, free)]
-            need = cross.T @ np.linalg.solve(kept, cross) - mat[np.ix_(free, free)]
-            c[np.diag(full)[free]] = 2.0 * max(float(np.linalg.eigvalsh(need)[-1]), 0.0) + 1.0
-        values = c.tolist()
+        values = m.tolist()
         for den in (4**k for k in range(1, 9)):
             ints = [round(den * v) for v in values]
             g = math.gcd(*ints)
@@ -510,7 +495,7 @@ def refutation_search(
             if key is None or key in seen:
                 continue
             seen.add(key)
-            cand = DualCertificate(ordering, list(key))
+            cand = DualCertificate(pz.monomials, list(key))
             result = verify_refutation(cand, target)
             if result:
                 return cand, result
@@ -520,64 +505,6 @@ def refutation_search(
 # -- end-to-end checks -------------------------------------------------------------
 
 
-def _prune_basis(z: list[Monomial], tf: Form) -> list[Monomial]:
-    """Drop z monomials whose squared monomial cannot appear in any Gram.
-
-    If the target coefficient of 2m is zero and no cross product z_r z_s
-    (r != s) reaches 2m, then Q[m,m] = 0 in every Gram and PSD forces the
-    whole row to vanish; iterate to a fixed point.
-    """
-    z = list(z)
-    changed = True
-    while changed:
-        changed = False
-        for m in list(z):
-            sq = tuple(2 * e for e in m)
-            if tf.terms.get(sq, Fraction(0)) != 0:
-                continue
-            reachable = any(
-                tuple(a + b for a, b in zip(z[r], z[s])) == sq
-                for r in range(len(z))
-                for s in range(r + 1, len(z))
-            )
-            if not reachable:
-                z.remove(m)
-                changed = True
-    return z
-
-
-def sos_basis_for(tf: Form) -> list[Monomial]:
-    """All half-degree monomials of a form of even degree, before pruning."""
-    if tf.degree % 2 != 0:
-        raise ValueError("only even-degree forms can be sums of squares")
-    return _monomials(tf.n_vars, tf.degree // 2)
-
-
-def bidegree_basis(n: int, dx: int, dy: int) -> list[Monomial]:
-    """Monomials of x-degree dx and y-degree dy over 2n split variables."""
-    return [xm + ym for xm in _monomials(n, dx) for ym in _monomials(n, dy)]
-
-
-def _bidegree(form: Form) -> tuple[int, int] | None:
-    """The (x-degree, y-degree) split at n_vars/2 that every term shares, if any."""
-    n, odd = divmod(form.n_vars, 2)
-    splits = {(sum(mono[:n]), sum(mono[n:])) for mono in form.terms}
-    return splits.pop() if not odd and len(splits) == 1 else None
-
-
-def _basis(form: Form) -> list[Monomial]:
-    """Monomial basis for Gram matrices of the form, before pruning.
-
-    When every term has the same even bidegree (dx, dy), each square of an
-    SOS decomposition has its Newton polytope in half the form's, so the
-    bidegree (dx/2, dy/2) monomials suffice; otherwise all half-degree ones.
-    """
-    split = _bidegree(form)
-    if split is None or split[0] % 2 or split[1] % 2:
-        return sos_basis_for(form)
-    return bidegree_basis(form.n_vars // 2, split[0] // 2, split[1] // 2)
-
-
 def check_sos(
     target, cfg: SearchConfig | None = None, multiplier: Form | None = None
 ) -> SearchOutcome:
@@ -585,22 +512,26 @@ def check_sos(
 
     With a multiplier the certificate attests multiplier * target SOS, which
     proves target nonnegative when the multiplier is a sum of even powers.
-    Without one, a target of bidegree (2, 2) can also be refuted.
+    Without one, the target can also be refuted.
     """
     cfg = cfg or SearchConfig()
     tf = _as_form(target)
     search_form = tf if multiplier is None else multiplier * tf
-    z = _prune_basis(_basis(search_form), search_form)
+    z = sos_basis(search_form)
     if not z:
         return SearchOutcome("Stalled", diagnostics="empty basis after pruning")
     try:
         pz = parameterize(search_form, z)
-    except ValueError as exc:
+    except UnrepresentableMonomial as exc:
+        if multiplier is None:
+            # no z_r z_s reaches the monomial, so the functional that is
+            # nonzero only there has a zero moment matrix
+            sign = 1 if tf.terms[exc.monomial] < 0 else -1
+            dual = DualCertificate([exc.monomial], [sign])
+            refutation = verify_refutation(dual, tf)
+            if refutation:
+                return SearchOutcome("Refuted", dual=dual, refutation=refutation)
         return SearchOutcome("Stalled", diagnostics=f"parameterization failed: {exc}")
-    # a dual certificate is a functional on biquadratic forms
-    biquadratic = None
-    if multiplier is None and _bidegree(tf) == (2, 2):
-        biquadratic = BiquadraticForm.from_form(tf, tf.n_vars // 2)
 
     last_reason = ""
 
@@ -631,8 +562,8 @@ def check_sos(
             outcome = certify(report.fiber_point)
             if outcome is not None:
                 return outcome
-        if biquadratic is not None:
-            found = refutation_search(biquadratic, pz, report.fiber_point)
+        if multiplier is None:
+            found = refutation_search(tf, pz, report.fiber_point)
             if found is not None:
                 dual, refutation = found
                 return SearchOutcome("Refuted", dual=dual, refutation=refutation)

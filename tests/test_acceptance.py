@@ -26,8 +26,10 @@ from sosconvex.biquadratic import (
 )
 from sosconvex.certificates import (
     Verdict,
+    bidegree_basis,
     builtin_certificate,
     ldlt_psd_check,
+    sos_basis,
     verify_sos_certificate,
 )
 from sosconvex.cli import main
@@ -50,7 +52,6 @@ from sosconvex.face import (
 from sosconvex.forms import Form, euler_recover, hessian, is_valid_hessian
 from sosconvex.search import (
     SearchConfig,
-    bidegree_basis,
     check_sos_convexity,
     douglas_rachford,
     parameterize,
@@ -112,7 +113,7 @@ def test_criterion_02_dual_certificate_replication():
     with criterion(2, 1.0):
         c = builtin_dual()
         assert pairing(c, builtin("b_thm22")) == -37
-        mm = moment_matrix(c).matrix
+        mm = moment_matrix(c, sos_basis(builtin("b_thm22")))
         assert [[int(v) for v in row] for row in mm.rows] == reference
         assert ldlt_psd_check(mm).verdict is Verdict.POSITIVE_DEFINITE
 

@@ -155,6 +155,12 @@ class TestCheck:
         assert main(["check", str(target), "--sos-convex"]) == EXIT_FALSE
         assert negative_pairing(capsys.readouterr().out)
 
+    def test_nonconvex_sextic_refuted_with_pairing(self, tmp_path, capsys):
+        target = tmp_path / "sextic.form"
+        target.write_text(form_to_text(parse_poly_expression("x1^6+x2^6-4*x1^2*x2^4", 2)))
+        assert main(["check", str(target), "--sos-convex"]) == EXIT_FALSE
+        assert negative_pairing(capsys.readouterr().out)
+
     def test_choi_refuted_with_pairing(self, tmp_path, capsys):
         target = tmp_path / "choi.biq"
         assert main(["builtin", "choi_biquadratic", str(target)]) == EXIT_TRUE

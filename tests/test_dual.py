@@ -2,23 +2,24 @@
 
 from fractions import Fraction as F
 
+import math
+
 import pytest
 
-from sosconvex.biquadratic import BUILTIN36, builtin, canonical_ordering
-from sosconvex.certificates import Verdict, ldlt_psd_check
+from sosconvex.biquadratic import BiquadraticForm, _monomials, builtin, hessian_form
+from sosconvex.certificates import Verdict, ldlt_psd_check, sos_basis
 from sosconvex.dual import (
     DualCertificate,
-    bilinear_basis,
     builtin_dual,
     dual_from_text,
-    dual_to_text,
     moment_matrix,
     pairing,
     verify_refutation,
 )
-from sosconvex.forms import FormatError
+from sosconvex.forms import Form, FormatError
 
-# reference 9x9 localized moment matrix for the shipped functional, rows over x1y1..x3y3
+# reference 9x9 localized moment matrix for the shipped functional, rows over
+# x1y1..x3y3, which is b_thm22's pruned basis in the same order
 REFERENCE_MOMENT = [
     [61, 0, -48, 0, -15, -7, -48, -7, 34],
     [0, 64, 35, -15, -37, -1, -7, -5, 1],
@@ -42,21 +43,21 @@ class TestPairing:
         assert pairing(cert, b.scale(F(3))) == -111
 
     def test_block_size_mismatch(self):
-        cert = DualCertificate(canonical_ordering(2), [F(0)] * 9)
+        # a functional on quartics in 4 variables cannot pair with one in 6
+        cert = DualCertificate(_monomials(4, 4), [F(0)] * 35)
         with pytest.raises(ValueError):
             pairing(cert, builtin("b_thm22"))
 
 
 class TestMomentMatrix:
-    def test_basis_order(self):
-        assert bilinear_basis(2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-
     def test_matches_reference(self):
-        mm = moment_matrix(builtin_dual())
-        assert [[int(v) for v in row] for row in mm.matrix.rows] == REFERENCE_MOMENT
+        z = sos_basis(builtin("b_thm22"))
+        mm = moment_matrix(builtin_dual(), z)
+        assert [[int(v) for v in row] for row in mm.rows] == REFERENCE_MOMENT
 
     def test_positive_definite(self):
-        report = ldlt_psd_check(moment_matrix(builtin_dual()).matrix)
+        z = sos_basis(builtin("b_thm22"))
+        report = ldlt_psd_check(moment_matrix(builtin_dual(), z))
         assert report.verdict is Verdict.POSITIVE_DEFINITE
 
 
@@ -74,35 +75,61 @@ class TestRefutation:
 
     def test_non_psd_moment_rejected(self):
         cert = builtin_dual()
-        flipped = DualCertificate(cert.ordering, [-v for v in cert.c])
+        flipped = DualCertificate(cert.monomials, [-v for v in cert.c])
         result = verify_refutation(flipped, builtin("b_thm22"))
         assert not result.accepted
         assert "not PSD" in result.reason
 
+    def test_empty_basis_admits_only_the_zero_form(self):
+        # no square x_i^2 y_j^2 of x1 x2 y1 y2 is reachable, so pruning
+        # empties the basis and any negative pairing refutes
+        b = BiquadraticForm(2, {(1, 2, 1, 2): F(1)})
+        assert sos_basis(b) == []
+        cert = dual_from_text("ORDER: lex\nC:\n" + "0\n" * 4 + "-1\n" + "0\n" * 4)
+        result = verify_refutation(cert, b)
+        assert result and result.pairing_value == -1
+
     def test_rank_one_point_evaluation_is_valid_dual(self):
-        # evaluation at (x, y) gives a PSD moment matrix by construction
-        ordering = canonical_ordering(3)
-        x = [F(1), F(2), F(-1)]
-        y = [F(3), F(-1), F(1)]
-        c = [
-            x[i - 1] * x[j - 1] * y[k - 1] * y[l - 1]
-            for (i, j), (k, l) in ordering.entries
+        # evaluating every monomial of the target's degree at a point gives a
+        # rank-1, hence PSD, moment matrix; it refutes exactly when t(point) < 0
+        nonconvex = Form(3, 4, {(4, 0, 0): 1, (2, 2, 0): -6, (0, 4, 0): 1, (0, 0, 4): 1})
+        sextic = Form(2, 6, {(6, 0): 1, (0, 6): 1, (2, 4): -4})
+        motzkin = Form(3, 6, {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1})
+        cases = [
+            (builtin("b_thm22").to_form(), [1, 2, -1, 3, -1, 1], False),
+            (sextic, [1, 1], True),
+            (sextic, [F(1, 2), 3], False),
+            (motzkin, [1, 1, 1], False),  # a zero of Motzkin's form
+            (hessian_form(nonconvex), [1, 0, 0, 0, 1, 0], True),
+            (hessian_form(nonconvex), [1, 0, 0, 1, 0, 0], False),
         ]
-        cert = DualCertificate(ordering, c)
-        assert ldlt_psd_check(moment_matrix(cert).matrix).is_psd()
+        for t, point, refutes in cases:
+            point = [F(v) for v in point]
+            monomials = _monomials(t.n_vars, t.degree)
+            values = [math.prod(v**e for v, e in zip(point, m)) for m in monomials]
+            cert = DualCertificate(monomials, values)
+            assert ldlt_psd_check(moment_matrix(cert, sos_basis(t))).is_psd()
+            assert (t.evaluate(point) < 0) is refutes
+            assert bool(verify_refutation(cert, t)) is refutes
 
 
 class TestSerialization:
-    def test_roundtrip(self):
+    def test_parse_builtin36(self):
+        # the builtin36 ordering starts at x3^2 y3^2, then x3^2 y2 y3
         cert = builtin_dual()
-        again = dual_from_text(dual_to_text(cert))
-        assert again.c == cert.c and again.ordering.name == "builtin36"
+        assert len(cert.monomials) == len(cert.c) == 36
+        assert cert.monomials[:2] == [(0, 0, 2, 0, 0, 2), (0, 0, 2, 0, 1, 1)]
+        assert cert.monomials[-1] == (2, 0, 0, 2, 0, 0)
+        assert all(v.denominator == 1 for v in cert.c)
+        assert pairing(cert, builtin("b_thm22")) == -37
 
-    def test_lex_roundtrip(self):
-        ordering = canonical_ordering(2)
-        cert = DualCertificate(ordering, [F(i, 3) for i in range(9)])
-        again = dual_from_text(dual_to_text(cert))
-        assert again.c == cert.c and again.ordering.n == 2
+    def test_parse_lex_infers_block_size(self):
+        text = "ORDER: lex\nC:\n" + "".join(f"{i}/3\n" for i in range(9))
+        cert = dual_from_text(text)
+        # nine values: block size 2, pairs (1,1) (1,2) (2,2) in each block
+        assert cert.c == [F(i, 3) for i in range(9)]
+        assert cert.monomials[:4] == [(2, 0, 2, 0), (2, 0, 1, 1), (2, 0, 0, 2), (1, 1, 2, 0)]
+        assert cert.monomials[-1] == (0, 2, 0, 2)
 
     def test_missing_order_line(self):
         with pytest.raises(FormatError):

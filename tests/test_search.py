@@ -9,22 +9,27 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sosconvex import search
 from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_biquadratic, hessian_form
-from sosconvex.certificates import gram_expand, verify_sos_certificate
+from sosconvex.certificates import (
+    _prune_basis,
+    bidegree_basis,
+    gram_expand,
+    sos_basis,
+    sos_basis_for,
+    verify_sos_certificate,
+)
+from sosconvex.cli import parse_poly_expression
 from sosconvex.dual import moment_matrix, builtin_dual, verify_refutation
 from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
 from sosconvex.forms import Form
 from sosconvex.search import (
     SearchConfig,
     _face_roundings,
-    _prune_basis,
-    bidegree_basis,
     check_sos,
     check_sos_convexity,
     douglas_rachford,
     fiber_roundings,
     parameterize,
     rationalize_and_certify,
-    sos_basis_for,
 )
 
 
@@ -261,8 +266,28 @@ class TestRefutation:
         p = face_form(alphas + [alpha5_lower_bound(alphas, fp) - F(1, 10)], fp)
         assert_integer_refutation(check_sos_convexity(p), hessian_biquadratic(p))
 
+    @pytest.mark.parametrize(
+        "mode, expr, n",
+        [
+            ("sos", "x1^4*x2^2+x1^2*x2^4-3*x1^2*x2^2*x3^2+x3^6", 3),
+            ("sos-convex", "x1^6+x2^6-4*x1^2*x2^4", 2),
+            ("sos-convex", "x1^6-5*x1^3*x2^3+x2^6+x3^6", 3),
+        ],
+        ids=["motzkin", "nonconvex_sextic", "unrepresentable_sextic"],
+    )
+    def test_refuted_off_bidegree_two_two(self, mode, expr, n):
+        # Motzkin's form is nonnegative but not SOS; the sextics are not
+        # convex. In the last, pruning drops x2^2 y1, so no basis product
+        # reaches the target's x1 x2^3 y1^2 term.
+        p = parse_poly_expression(expr, n)
+        if mode == "sos":
+            outcome, target = check_sos(p), p
+        else:
+            outcome, target = check_sos_convexity(p), hessian_form(p)
+        assert_integer_refutation(outcome, target)
+
     def test_moment_matrix_all_positive(self):
-        mm = moment_matrix(builtin_dual()).matrix
+        mm = moment_matrix(builtin_dual(), sos_basis(builtin("b_thm22")))
         floated = np.array([[float(v) for v in row] for row in mm.rows])
         vals, vecs = np.linalg.eigh(floated)
         assert vals[0] > 0

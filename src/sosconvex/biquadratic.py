@@ -1,9 +1,14 @@
 """Biquadratic forms in two blocks of n variables.
 
 A biquadratic form is quartic overall and quadratic in each block:
-b(x, y) = sum over i<=j, k<=l of alpha_{ijkl} x_i x_j y_k y_l. Coefficients
-are stored with the i<=j, k<=l normalization and no factor-of-2 folding: the
-stored value is the coefficient of the written monomial.
+b(x, y) = sum over i<=j, k<=l of alpha_{ijkl} x_i x_j y_k y_l. A
+BiquadraticForm is a bidegree-(2, 2) view of one quartic Form over 2n
+variables, x-block first: the Form holds the coefficients, and the block size
+n is the only other state. The key (i, j, k, l) with i<=j, k<=l names the
+monomial x_i x_j y_k y_l at the boundaries only (the constructor,
+`coefficient`, the text format, the orderings and the symmetry witness); the
+stored value is the coefficient of the written monomial, with no factor-of-2
+folding.
 """
 
 from __future__ import annotations
@@ -11,14 +16,14 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .forms import (
     Form,
     FormatError,
     PolyMatrix,
-    as_frac,
+    _content_lines,
     fmt_frac,
     form_from_text,
     hessian,
@@ -28,16 +33,14 @@ from .forms import (
 Key = tuple[int, int, int, int]  # (i, j, k, l) with 1 <= i <= j, 1 <= k <= l
 
 
-def _norm_key(i: int, j: int, k: int, l: int) -> Key:
-    if i > j:
-        i, j = j, i
-    if k > l:
-        k, l = l, k
-    return (i, j, k, l)
-
-
 def key_exponents(n: int, key: Key) -> tuple[int, ...]:
-    """Exponent vector of x_i x_j y_k y_l over 2n variables, x-block first."""
+    """Exponent vector of x_i x_j y_k y_l over 2n variables, x-block first.
+
+    The order within each pair does not matter: (2, 1, 3, 1) and (1, 2, 1, 3)
+    name the same monomial.
+    """
+    if not all(1 <= t <= n for t in key):
+        raise ValueError(f"monomial key {key} out of range for block size {n}")
     i, j, k, l = key
     e = [0] * (2 * n)
     for t in (i, j, n + k, n + l):
@@ -45,110 +48,109 @@ def key_exponents(n: int, key: Key) -> tuple[int, ...]:
     return tuple(e)
 
 
+def exponent_key(n: int, exps: tuple[int, ...]) -> Key:
+    """The normalized key (i, j, k, l) of a bidegree-(2, 2) exponent vector."""
+    xs = [i + 1 for i, e in enumerate(exps[:n]) for _ in range(e)]
+    ys = [k + 1 for k, e in enumerate(exps[n:]) for _ in range(e)]
+    return (xs[0], xs[1], ys[0], ys[1])
+
+
+def _keyed_terms(b: "BiquadraticForm") -> list[tuple[Key, Fraction]]:
+    """The nonzero coefficients of b by key, in ascending key order."""
+    return sorted((exponent_key(b.n, e), c) for e, c in b.to_form().terms.items())
+
+
+def _swap_exponents(n: int, exps: tuple[int, ...]) -> tuple[int, ...]:
+    return exps[n:] + exps[:n]
+
+
 class BiquadraticForm:
-    """Sparse biquadratic form with exact rational coefficients."""
+    """A bidegree-(2, 2) view of one quartic Form in 2n variables.
 
-    __slots__ = ("n", "coeffs")
+    Deliberately not a Form subclass: callers tell the two target kinds
+    apart with isinstance.
+    """
 
-    def __init__(self, n: int, coeffs: dict[Key, Fraction]):
+    __slots__ = ("n", "_form")
+
+    def __init__(self, n: int, coeffs: Mapping[Key, Fraction]):
         if n < 1:
             raise ValueError("block size must be positive")
-        clean: dict[Key, Fraction] = {}
+        terms = {}
         for (i, j, k, l), c in coeffs.items():
-            if not (1 <= i <= j <= n and 1 <= k <= l <= n):
+            if not (i <= j and k <= l):
                 raise ValueError(f"bad monomial key {(i, j, k, l)} for block size {n}")
-            c = as_frac(c)
-            if c != 0:
-                clean[(i, j, k, l)] = c
+            terms[key_exponents(n, (i, j, k, l))] = c
         self.n = n
-        self.coeffs = clean
+        self._form = Form(2 * n, 4, terms)
 
     @staticmethod
-    def zero(n: int) -> "BiquadraticForm":
-        return BiquadraticForm(n, {})
+    def from_form(f: Form, n: int) -> "BiquadraticForm":
+        """View f, which must be bidegree (2, 2) in 2n variables; f is kept, not copied."""
+        if f.n_vars != 2 * n or f.degree != 4 or any(sum(e[:n]) != 2 for e in f.terms):
+            raise ValueError(f"not a bidegree-(2, 2) form in {2 * n} variables")
+        b = object.__new__(BiquadraticForm)
+        b.n = n
+        b._form = f
+        return b
+
+    def to_form(self) -> Form:
+        """The stored quartic Form in 2n variables (x-block then y-block)."""
+        return self._form
 
     def coefficient(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return self.coeffs.get(_norm_key(i, j, k, l), Fraction(0))
+        return self._form.coefficient(key_exponents(self.n, (i, j, k, l)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiquadraticForm):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self._form == other._form
 
     def __add__(self, other: "BiquadraticForm") -> "BiquadraticForm":
         if self.n != other.n:
             raise ValueError("block size mismatch")
-        c = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            c[k] = c.get(k, Fraction(0)) + v
-        return BiquadraticForm(self.n, c)
+        return BiquadraticForm.from_form(self._form + other._form, self.n)
 
     def scale(self, t) -> "BiquadraticForm":
-        t = as_frac(t)
-        return BiquadraticForm(self.n, {k: t * v for k, v in self.coeffs.items()})
+        return BiquadraticForm.from_form(self._form.scale(t), self.n)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self._form.is_zero()
 
     def evaluate(self, x: Sequence, y: Sequence):
         if len(x) != self.n or len(y) != self.n:
             raise ValueError(f"points must have length {self.n}")
-        total = Fraction(0)
-        for (i, j, k, l), c in self.coeffs.items():
-            total = total + c * x[i - 1] * x[j - 1] * y[k - 1] * y[l - 1]
-        return total
-
-    def to_form(self) -> Form:
-        """As a quartic Form in 2n ambient variables (x-block then y-block)."""
-        terms = {key_exponents(self.n, key): c for key, c in self.coeffs.items()}
-        return Form(2 * self.n, 4, terms)
-
-    @staticmethod
-    def from_form(f: Form, n: int) -> "BiquadraticForm":
-        """Inverse of to_form; f must be bidegree (2, 2) in 2n variables."""
-        if f.n_vars != 2 * n:
-            raise ValueError(f"expected {2 * n} ambient variables")
-        coeffs: dict[Key, Fraction] = {}
-        for exps, c in f.terms.items():
-            xe, ye = exps[:n], exps[n:]
-            if sum(xe) != 2 or sum(ye) != 2:
-                raise ValueError(f"monomial {exps} is not bidegree (2, 2)")
-            xi = [i + 1 for i, e in enumerate(xe) for _ in range(e)]
-            yi = [i + 1 for i, e in enumerate(ye) for _ in range(e)]
-            coeffs[(xi[0], xi[1], yi[0], yi[1])] = c
-        return BiquadraticForm(n, coeffs)
+        return self._form.evaluate([*x, *y])
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if self.is_zero():
             return f"BiquadraticForm(0; n={self.n})"
-        parts = []
-        for (i, j, k, l) in sorted(self.coeffs):
-            parts.append(f"{self.coeffs[(i, j, k, l)]}*x{i}x{j}y{k}y{l}")
-        return " + ".join(parts)
+        return " + ".join(f"{c}*x{i}x{j}y{k}y{l}" for (i, j, k, l), c in _keyed_terms(self))
 
 
 class MonomialOrdering:
-    """An ordered list of all biquadratic monomials for one block size."""
+    """An ordered list of all biquadratic monomials for one block size.
 
-    __slots__ = ("name", "n", "entries", "_index")
+    Built from (i, j), (k, l) pairs; held as exponent vectors over 2n
+    variables, x-block first.
+    """
+
+    __slots__ = ("name", "n", "monomials", "_index")
 
     def __init__(self, name: str, n: int, entries: list[tuple[tuple[int, int], tuple[int, int]]]):
-        npairs = n * (n + 1) // 2
-        expected = {((i, j), (k, l)) for i in range(1, n + 1) for j in range(i, n + 1)
-                    for k in range(1, n + 1) for l in range(k, n + 1)}
-        if len(entries) != npairs * npairs or set(entries) != expected:
+        pairs = _pairs_ascending(n)
+        if sorted(entries) != [(p, q) for p in pairs for q in pairs]:
             raise ValueError("entries are not a permutation of all biquadratic monomials")
         self.name = name
         self.n = n
-        self.entries = list(entries)
-        self._index = {e: t for t, e in enumerate(self.entries)}
+        self.monomials = [key_exponents(n, (*xs, *ys)) for xs, ys in entries]
+        self._index = {m: t for t, m in enumerate(self.monomials)}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.monomials)
 
     def index(self, i: int, j: int, k: int, l: int) -> int:
-        i, j, k, l = _norm_key(i, j, k, l)
-        return self._index[((i, j), (k, l))]
+        return self._index[key_exponents(self.n, (i, j, k, l))]
 
 
 def _pairs_ascending(n: int) -> list[tuple[int, int]]:
@@ -180,43 +182,38 @@ def ordering_by_name(name: str, n: int = 3) -> MonomialOrdering:
 # -- operations ---------------------------------------------------------------
 
 
-def biquadratic_from_polymatrix(a: PolyMatrix) -> BiquadraticForm:
-    """y^T A(x) y for a symmetric polynomial matrix with quadratic entries."""
-    n = a.dim
-    coeffs: dict[Key, Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            k0, l0 = (i, j) if i <= j else (j, i)
-            for exps, c in a[i, j].terms.items():
-                xs = [t + 1 for t, e in enumerate(exps) for _ in range(e)]
-                key = (xs[0], xs[1], k0, l0)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + c
-    return BiquadraticForm(n, coeffs)
-
-
-def hessian_biquadratic(p: Form) -> BiquadraticForm:
-    """The Hessian form y^T H_p(x) y of a quartic p."""
-    if p.degree != 4:
-        raise ValueError("hessian_biquadratic requires a quartic form")
-    return biquadratic_from_polymatrix(hessian(p))
-
-
-def hessian_form(p: Form) -> Form:
-    """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2."""
-    n = p.n_vars
-    h = hessian(p)
+def _quadratic_in_y(a: PolyMatrix) -> Form:
+    """y^T A(x) y as a Form over the x-variables of A's entries, then y."""
+    n, m = a.n_vars, a.dim
     terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(n):
-        for j in range(i, n):
-            # H is symmetric: entries (i, j) and (j, i) both feed y_i y_j
-            y = [0] * n
+    for i in range(m):
+        for j in range(i, m):
+            # A is symmetric: entries (i, j) and (j, i) both feed y_i y_j
+            y = [0] * m
             y[i] += 1
             y[j] += 1
             y = tuple(y)
             weight = 1 if i == j else 2
-            for exps, c in h[i + 1, j + 1].terms.items():
+            for exps, c in a[i + 1, j + 1].terms.items():
                 terms[exps + y] = weight * c
-    return Form(2 * n, p.degree, terms)
+    return Form(n + m, a.entry_degree + 2, terms)
+
+
+def biquadratic_from_polymatrix(a: PolyMatrix) -> BiquadraticForm:
+    """y^T A(x) y for a symmetric n x n matrix of quadratic forms in n variables."""
+    return BiquadraticForm.from_form(_quadratic_in_y(a), a.dim)
+
+
+def hessian_biquadratic(p: Form) -> BiquadraticForm:
+    """The Hessian form y^T H_p(x) y of a quartic p: hessian_form(p) viewed at block size n."""
+    if p.degree != 4:
+        raise ValueError("hessian_biquadratic requires a quartic form")
+    return BiquadraticForm.from_form(_quadratic_in_y(hessian(p)), p.n_vars)
+
+
+def hessian_form(p: Form) -> Form:
+    """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2."""
+    return _quadratic_in_y(hessian(p))
 
 
 class SymmetryVerdict:
@@ -234,39 +231,33 @@ class SymmetryVerdict:
 
 
 def swap_xy(b: BiquadraticForm) -> BiquadraticForm:
-    return BiquadraticForm(b.n, {(k, l, i, j): c for (i, j, k, l), c in b.coeffs.items()})
+    f = b.to_form()
+    swapped = {_swap_exponents(b.n, e): c for e, c in f.terms.items()}
+    return BiquadraticForm.from_form(Form(f.n_vars, 4, swapped), b.n)
 
 
 def is_symmetric(b: BiquadraticForm) -> SymmetryVerdict:
-    keys = set(b.coeffs) | {(k, l, i, j) for (i, j, k, l) in b.coeffs}
-    for key in sorted(keys):
-        i, j, k, l = key
-        swapped = (k, l, i, j)
-        c1 = b.coeffs.get(key, Fraction(0))
-        c2 = b.coeffs.get(swapped, Fraction(0))
+    f = b.to_form()
+    monos = set(f.terms) | {_swap_exponents(b.n, e) for e in f.terms}
+    for key, exps in sorted((exponent_key(b.n, e), e) for e in monos):
+        swapped = _swap_exponents(b.n, exps)
+        c1, c2 = f.coefficient(exps), f.coefficient(swapped)
         if c1 != c2:
-            return SymmetryVerdict(False, (key, c1, swapped, c2))
+            return SymmetryVerdict(False, (key, c1, exponent_key(b.n, swapped), c2))
     return SymmetryVerdict(True)
 
 
 def coefficient_vector(b: BiquadraticForm, ordering: MonomialOrdering) -> list[Fraction]:
     if ordering.n != b.n:
         raise ValueError("ordering block size does not match the form")
-    vec = [Fraction(0)] * len(ordering)
-    for (i, j, k, l), c in b.coeffs.items():
-        vec[ordering.index(i, j, k, l)] = c
-    return vec
+    return [b.to_form().coefficient(m) for m in ordering.monomials]
 
 
 def from_coefficient_vector(vec: Sequence, ordering: MonomialOrdering) -> BiquadraticForm:
     if len(vec) != len(ordering):
         raise ValueError("vector length does not match the ordering")
-    coeffs: dict[Key, Fraction] = {}
-    for t, ((i, j), (k, l)) in enumerate(ordering.entries):
-        c = as_frac(vec[t])
-        if c != 0:
-            coeffs[(i, j, k, l)] = c
-    return BiquadraticForm(ordering.n, coeffs)
+    terms = dict(zip(ordering.monomials, vec))
+    return BiquadraticForm.from_form(Form(2 * ordering.n, 4, terms), ordering.n)
 
 
 def dim_nary(n: int) -> int:
@@ -346,13 +337,9 @@ def antisymmetric_dimension(n: int) -> int:
     """Dimension of the strictly antisymmetric complement, by basis enumeration."""
     ordering = canonical_ordering(n)
     rows = []
-    for (i, j), (k, l) in ordering.entries:
-        b = BiquadraticForm(n, {(i, j, k, l): Fraction(1)})
-        anti_coeffs: dict[Key, Fraction] = dict(b.coeffs)
-        sw = swap_xy(b)
-        for key, v in sw.coeffs.items():
-            anti_coeffs[key] = anti_coeffs.get(key, Fraction(0)) - v
-        anti = BiquadraticForm(n, anti_coeffs)
+    for exps in ordering.monomials:
+        b = BiquadraticForm.from_form(Form.monomial(2 * n, exps), n)
+        anti = b + swap_xy(b).scale(-1)
         rows.append(coefficient_vector(anti, ordering))
     return linalg.rank(rows)
 
@@ -375,14 +362,13 @@ def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
 
 def biquadratic_to_text(b: BiquadraticForm) -> str:
     lines = [f"biq n={b.n}"]
-    for (i, j, k, l) in sorted(b.coeffs):
-        lines.append(f"{fmt_frac(b.coeffs[(i, j, k, l)])} {i} {j} {k} {l}")
+    for (i, j, k, l), c in _keyed_terms(b):
+        lines.append(f"{fmt_frac(c)} {i} {j} {k} {l}")
     return "\n".join(lines) + "\n"
 
 
 def biquadratic_from_text(text: str) -> BiquadraticForm:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = _content_lines(text)
     if not lines:
         raise FormatError("empty biq file")
     header = lines[0].split()

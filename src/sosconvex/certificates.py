@@ -14,12 +14,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Sequence
 
 from . import linalg
-from .biquadratic import BiquadraticForm, _monomials
-from .forms import Form, FormatError, as_frac, fmt_frac, form_from_text, form_to_text
+from .biquadratic import BUILTIN_FILES, BiquadraticForm, _monomials, corpus_text
+from .forms import Form, FormatError, _content_lines, as_frac, fmt_frac, form_from_text, form_to_text
 
 
 class SymRationalMatrix:
@@ -354,17 +353,14 @@ def certificate_to_text(cert: SosCertificate, block: int | None = None) -> str:
 
 
 def certificate_from_text(text: str) -> SosCertificate:
-    lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
     sections: dict[str, list[str]] = {}
     current = None
     scale = None
-    for ln in lines:
-        stripped = ln.strip()
-        upper = stripped.upper()
+    for ln in _content_lines(text):
+        upper = ln.upper()
         if upper.startswith("SCALE:"):
             try:
-                scale = Fraction(stripped.split(":", 1)[1].strip())
+                scale = Fraction(ln.split(":", 1)[1].strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise FormatError(f"bad scale: {ln!r}") from exc
             current = None
@@ -372,7 +368,7 @@ def certificate_from_text(text: str) -> SosCertificate:
             current = upper[:-1]
             sections[current] = []
         elif current is not None:
-            sections[current].append(stripped)
+            sections[current].append(ln)
         else:
             raise FormatError(f"content outside any section: {ln!r}")
     for required in ("Z", "Q"):
@@ -423,5 +419,4 @@ def certificate_from_text(text: str) -> SosCertificate:
 
 def builtin_certificate() -> SosCertificate:
     """The shipped 15x15 certificate for (x1^2+x2^2) times the b_thm22 form."""
-    text = resources.files("sosconvex.data").joinpath("q22_cert.cert").read_text()
-    return certificate_from_text(text)
+    return certificate_from_text(corpus_text(BUILTIN_FILES["q22_cert"]))

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = verified / true, 1 = verified false / refuted, 2 = unknown or
-stalled, 3 = input or format error.
+stalled, 3 = input or format error (an unreadable or unwritable file too).
+Run as `sosconvex ...` or `python -m sosconvex.cli ...`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .face import (
     gram_M,
     membership_T,
 )
-from .forms import Form, FormatError, fmt_frac, form_from_text
+from .forms import Form, FormatError, _content_lines, fmt_frac, form_from_text
 from .search import SearchConfig, check_sos, check_sos_convexity
 
 EXIT_TRUE = 0
@@ -48,14 +49,23 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _head(text: str) -> str:
+    """First word of the first content line, lower-cased; '' for no content."""
+    lines = _content_lines(text)
+    return lines[0].split()[0].lower() if lines else ""
+
+
 def _load_target(text: str):
     """Returns a Form or a BiquadraticForm based on the file header."""
-    head = ""
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            head = stripped.split()[0].lower()
-            break
+    head = _head(text)
     if head == "biq":
         return biquadratic_from_text(text)
     if head == "form":
@@ -135,10 +145,7 @@ def cmd_dims(args) -> int:
 def cmd_verify(args) -> int:
     target = _load_target(_read(args.target))
     cert_text = _read(args.certificate)
-    head = next(
-        (ln.strip() for ln in cert_text.splitlines() if ln.split("#", 1)[0].strip()), ""
-    )
-    if head.upper().startswith("ORDER:"):
+    if _head(cert_text).startswith("order:"):
         result = verify_refutation(dual_from_text(cert_text), target)
         print(result.reason)
         return EXIT_FALSE if result.accepted else EXIT_UNKNOWN
@@ -197,8 +204,7 @@ def cmd_check(args) -> int:
         block = target.n if isinstance(target, BiquadraticForm) else None
         if args.sos_convex:
             block = target.n_vars
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(certificate_to_text(outcome.certificate, block=block))
+        _write(out_path, certificate_to_text(outcome.certificate, block=block))
         print(f"certificate: {out_path}")
         return EXIT_TRUE
     if outcome.status == "Refuted":
@@ -256,9 +262,7 @@ def cmd_builtin(args) -> int:
         known = ", ".join(sorted(BUILTIN_FILES))
         print(f"error: unknown builtin {args.name!r} (known: {known})", file=sys.stderr)
         return EXIT_ERROR
-    text = corpus_text(BUILTIN_FILES[args.name])
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(args.out, corpus_text(BUILTIN_FILES[args.name]))
     print(f"wrote {args.out}")
     return EXIT_TRUE
 
@@ -332,3 +336,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Sequence
 
-from .biquadratic import key_exponents, ordering_by_name
+from .biquadratic import BUILTIN_FILES, corpus_text, ordering_by_name
 from .certificates import (
     LdltReport,
     Monomial,
@@ -29,7 +28,7 @@ from .certificates import (
     ldlt_psd_check,
     sos_basis,
 )
-from .forms import FormatError, as_frac
+from .forms import FormatError, _content_lines, as_frac
 
 
 @dataclass
@@ -103,8 +102,7 @@ def verify_refutation(cert: DualCertificate, target) -> RefutationResult:
 
 
 def dual_from_text(text: str) -> DualCertificate:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = _content_lines(text)
     if not lines or not lines[0].upper().startswith("ORDER:"):
         raise FormatError("dual certificate must start with an ORDER: line")
     order_name = lines[0].split(":", 1)[1].strip()
@@ -128,11 +126,9 @@ def dual_from_text(text: str) -> DualCertificate:
         raise FormatError(f"unknown ordering {order_name!r}")
     if len(values) != len(ordering):
         raise FormatError("vector length does not match the ordering")
-    monomials = [key_exponents(ordering.n, (*xs, *ys)) for xs, ys in ordering.entries]
-    return DualCertificate(monomials, values)
+    return DualCertificate(ordering.monomials, values)
 
 
 def builtin_dual() -> DualCertificate:
     """The shipped separating functional for the b_thm22 form."""
-    text = resources.files("sosconvex.data").joinpath("c_dual.dcert").read_text()
-    return dual_from_text(text)
+    return dual_from_text(corpus_text(BUILTIN_FILES["c_dual"]))

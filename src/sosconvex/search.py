@@ -326,8 +326,12 @@ def fiber_roundings(
         yield pz.snap(rounded)
 
 
+# eigenvalues of the numeric Gram matrix at most this large span its kernel
+KERNEL_TOL = 1e-6
+
+
 def _face_roundings(
-    g: np.ndarray, pz: GramParameterization, cfg: SearchConfig, kernel_tol: float = 1e-6
+    g: np.ndarray, pz: GramParameterization, cfg: SearchConfig
 ) -> Iterator[SymRationalMatrix]:
     """Exact fiber points near g that also annihilate g's numeric kernel.
 
@@ -339,7 +343,7 @@ def _face_roundings(
     dropped; each distinct face is rounded in its own coordinates.
     """
     vals, vecs = np.linalg.eigh((g + g.T) / 2.0)
-    null_cols = [i for i, v in enumerate(vals) if abs(v) <= kernel_tol]
+    null_cols = [i for i, v in enumerate(vals) if abs(v) <= KERNEL_TOL]
     if not null_cols:
         return
     # numeric RREF with pivot normalization, then entrywise rationalization
@@ -420,7 +424,6 @@ def rationalize_and_certify(
     pz: GramParameterization,
     cfg: SearchConfig,
     multiplier: Form | None = None,
-    scale: Fraction = Fraction(1),
 ):
     """Round a numeric fiber point to an exact PSD Gram matrix.
 
@@ -439,7 +442,7 @@ def rationalize_and_certify(
                 # few values: keep one Fraction object per distinct value
                 shared: dict[Fraction, Fraction] = {}
                 q.rows = [[shared.setdefault(v, v) for v in row] for row in q.rows]
-                return SosCertificate(list(pz.z), q, multiplier, scale)
+                return SosCertificate(list(pz.z), q, multiplier, Fraction(1))
     return RoundingFailure(
         "no rounded fiber point passed the PSD check",
         failure_index=last_report.failure_index if last_report else None,

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from sosconvex.biquadratic import (
     BUILTIN36,
@@ -82,6 +83,63 @@ class TestForms:
     def test_malformed_text(self):
         with pytest.raises(FormatError):
             biquadratic_from_text("biq n=3\n1/2 1 2 3\n")  # wrong index count
+
+
+def _pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def biquadratics(draw):
+    """A BiquadraticForm with n = 1..3 from normalized keys and rational coefficients."""
+    n = draw(st.integers(1, 3))
+    pairs = st.sampled_from(_pairs(n))
+    keys = st.tuples(pairs, pairs).map(lambda pq: (*pq[0], *pq[1]))
+    return BiquadraticForm(n, draw(st.dictionaries(keys, rationals, max_size=12)))
+
+
+view_settings = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+class TestView:
+    """The biquadratic view agrees with its Form on generated inputs."""
+
+    @view_settings
+    @given(biquadratics())
+    def test_form_and_text_roundtrip(self, b):
+        assert b.to_form() is b.to_form()
+        assert BiquadraticForm.from_form(b.to_form(), b.n) == b
+        assert biquadratic_from_text(biquadratic_to_text(b)) == b
+
+    @view_settings
+    @given(biquadratics(), st.data())
+    def test_evaluate_matches_form(self, b, data):
+        point = st.lists(rationals, min_size=b.n, max_size=b.n)
+        x, y = data.draw(point), data.draw(point)
+        assert b.evaluate(x, y) == b.to_form().evaluate(x + y)
+
+    @view_settings
+    @given(biquadratics())
+    def test_coefficient_ignores_order_within_pairs(self, b):
+        for (i, j), (k, l) in ((p, q) for p in _pairs(b.n) for q in _pairs(b.n)):
+            c = b.coefficient(i, j, k, l)
+            assert c == b.coefficient(j, i, k, l) == b.coefficient(i, j, l, k)
+            assert c == b.coefficient(j, i, l, k)
+
+    @view_settings
+    @given(biquadratics())
+    def test_swap_is_involution_and_symmetrizes(self, b):
+        assert swap_xy(swap_xy(b)) == b
+        assert is_symmetric(b + swap_xy(b))
+
+    @view_settings
+    @given(biquadratics())
+    def test_lex_vector_roundtrip(self, b):
+        lex = canonical_ordering(b.n)
+        assert from_coefficient_vector(coefficient_vector(b, lex), lex) == b
 
 
 class TestHessian:

@@ -1,6 +1,10 @@
 """Tests for the command-line interface and its exit codes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,17 @@ class TestDims:
         assert main(["dims", "0"]) == EXIT_ERROR
 
 
+class TestModuleEntry:
+    def test_python_dash_m_runs_main(self):
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        run = subprocess.run(
+            [sys.executable, "-m", "sosconvex.cli", "dims", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stdout.strip()) == (EXIT_TRUE, "36 21 15")
+
+
 class TestBuiltin:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         from sosconvex.biquadratic import corpus_text
@@ -62,6 +77,11 @@ class TestBuiltin:
 
     def test_unknown_name(self, tmp_path):
         assert main(["builtin", "nope", str(tmp_path / "x")]) == EXIT_ERROR
+
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "b.biq"
+        assert main(["builtin", "b_thm22", str(out)]) == EXIT_ERROR
+        assert f"cannot write {out}" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -110,6 +130,12 @@ class TestCheck:
         code = main(["check", target, "--sos-convex", "--out", str(out)])
         assert code == EXIT_TRUE
         assert main(["verify", target, str(out)]) == EXIT_TRUE
+
+    def test_unwritable_certificate_path_is_an_input_error(self, tmp_path, capsys):
+        target = write_x4_sum(tmp_path)
+        out = tmp_path / "absent" / "q.cert"
+        assert main(["check", target, "--sos-convex", "--out", str(out)]) == EXIT_ERROR
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_builtin_b_refuted(self, b_file, capsys):
         assert main(["check", b_file, "--sos"]) == EXIT_FALSE

@@ -286,16 +286,26 @@ def sos_basis(target) -> list[Monomial]:
 def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
     """Exact acceptance check for an SOS certificate.
 
-    Accepts iff multiplier * target equals scale * z^T Q z coefficient by
-    coefficient, Q passes the LDL^T PSD check, and the multiplier is a sum of
-    even monomial powers (or the target is zero with Q = 0). Acceptance
-    proves the target nonnegative; with multiplier 1 it proves the target SOS.
+    Accepts iff Q passes the LDL^T PSD check, the multiplier is a sum of even
+    monomial powers (or the target is zero with Q = 0), and multiplier *
+    target equals scale * z^T Q z coefficient by coefficient, checked in that
+    order: a Q that is not PSD is rejected before z^T Q z is expanded.
+    Acceptance proves the target nonnegative; with multiplier 1 it proves
+    the target SOS.
     """
     tf = _as_form(target)
     if cert.multiplier.n_vars != tf.n_vars:
         raise ValueError("multiplier and target variable counts disagree")
-    if cert.z and len(cert.z[0]) != tf.n_vars:
+    if any(len(m) != tf.n_vars for m in cert.z):
         raise ValueError("certificate basis and target variable counts disagree")
+    if len(cert.z) != cert.q.dim:
+        raise ValueError(f"basis has {len(cert.z)} monomials but Q is {cert.q.dim}x{cert.q.dim}")
+    report = ldlt_psd_check(cert.q)
+    if not report.is_psd():
+        return SosVerification(
+            False,
+            f"Gram matrix is not PSD (pivot {report.pivots[-1]} at step {report.failure_index})",
+        )
     lhs = cert.multiplier * tf
     rhs = gram_expand(cert.z, cert.q).scale(cert.scale)
     if not (tf.is_zero() and rhs.is_zero()):
@@ -314,12 +324,6 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
                     expected=a,
                     actual=b,
                 )
-    report = ldlt_psd_check(cert.q)
-    if not report.is_psd():
-        return SosVerification(
-            False,
-            f"Gram matrix is not PSD (pivot {report.pivots[-1]} at step {report.failure_index})",
-        )
     return SosVerification(True, "certificate accepted")
 
 

@@ -176,9 +176,6 @@ def cmd_check(args) -> int:
         if not isinstance(target, Form):
             print("error: --sos-convex needs a plain form", file=sys.stderr)
             return EXIT_ERROR
-        if target.degree % 2 != 0:
-            print("error: sos-convexity requires even degree", file=sys.stderr)
-            return EXIT_ERROR
         outcome = check_sos_convexity(target, cfg)
     else:
         multiplier = None
@@ -189,10 +186,6 @@ def cmd_check(args) -> int:
                 )
             else:
                 multiplier = parse_poly_expression(args.nonneg_mult, target.n_vars)
-        tf = target.to_form() if isinstance(target, BiquadraticForm) else target
-        if (tf.degree + (multiplier.degree if multiplier else 0)) % 2 != 0:
-            print("error: target times multiplier has odd degree", file=sys.stderr)
-            return EXIT_ERROR
         outcome = check_sos(target, cfg, multiplier=multiplier)
     print(f"status: {outcome.status}")
     if outcome.residual is not None:

@@ -1,7 +1,7 @@
 """Dense exact-rational linear algebra helpers.
 
 Everything here works on plain lists of lists of Fraction and is used for
-rank computations, solving coefficient-matching systems, and determinants.
+rank computations, products and determinants.
 """
 
 from __future__ import annotations
@@ -41,38 +41,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[1])
-
-
-def solve_affine(
-    a: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
-    """Solve A x = rhs exactly.
-
-    Returns (particular_solution, nullspace_basis). The particular solution is
-    None when the system is inconsistent; the nullspace basis is always that
-    of A.
-    """
-    if not a:
-        return [], []
-    ncols = len(a[0])
-    aug = [row + [b] for row, b in zip(a, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        particular = None
-        pivots = [p for p in pivots if p < ncols]
-    else:
-        particular = [Fraction(0)] * ncols
-        for i, p in enumerate(pivots):
-            particular[p] = red[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(v)
-    return particular, basis
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:

@@ -15,11 +15,10 @@ Peyrl-Parrilo: round Q entrywise, once to the grid 1/D and once to
 continued fractions with denominators at most D, for a ladder of bounds D,
 and apply the same per-monomial correction in exact arithmetic, so every
 candidate lies exactly on the fiber. A chunk is rounded when it ends near
-the fiber or on a numerically PSD shadow. A candidate is accepted only if
-the exact LDL^T check finds it PSD, by fraction-free elimination on a
-row-scaled integer copy; when no rounding passes, facial reduction restricts
-the fiber by the exact rows of Q v = 0 for the numeric kernel of the point
-and rounds again.
+the fiber or on a numerically PSD shadow. Each candidate goes straight to
+verify_sos_certificate, the one exact gate: its LDL^T check runs first, so
+a candidate that is not PSD costs that check alone, and the first candidate
+it accepts is the certificate.
 
 The basis comes from the target alone: when every term has the same even
 (x-degree, y-degree) split of the variables at n_vars/2, as the Hessian
@@ -48,14 +47,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import linalg
 from .biquadratic import hessian_form
 from .certificates import (
     Monomial,
     SosCertificate,
     SymRationalMatrix,
     _as_form,
-    ldlt_psd_check,
     sos_basis,
     unit_multiplier,
     verify_sos_certificate,
@@ -145,16 +142,6 @@ class DRReport:
 
 
 @dataclass
-class RoundingFailure:
-    reason: str
-    failure_index: int | None = None
-    pivot: Fraction | None = None
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass
 class SearchOutcome:
     status: str  # ExactCertificate | NumericFeasible | Refuted | Stalled
     certificate: SosCertificate | None = None
@@ -197,10 +184,6 @@ def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
 
 
 # -- numeric search --------------------------------------------------------------
-
-
-def _float_matrix(m: SymRationalMatrix) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in m.rows])
 
 
 def _project_psd(x: np.ndarray) -> np.ndarray:
@@ -326,128 +309,32 @@ def fiber_roundings(
         yield pz.snap(rounded)
 
 
-# eigenvalues of the numeric Gram matrix at most this large span its kernel
-KERNEL_TOL = 1e-6
-
-
-def _face_roundings(
-    g: np.ndarray, pz: GramParameterization, cfg: SearchConfig
-) -> Iterator[SymRationalMatrix]:
-    """Exact fiber points near g that also annihilate g's numeric kernel.
-
-    The entries of all but the first pair reaching each monomial are free
-    coordinates of the fiber; the target then fixes the first pair. The
-    near-kernel eigenvectors of g are row-reduced numerically and rounded
-    entrywise over a ladder of denominator bounds, and the rows of Q v = 0
-    are solved exactly in the free coordinates. Inconsistent guesses are
-    dropped; each distinct face is rounded in its own coordinates.
-    """
-    vals, vecs = np.linalg.eigh((g + g.T) / 2.0)
-    null_cols = [i for i, v in enumerate(vals) if abs(v) <= KERNEL_TOL]
-    if not null_cols:
-        return
-    # numeric RREF with pivot normalization, then entrywise rationalization
-    mat = vecs[:, null_cols].T.copy()
-    rank = 0
-    for c in range(mat.shape[1]):
-        piv = np.argmax(np.abs(mat[rank:, c])) + rank
-        if abs(mat[piv, c]) < 1e-8:
-            continue
-        mat[[rank, piv]] = mat[[piv, rank]]
-        mat[rank] = mat[rank] / mat[rank, c]
-        for i in range(mat.shape[0]):
-            if i != rank:
-                mat[i] = mat[i] - mat[i, c] * mat[rank]
-        rank += 1
-        if rank == mat.shape[0]:
-            break
-    dim = len(pz.z)
-    index = pz.index.tolist()
-    lead: dict[int, tuple[int, int]] = {}
-    free: list[tuple[int, int]] = []
-    for r in range(dim):
-        for s in range(r, dim):
-            if index[r][s] in lead:
-                free.append((r, s))
-            else:
-                lead[index[r][s]] = (r, s)
-
-    def complete(x: Sequence[Fraction]) -> SymRationalMatrix:
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        residual = list(pz.target)
-        for (r, s), v in zip(free, x):
-            rows[r][s] = rows[s][r] = v
-            residual[index[r][s]] -= v if r == s else 2 * v
-        for m, (r, s) in lead.items():
-            rows[r][s] = rows[s][r] = residual[m] / (1 if r == s else 2)
-        return SymRationalMatrix(rows)
-
-    base = complete([Fraction(0)] * len(free))
-    free_values = np.array([g[r, s] for r, s in free])
-    seen = set()
-    for den_bound in (12, 100, 10**4, 10**6):
-        rows_a: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for i in range(rank):
-            v = [Fraction(float(c)).limit_denominator(den_bound) for c in mat[i]]
-            # Q(x) v = base v + sum_f x_f E_f v, where E_f is the unit at the
-            # free pair f minus its weight share at the monomial's first pair
-            block = [[Fraction(0)] * len(free) for _ in range(dim)]
-            for col, (r, s) in enumerate(free):
-                a, b = lead[index[r][s]]
-                share = Fraction(1 if r == s else 2, 1 if a == b else 2)
-                for (p, q), w in (((r, s), 1), ((a, b), -share)):
-                    block[p][col] += w * v[q]
-                    if p != q:
-                        block[q][col] += w * v[p]
-            rows_a += block
-            rhs += [-c for c in base.mat_vec(v)]
-        particular, null = linalg.solve_affine(rows_a, rhs)
-        if particular is None or (tuple(particular), len(null)) in seen:
-            continue
-        seen.add((tuple(particular), len(null)))
-        t = np.zeros(0)
-        if null:
-            null_mat = np.array([[float(c) for c in vec] for vec in null]).T
-            shift = free_values - np.array([float(c) for c in particular])
-            t, *_ = np.linalg.lstsq(null_mat, shift, rcond=None)
-        for t_exact in _roundings(t, cfg):
-            x = list(particular)
-            for ti, vec in zip(t_exact, null):
-                if ti != 0:
-                    x = [xi + ti * ci for xi, ci in zip(x, vec)]
-            yield complete(x)
-
-
 def rationalize_and_certify(
     g: np.ndarray,
     pz: GramParameterization,
     cfg: SearchConfig,
+    target,
     multiplier: Form | None = None,
 ):
-    """Round a numeric fiber point to an exact PSD Gram matrix.
+    """Round a numeric fiber point to an exactly verified SOS certificate.
 
-    Tries the exact fiber roundings of g in order; if none is PSD, facial
-    reduction restricts the fiber to g's numeric kernel and rounds again.
-    Returns a SosCertificate or a RoundingFailure.
+    Wraps each exact fiber rounding of g, in order, as a certificate for
+    multiplier * target and returns the first one verify_sos_certificate
+    accepts; when none is accepted, the last falsy SosVerification, whose
+    reason says why.
     """
     if multiplier is None:
         multiplier = unit_multiplier(len(pz.z[0]))
-    last_report = None
-    for candidates in (fiber_roundings(g, pz, cfg), _face_roundings(g, pz, cfg)):
-        for q in candidates:
-            last_report = ldlt_psd_check(q)
-            if last_report.is_psd():
-                # a certificate outlives the search and its entries repeat a
-                # few values: keep one Fraction object per distinct value
-                shared: dict[Fraction, Fraction] = {}
-                q.rows = [[shared.setdefault(v, v) for v in row] for row in q.rows]
-                return SosCertificate(list(pz.z), q, multiplier, Fraction(1))
-    return RoundingFailure(
-        "no rounded fiber point passed the PSD check",
-        failure_index=last_report.failure_index if last_report else None,
-        pivot=last_report.pivots[-1] if last_report and last_report.pivots else None,
-    )
+    for q in fiber_roundings(g, pz, cfg):
+        cert = SosCertificate(pz.z, q, multiplier, Fraction(1))
+        check = verify_sos_certificate(target, cert)
+        if check:
+            # a certificate outlives the search and its entries repeat a
+            # few values: keep one Fraction object per distinct value
+            shared: dict[Fraction, Fraction] = {}
+            q.rows = [[shared.setdefault(v, v) for v in row] for row in q.rows]
+            return cert
+    return check
 
 
 # -- dual search -----------------------------------------------------------------
@@ -542,19 +429,13 @@ def check_sos(
         # every acceptance is gated by the exact verifier, so rounding a
         # rough numeric point is sound
         nonlocal last_reason
-        cert = rationalize_and_certify(g_num, pz, cfg, multiplier=multiplier)
-        if isinstance(cert, RoundingFailure):
+        cert = rationalize_and_certify(g_num, pz, cfg, tf, multiplier)
+        if not cert:
             last_reason = cert.reason
             return None
-        check = verify_sos_certificate(tf, cert)
-        if not check:
-            last_reason = check.reason
-            return None
         # the certified Gram matrix lies exactly on the fiber and is exactly
-        # PSD; report its own numeric residual, not the rougher search point's
-        eigs = np.linalg.eigvalsh(_float_matrix(cert.q))
-        residual = max(0.0, -float(eigs[0]))
-        return SearchOutcome("ExactCertificate", certificate=cert, residual=residual)
+        # PSD, so its residual is zero, not the rougher search point's
+        return SearchOutcome("ExactCertificate", certificate=cert, residual=0.0)
 
     def attempt(report: DRReport):
         # a chunk that ends near the fiber or on a PSD shadow (a fiber point

@@ -191,6 +191,14 @@ class TestVerification:
         target = Form(2, 4, {(2, 2): F(2)})
         assert not verify_sos_certificate(target, SosCertificate(z, q, unit_multiplier(2), F(1)))
 
+    def test_basis_and_q_sizes_must_agree(self):
+        # a malformed certificate is an input error even when Q is not PSD
+        z = [(2, 0)]
+        q = SymRationalMatrix([[F(0), F(1)], [F(1), F(0)]])
+        target = Form(2, 4, {(4, 0): F(1)})
+        with pytest.raises(ValueError):
+            verify_sos_certificate(target, SosCertificate(z, q, unit_multiplier(2), F(1)))
+
     def test_bad_multiplier_rejected(self):
         z = [(1, 0)]
         q = SymRationalMatrix([[F(1)]])

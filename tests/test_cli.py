@@ -204,6 +204,13 @@ class TestCheck:
     def test_odd_multiplier_degree_rejected(self, b_file):
         assert main(["check", b_file, "--nonneg-mult", "x1"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("mode", ["--sos-convex", "--sos"])
+    def test_odd_degree_form_rejected(self, tmp_path, mode, capsys):
+        target = tmp_path / "cubic.form"
+        target.write_text(form_to_text(parse_poly_expression("x1^3+x2^3", 2)))
+        assert main(["check", str(target), mode]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_rejected(self, b_file, tol, capsys):
         assert main(["check", b_file, "--sos", "--tol", tol]) == EXIT_ERROR

@@ -1,6 +1,7 @@
 """Tests for the numeric search, rounding, and end-to-end checkers."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,7 +24,6 @@ from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
 from sosconvex.forms import Form
 from sosconvex.search import (
     SearchConfig,
-    _face_roundings,
     check_sos,
     check_sos_convexity,
     douglas_rachford,
@@ -177,34 +177,36 @@ class TestRounding:
         g = least_norm_point(pz)
         rng = np.random.default_rng(3)
         g = g + 1e-7 * rng.standard_normal(g.shape)
-        cert = rationalize_and_certify(g, pz, SearchConfig())
+        cert = rationalize_and_certify(g, pz, SearchConfig(), h)
         assert verify_sos_certificate(h, cert)
-
-    def test_face_roundings_stay_on_fiber_and_kernel(self):
-        forms = ([1, 2, 0], [0, 1, -1], [1, 0, 3])
-        p = sum((Form.linear(c) ** 4 for c in forms[1:]), Form.linear(forms[0]) ** 4)
-        h = hessian_biquadratic(p)
-        pz = parameterize(h, bilinears())
-        result = douglas_rachford(pz, SearchConfig())
-        assert result.converged
-        g = result.fiber_point
-        vals, vecs = np.linalg.eigh(g)
-        kernel = vecs[:, np.abs(vals) <= 1e-6]
-        assert kernel.shape[1] == 6
-        candidates = list(_face_roundings(g, pz, SearchConfig()))
-        assert candidates
-        for q in candidates:
-            assert gram_expand(pz.z, q) == h.to_form()
-            q_float = np.array([[float(v) for v in row] for row in q.rows])
-            assert np.abs(q_float @ kernel).max() <= 1e-9
 
     def test_failure_is_falsy_with_reason(self):
         # the shipped b has no PSD Gram at all, so every rounding must fail
-        pz = parameterize(builtin("b_thm22"), bilinears())
+        b = builtin("b_thm22")
+        pz = parameterize(b, bilinears())
         g = least_norm_point(pz)
-        result = rationalize_and_certify(g, pz, SearchConfig())
+        result = rationalize_and_certify(g, pz, SearchConfig(), b)
         assert not result
         assert "PSD" in result.reason
+
+    def test_one_ldlt_per_accepted_certificate(self, monkeypatch):
+        # the first rounding is accepted, and verify_sos_certificate is the
+        # only exact check it gets; count calls under every name that holds it
+        from sosconvex import certificates
+
+        calls = []
+        ldlt = certificates.ldlt_psd_check
+
+        def counted(q):
+            calls.append(1)
+            return ldlt(q)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sosconvex") and vars(module).get("ldlt_psd_check") is ldlt:
+                monkeypatch.setattr(module, "ldlt_psd_check", counted)
+        p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
+        assert check_sos_convexity(p).is_certified()
+        assert len(calls) == 1
 
 
 def assert_integer_refutation(outcome, b):

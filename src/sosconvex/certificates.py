@@ -306,8 +306,10 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
             False,
             f"Gram matrix is not PSD (pivot {report.pivots[-1]} at step {report.failure_index})",
         )
-    lhs = cert.multiplier * tf
-    rhs = gram_expand(cert.z, cert.q).scale(cert.scale)
+    lhs = tf if cert.multiplier == unit_multiplier(tf.n_vars) else cert.multiplier * tf
+    rhs = gram_expand(cert.z, cert.q)
+    if cert.scale != 1:
+        rhs = rhs.scale(cert.scale)
     if not (tf.is_zero() and rhs.is_zero()):
         if not is_even_power_sum(cert.multiplier):
             return SosVerification(False, "multiplier is not a sum of even monomial powers")

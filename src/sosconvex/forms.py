@@ -241,7 +241,11 @@ def hessian(p: Form) -> PolyMatrix:
         raise ValueError("hessian requires degree >= 2")
     n = p.n_vars
     grads = [differentiate(p, i) for i in range(1, n + 1)]
-    entries = [[differentiate(grads[i], j + 1) for j in range(n)] for i in range(n)]
+    # mixed partials commute: differentiate for i <= j and share the entry
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = differentiate(grads[i], j + 1)
     return PolyMatrix(entries)
 
 

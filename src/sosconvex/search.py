@@ -13,12 +13,15 @@ The pipeline runs Douglas-Rachford iterations between the PSD cone and the
 fiber, then rounds the result to exact rationals in the manner of
 Peyrl-Parrilo: round Q entrywise, once to the grid 1/D and once to
 continued fractions with denominators at most D, for a ladder of bounds D,
-and apply the same per-monomial correction in exact arithmetic, so every
-candidate lies exactly on the fiber. A chunk is rounded when it ends near
-the fiber or on a numerically PSD shadow. Each candidate goes straight to
-verify_sos_certificate, the one exact gate: its LDL^T check runs first, so
-a candidate that is not PSD costs that check alone, and the first candidate
-it accepts is the certificate.
+each rounding held as integer numerators and denominators. A chunk is
+rounded when it ends near the fiber or on a numerically PSD shadow. Each
+rounding is first screened in floats: one eigvalsh of its float fiber
+projection, and a rounding clearly not PSD there is skipped. A rounding
+that passes is snapped onto the fiber by the same per-monomial correction
+in integer arithmetic over one common denominator, so it lies exactly on
+the fiber, and goes to verify_sos_certificate, the one exact gate: its
+LDL^T check runs first, and the first candidate it accepts is the
+certificate. The screen only skips; it never accepts.
 
 The basis comes from the target alone: when every term has the same even
 (x-degree, y-degree) split of the variables at n_vars/2, as the Hessian
@@ -51,6 +54,7 @@ from .biquadratic import hessian_form
 from .certificates import (
     Monomial,
     SosCertificate,
+    SosVerification,
     SymRationalMatrix,
     _as_form,
     sos_basis,
@@ -78,29 +82,50 @@ class GramParameterization:
 
     def __post_init__(self):
         self._b = np.array([float(c) for c in self.target])
+        # the upper triangle, row by row, and each of its entries' monomial
+        self._upper = np.triu_indices(len(self.z))
+        self._pairs = list(zip(*(ix.tolist() for ix in self._upper)))
+        self._upper_ids = self.index[self._upper].tolist()
+        # the target over its common denominator, for the integer snap
+        self._target_den = math.lcm(*(t.denominator for t in self.target))
+        self._target_nums = [t.numerator * (self._target_den // t.denominator) for t in self.target]
+        self._count_den = math.lcm(*self.counts.tolist())
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection of a symmetric matrix onto the fiber."""
         sums = np.bincount(self.index.ravel(), weights=x.ravel(), minlength=len(self.counts))
         return x + ((self._b - sums) / self.counts)[self.index]
 
-    def snap(self, upper: Sequence[Fraction]) -> SymRationalMatrix:
+    def snap(self, nums: Sequence[int], dens: Sequence[int]) -> SymRationalMatrix:
         """Exact projection onto the fiber of the symmetric matrix whose upper
-        triangle, row by row, is `upper`."""
+        triangle, row by row, is nums[k] / dens[k].
+
+        The arithmetic is on integers over one common denominator L * T * C,
+        with L, T and C the lcms of dens, of the target's denominators and of
+        the pair counts: entry k, reaching monomial m, is a_k / L plus the
+        residual r_m / (L T) of m divided by its pair count c_m, so its
+        numerator is a_k T C + r_m C / c_m. One Fraction is built per
+        distinct value: a certificate outlives the search and its entries
+        repeat a few values, so equal entries share one object.
+        """
+        lcd = math.lcm(*dens)
+        scaled = [n * (lcd // q) for n, q in zip(nums, dens)]
+        sums = [0] * len(self.target)
+        for (r, s), m, a in zip(self._pairs, self._upper_ids, scaled):
+            sums[m] += a if r == s else 2 * a
+        t_den, c_den = self._target_den, self._count_den
+        corrections = [
+            (t * lcd - t_den * total) * (c_den // c)
+            for t, total, c in zip(self._target_nums, sums, self.counts.tolist())
+        ]
+        lifted = t_den * c_den
+        entries = [a * lifted + corrections[m] for a, m in zip(scaled, self._upper_ids)]
+        den = lcd * lifted
+        values = {n: Fraction(n, den) for n in set(entries)}
         d = len(self.z)
-        index = self.index.tolist()
-        counts = self.counts.tolist()
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        residual = list(self.target)
-        values = iter(upper)
-        for r in range(d):
-            for s in range(r, d):
-                v = rows[r][s] = next(values)
-                residual[index[r][s]] -= v if r == s else 2 * v
-        for r in range(d):
-            for s in range(r, d):
-                m = index[r][s]
-                rows[r][s] = rows[s][r] = rows[r][s] + residual[m] / counts[m]
+        rows = [[None] * d for _ in range(d)]
+        for (r, s), n in zip(self._pairs, entries):
+            rows[r][s] = rows[s][r] = values[n]
         return SymRationalMatrix(rows)
 
 
@@ -278,35 +303,70 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
 
 # -- exact rounding --------------------------------------------------------------
 
+# A rounding whose float fiber projection has lambda_min below -SCREEN_TOL *
+# max(1, max|Q|) is not snapped. The accepted singular PSD Grams of the corpus
+# read -2.5e-12 to -2e-15 there; the rejected roundings read -4e-8 or lower.
+SCREEN_TOL = 1e-9
 
-def _roundings(values, cfg: SearchConfig) -> Iterator[tuple[Fraction, ...]]:
-    """Distinct rational roundings of values, simplest denominators first.
+
+def _limit_denominator(v: float, bound: int) -> tuple[int, int]:
+    """The closest rational to v with denominator at most bound, as a reduced
+    numerator and denominator: Fraction(v).limit_denominator(bound) on
+    integers (best approximation from the continued fraction convergents)."""
+    n, d = v.as_integer_ratio()
+    if d <= bound:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (bound - q0) // q1
+    # the semiconvergent (p0 + k p1) / (q0 + k q1) lies 1 / (q1 (q0 + k q1))
+    # from p1 / q1, and p1 / q1 lies den / (q1 d) from v; ties go to p1 / q1
+    if 2 * den * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _roundings(values, cfg: SearchConfig) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Distinct rational roundings of values, simplest denominators first,
+    each as reduced numerators and denominators.
 
     For each bound D the grid 1/D comes first, then continued fractions with
     denominators at most D: neither alone suffices, since the grid misses
     rational points with small odd denominators and continued fractions pick
-    needlessly large denominators when the grid would do.
+    needlessly large denominators when the grid would do. The continued
+    fractions are computed only once the grid rounding is rejected.
     """
     values = [float(v) for v in values]
-    bounds = [2, 16, 256, 4096] + [cfg.denominator_bound * 2**k for k in range(6)]
+
+    def per_bound(bound):
+        grid = [round(v * bound) for v in values]
+        gcds = [math.gcd(n, bound) for n in grid]
+        yield tuple(n // g for n, g in zip(grid, gcds)), tuple(bound // g for g in gcds)
+        yield tuple(zip(*(_limit_denominator(v, bound) for v in values)))
+
     seen = set()
-    for bound in bounds:
-        for rounded in (
-            tuple(Fraction(round(v * bound), bound) for v in values),
-            tuple(Fraction(v).limit_denominator(bound) for v in values),
-        ):
+    for bound in [2, 16, 256, 4096] + [cfg.denominator_bound * 2**k for k in range(6)]:
+        for rounded in per_bound(bound):
             if rounded not in seen:
                 seen.add(rounded)
                 yield rounded
 
 
-def fiber_roundings(
-    g: np.ndarray, pz: GramParameterization, cfg: SearchConfig
-) -> Iterator[SymRationalMatrix]:
-    """Exact fiber points near g: each rounding of g's entries, snapped to the fiber."""
-    upper = ((g + g.T) / 2.0)[np.triu_indices(len(pz.z))]
-    for rounded in _roundings(upper, cfg):
-        yield pz.snap(rounded)
+def _screen(pz: GramParameterization, nums: Sequence[int], dens: Sequence[int]) -> float:
+    """lambda_min of the float fiber projection of a rounding, over max(1, max|Q|)."""
+    d = len(pz.z)
+    x = np.zeros((d, d))
+    x[pz._upper] = np.array(nums, dtype=float) / np.array(dens, dtype=float)
+    x.T[pz._upper] = x[pz._upper]
+    q = pz.project(x)
+    return float(np.linalg.eigvalsh(q)[0]) / max(1.0, float(np.abs(q).max()))
 
 
 def rationalize_and_certify(
@@ -318,21 +378,30 @@ def rationalize_and_certify(
 ):
     """Round a numeric fiber point to an exactly verified SOS certificate.
 
-    Wraps each exact fiber rounding of g, in order, as a certificate for
-    multiplier * target and returns the first one verify_sos_certificate
-    accepts; when none is accepted, the last falsy SosVerification, whose
-    reason says why.
+    Takes each rounding of g's entries in order and screens it in floats:
+    its fiber projection is skipped when its lambda_min is below
+    -SCREEN_TOL * max(1, max|Q|). An exactly PSD matrix reads within
+    rounding error of 0 there, so the screen only skips roundings the exact
+    check would reject; it never accepts one. A rounding that passes is
+    snapped to the fiber in integer arithmetic, wrapped as a certificate for
+    multiplier * target, and returned when verify_sos_certificate accepts it.
+    When none is accepted, the last falsy SosVerification, from the screen
+    or the verifier, says why.
     """
     if multiplier is None:
         multiplier = unit_multiplier(len(pz.z[0]))
-    for q in fiber_roundings(g, pz, cfg):
-        cert = SosCertificate(pz.z, q, multiplier, Fraction(1))
+    check = None
+    for nums, dens in _roundings(((g + g.T) / 2.0)[pz._upper], cfg):
+        lam = _screen(pz, nums, dens)
+        if lam < -SCREEN_TOL:
+            check = SosVerification(
+                False,
+                f"float screen: rounded Gram matrix is not PSD (relative lambda_min {lam:.3e})",
+            )
+            continue
+        cert = SosCertificate(pz.z, pz.snap(nums, dens), multiplier, Fraction(1))
         check = verify_sos_certificate(target, cert)
         if check:
-            # a certificate outlives the search and its entries repeat a
-            # few values: keep one Fraction object per distinct value
-            shared: dict[Fraction, Fraction] = {}
-            q.rows = [[shared.setdefault(v, v) for v in row] for row in q.rows]
             return cert
     return check
 

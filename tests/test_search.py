@@ -1,5 +1,6 @@
 """Tests for the numeric search, rounding, and end-to-end checkers."""
 
+import functools
 import random
 import sys
 from fractions import Fraction as F
@@ -11,6 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sosconvex import search
 from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_biquadratic, hessian_form
 from sosconvex.certificates import (
+    SosCertificate,
+    SymRationalMatrix,
     _prune_basis,
     bidegree_basis,
     gram_expand,
@@ -27,7 +30,6 @@ from sosconvex.search import (
     check_sos,
     check_sos_convexity,
     douglas_rachford,
-    fiber_roundings,
     parameterize,
     rationalize_and_certify,
 )
@@ -53,11 +55,53 @@ def least_norm_point(pz):
     return pz.project(np.zeros((d, d)))
 
 
+def snap_fractions(pz, upper):
+    return pz.snap([v.numerator for v in upper], [v.denominator for v in upper])
+
+
+def textbook_snap(pz, upper):
+    """Reference exact projection in Fraction arithmetic: subtract each entry
+    from its monomial's target coefficient, then add to every entry its
+    monomial's residual over its pair count."""
+    d = len(pz.z)
+    index = pz.index.tolist()
+    counts = pz.counts.tolist()
+    rows = [[F(0)] * d for _ in range(d)]
+    residual = list(pz.target)
+    values = iter(upper)
+    for r in range(d):
+        for s in range(r, d):
+            v = rows[r][s] = next(values)
+            residual[index[r][s]] -= v if r == s else 2 * v
+    for r in range(d):
+        for s in range(r, d):
+            m = index[r][s]
+            rows[r][s] = rows[s][r] = rows[r][s] + residual[m] / counts[m]
+    return SymRationalMatrix(rows)
+
+
+@functools.cache
+def snap_fibers():
+    # targets with integer and with rational coefficients (T_{3,1} at the
+    # alpha5 bound has denominators such as 307), on bases of 9, 6 and 9
+    targets = {
+        "b_thm22": builtin("b_thm22"),
+        "linear_power": Form.linear([1, -2, 3]) ** 4,
+        "face_T31": hessian_form(face_at_bound(3, 1, [2, 1, 2, 1])),
+    }
+    return {name: parameterize(t, sos_basis(t)) for name, t in targets.items()}
+
+
+def face_at_bound(a, b, alphas):
+    fp = FaceParams(a, b)
+    return face_form(alphas + [alpha5_lower_bound(alphas, fp)], fp)
+
+
 class TestParameterize:
     def test_single_monomial_fiber(self):
         target = BiquadraticForm(1, {(1, 1, 1, 1): F(12)})
         pz = parameterize(target, [(1, 1)])
-        assert pz.snap([F(5, 7)]).rows == [[F(12)]]
+        assert pz.snap([5], [7]).rows == [[F(12)]]
         assert fiber_dimension(pz) == 0
 
     def test_nine_bilinear_kernel_dimension(self):
@@ -71,10 +115,10 @@ class TestParameterize:
         pz = parameterize(target, bilinears())
         tf = target.to_form()
         rng = random.Random(5)
-        base = pz.snap([F(0)] * 45)
+        base = snap_fractions(pz, [F(0)] * 45)
         assert gram_expand(pz.z, base) == tf
         for _ in range(3):
-            point = pz.snap(random_upper(pz, rng))
+            point = snap_fractions(pz, random_upper(pz, rng))
             assert gram_expand(pz.z, point) == tf
             # the difference of two fiber points is a kernel direction
             assert gram_expand(pz.z, point + base.scale(-1)).is_zero()
@@ -109,10 +153,34 @@ class TestParameterize:
         pz = parameterize(target, bilinears())
         rng = np.random.default_rng(2)
         g = rng.standard_normal((9, 9))
-        candidates = list(fiber_roundings(g + g.T, pz, SearchConfig()))
+        upper = (g + g.T)[np.triu_indices(9)]
+        candidates = list(search._roundings(upper, SearchConfig()))
         assert len(candidates) > 1
-        for q in candidates:
-            assert gram_expand(pz.z, q) == target.to_form()
+        for nums, dens in candidates:
+            assert gram_expand(pz.z, pz.snap(nums, dens)) == target.to_form()
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        st.sampled_from(["b_thm22", "linear_power", "face_T31"]),
+        st.lists(st.fractions(-50, 50, max_denominator=60), min_size=45, max_size=45),
+    )
+    def test_integer_snap_matches_fraction_snap(self, name, upper):
+        pz = snap_fibers()[name]
+        upper = upper[: len(pz.z) * (len(pz.z) + 1) // 2]
+        snapped = snap_fractions(pz, upper)
+        assert snapped == textbook_snap(pz, upper)
+        # one Fraction object per distinct value
+        values = [v for row in snapped.rows for v in row]
+        assert len({id(v) for v in values}) == len(set(values))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        st.integers(1, 2**22),
+    )
+    def test_limit_denominator_matches_fractions(self, v, bound):
+        f = F(v).limit_denominator(bound)
+        assert search._limit_denominator(v, bound) == (f.numerator, f.denominator)
 
     def test_unrepresentable_monomial_reported(self):
         target = Form(2, 4, {(3, 1): F(1), (1, 3): F(1)})
@@ -188,6 +256,8 @@ class TestRounding:
         result = rationalize_and_certify(g, pz, SearchConfig(), b)
         assert not result
         assert "PSD" in result.reason
+        # every rounding is far from PSD, so the float screen rejects them all
+        assert "float screen" in result.reason and "lambda_min" in result.reason
 
     def test_one_ldlt_per_accepted_certificate(self, monkeypatch):
         # the first rounding is accepted, and verify_sos_certificate is the
@@ -207,6 +277,68 @@ class TestRounding:
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
         assert check_sos_convexity(p).is_certified()
         assert len(calls) == 1
+
+    def test_one_ldlt_per_screened_candidate(self, monkeypatch):
+        # at the alpha5 bound the Gram matrix is singular: most roundings are
+        # not PSD and the float screen skips them; every one it passes gets
+        # exactly one LDL^T inside rationalize_and_certify
+        from sosconvex import certificates
+
+        inside, ldlt_calls, screened = [], [], []
+        ldlt = certificates.ldlt_psd_check
+        screen = search._screen
+        rationalize = search.rationalize_and_certify
+
+        def counted_ldlt(q):
+            if inside:
+                ldlt_calls.append(1)
+            return ldlt(q)
+
+        def counted_screen(*args):
+            value = screen(*args)
+            screened.append(value)
+            return value
+
+        def traced_rationalize(*args, **kwargs):
+            inside.append(1)
+            try:
+                return rationalize(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sosconvex") and vars(module).get("ldlt_psd_check") is ldlt:
+                monkeypatch.setattr(module, "ldlt_psd_check", counted_ldlt)
+        monkeypatch.setattr(search, "_screen", counted_screen)
+        monkeypatch.setattr(search, "rationalize_and_certify", traced_rationalize)
+        assert check_sos_convexity(face_at_bound(3, 1, [2, 1, 2, 1])).is_certified()
+        passed = sum(v >= -search.SCREEN_TOL for v in screened)
+        assert 0 < passed < len(screened)
+        assert len(ldlt_calls) == passed
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda d: st.integers(1, d - 1).flatmap(
+                lambda r: st.lists(
+                    st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                    min_size=d,
+                    max_size=d,
+                ).filter(lambda v: any(map(any, v)))
+            )
+        )
+    )
+    def test_singular_psd_gram_survives_the_screen(self, v):
+        # Q = V V^T is PSD of rank < d: its float lambda_min reads about -1e-15
+        # relative, and the screen must still hand it to the exact check
+        d = len(v)
+        q = [[sum(a * b for a, b in zip(v[i], v[j])) for j in range(d)] for i in range(d)]
+        z = sos_basis_for(Form.variable(3, 1) ** 6)[:d]
+        target = gram_expand(z, SymRationalMatrix(q))
+        pz = parameterize(target, z)
+        cert = rationalize_and_certify(np.array(q, dtype=float), pz, SearchConfig(), target)
+        assert isinstance(cert, SosCertificate)
+        assert verify_sos_certificate(target, cert)
 
 
 def assert_integer_refutation(outcome, b):

@@ -10,7 +10,10 @@ the Frobenius projection onto the fiber is a per-monomial mean correction
 pair count.
 
 The pipeline runs Douglas-Rachford iterations between the PSD cone and the
-fiber, then rounds the result to exact rationals in the manner of
+fiber, one eigh and one fiber residual per iteration: the fiber projection
+is affine, so the projection of the reflection 2y - x is twice the shadow
+of x less the projection of x, which is carried from the last iteration.
+It then rounds the result to exact rationals in the manner of
 Peyrl-Parrilo: round Q entrywise, once to the grid 1/D and once to
 continued fractions with denominators at most D, for a ladder of bounds D,
 each rounding held as integer numerators and denominators. A chunk is
@@ -34,11 +37,12 @@ iterations converges, and the gap Y = P_psd(f) - f at the fiber point f a
 chunk ends on tends to a PSD matrix, constant over the pairs reaching each
 monomial, that pairs negatively with every Gram matrix of the target: the
 moments of a separating functional on the fiber's monomials (Banjac et al.,
-the DR gap vector). After every chunk, refutation_search rounds them to a
-primitive integer functional on those monomials, and a stalled search never
-claims "not SOS" unless verify_refutation accepts it on the same pruned
-basis. A target monomial that no product of two basis monomials reaches is
-refuted at once by the functional that is nonzero only there.
+the DR gap vector). After every chunk, refutation_search rounds them to
+primitive integer functionals on those monomials, screens each with one
+eigvalsh of its moment matrix against the same SCREEN_TOL, and a stalled
+search never claims "not SOS" unless verify_refutation accepts one on the
+same pruned basis. A target monomial that no product of two basis monomials
+reaches is refuted at once by the functional that is nonzero only there.
 """
 
 from __future__ import annotations
@@ -91,10 +95,17 @@ class GramParameterization:
         self._target_nums = [t.numerator * (self._target_den // t.denominator) for t in self.target]
         self._count_den = math.lcm(*self.counts.tolist())
 
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """Per monomial, the target coefficient minus x's sum over the pairs
+        reaching it, divided by the pair count: the correction that
+        project adds to each entry, so x's distance to the fiber in the max
+        norm is max |residual(x)|."""
+        sums = np.bincount(self.index.ravel(), weights=x.ravel(), minlength=len(self.counts))
+        return (self._b - sums) / self.counts
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection of a symmetric matrix onto the fiber."""
-        sums = np.bincount(self.index.ravel(), weights=x.ravel(), minlength=len(self.counts))
-        return x + ((self._b - sums) / self.counts)[self.index]
+        return x + self.residual(x)[self.index]
 
     def snap(self, nums: Sequence[int], dens: Sequence[int]) -> SymRationalMatrix:
         """Exact projection onto the fiber of the symmetric matrix whose upper
@@ -138,15 +149,14 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (
-            self.max_iterations <= 0
-            or self.convergence_tol <= 0
-            or self.denominator_bound <= 0
-            or self.restarts <= 0
-        ):
-            raise ValueError("all search configuration values must be positive")
-        if not math.isfinite(self.convergence_tol):
-            raise ValueError("convergence tolerance must be finite")
+        bounds = {"max_iterations": 1, "denominator_bound": 1, "restarts": 1, "seed": 0}
+        for name, least in bounds.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+        tol = self.convergence_tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ValueError(f"convergence_tol must be a positive finite number, not {tol!r}")
 
 
 @dataclass
@@ -212,8 +222,10 @@ def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
 
 
 def _project_psd(x: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    """Projection onto the PSD cone of the symmetric matrix whose lower
+    triangle is x's (eigh reads only that triangle)."""
+    vals, vecs = np.linalg.eigh(x)
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
 def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: int, tol: float):
@@ -222,12 +234,18 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
     Douglas-Rachford reflections between the PSD cone and the affine fiber;
     the monitored iterate is the shadow sequence P_fiber(P_psd(x)), which
     converges to a feasible point when one exists and whose residual
-    stagnates at the gap when none does. y = P_psd(x) is PSD, so
-    lambda_min(shadow) >= -d * fiber_dist: the shadow's spectrum is needed
-    only once the fiber distance is within tol, and for a stalled run's report.
+    stagnates at the gap when none does. Each iteration makes one eigh and
+    one fiber residual: y = P_psd(x), r = residual(y), shadow = y + r. The
+    fiber projection P is affine, so P(2y - x) = 2 shadow - P(x), and the
+    update x + P(2y - x) - y has P(x_next) = shadow; P(x) is carried from
+    one iteration to the next and computed once per run. y is PSD, so
+    lambda_min(shadow) >= -d * max|r|: the shadow's spectrum is needed only
+    once the fiber distance max|r| is within tol, and for a stalled run's
+    report.
     """
     x = x0
-    shadow = x0
+    px = pz.project(x0)
+    shadow = px
     fiber_dist = math.inf
     it = 0
     best_progress = math.inf
@@ -236,13 +254,15 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
     stagnated = False
     for it in range(max_iterations):
         y = _project_psd(x)
-        shadow = pz.project(y)
-        fiber_dist = float(np.abs(shadow - y).max())
+        r = pz.residual(y)
+        fiber_dist = float(np.abs(r).max())
+        shadow = y + r[pz.index]
         if fiber_dist <= tol:
-            shadow_eig = float(np.linalg.eigvalsh((shadow + shadow.T) / 2.0)[0])
+            shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
             if shadow_eig >= -tol:
                 return DRReport(it + 1, shadow_eig, fiber_dist, shadow, x, converged=True)
-        x = x + pz.project(2.0 * y - x) - y
+        x = x + 2.0 * shadow - px - y
+        px = shadow
         # the iteration is non-monotone and plateaus before snapping to the
         # answer, so stagnation needs both a running best and patience; the
         # fiber distance bounds -lambda_min(shadow), so it alone is progress
@@ -256,7 +276,7 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
             else:
                 flat_windows = 0
             window_best = best_progress
-    shadow_eig = float(np.linalg.eigvalsh((shadow + shadow.T) / 2.0)[0])
+    shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
     return DRReport(it + 1, shadow_eig, fiber_dist, shadow, x, stagnated=stagnated)
 
 
@@ -422,9 +442,13 @@ def refutation_search(
     the pruned basis. Shifts on the moments of the z_r^2, within the margin
     that keeps the pairing negative, buy strict positivity; each shift is
     screened by one float eigvalsh of that matrix before any exact work. The
-    moments are rounded to the primitive integer vectors round(D m) / gcd,
-    and a candidate is returned, with the RefutationResult that accepted it,
-    only if verify_refutation accepts it against the target; otherwise None.
+    moments are rounded to the primitive integer vectors round(D m) / gcd.
+    Each is screened in floats like a primal rounding: skipped when its
+    moment matrix has lambda_min below -SCREEN_TOL * max(1, max|M|), which an
+    exactly PSD integer matrix never reads, so the screen only skips
+    candidates verify_refutation would reject. A candidate is returned, with
+    the RefutationResult that accepted it, only if verify_refutation accepts
+    it against the target; otherwise None.
     """
     y = _project_psd(f) - f
     sums = np.bincount(pz.index.ravel(), weights=y.ravel(), minlength=len(pz.counts))
@@ -454,6 +478,9 @@ def refutation_search(
             if key is None or key in seen:
                 continue
             seen.add(key)
+            moment = np.array(key, dtype=float)[pz.index]
+            if np.linalg.eigvalsh(moment)[0] < -SCREEN_TOL * max(1.0, float(np.abs(moment).max())):
+                continue
             cand = DualCertificate(pz.monomials, list(key))
             result = verify_refutation(cand, target)
             if result:

@@ -216,6 +216,20 @@ class TestCheck:
         assert main(["check", b_file, "--sos", "--tol", tol]) == EXIT_ERROR
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--max-iter", "0", "max_iterations"),
+            ("--restarts", "0", "restarts"),
+            ("--denominator-bound", "-4", "denominator_bound"),
+            ("--seed", "-1", "seed"),
+            ("--max-iter", "2.5", "--max-iter"),
+        ],
+    )
+    def test_invalid_search_setting_rejected(self, b_file, flag, value, field, capsys):
+        assert main(["check", b_file, "--sos", flag, value]) == EXIT_ERROR
+        assert field in capsys.readouterr().err
+
     def test_zero_denominator_multiplier_rejected(self, b_file, capsys):
         assert main(["check", b_file, "--nonneg-mult", "1/0*x1^2"]) == EXIT_ERROR
         assert "bad rational" in capsys.readouterr().err

@@ -1,0 +1,42 @@
+"""Every benchmark corpus instance reaches its known status.
+
+The benchmark's certify and refute workloads (perfbench/corpus/manifest.json)
+are run here once each, in the benchmark's three modes, so a status
+regression fails the test suite and not only the benchmark.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from sosconvex.biquadratic import biquadratic_from_text
+from sosconvex.forms import form_from_text
+from sosconvex.search import check_sos, check_sos_convexity
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
+ENTRIES = [entry for workload in ("certify", "refute") for entry in MANIFEST["workloads"][workload]]
+EXPECTED = {"sos": "ExactCertificate", "not_sos": "Refuted"}
+
+
+def load(rel):
+    text = (CORPUS / rel).read_text(encoding="utf-8")
+    return biquadratic_from_text(text) if rel.endswith(".biq") else form_from_text(text)
+
+
+def test_corpus_has_every_search_instance():
+    assert [e["expect"] for e in ENTRIES].count("sos") == 10
+    assert [e["expect"] for e in ENTRIES].count("not_sos") == 4
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e["id"] for e in ENTRIES])
+def test_corpus_status(entry):
+    target = load(entry["target"])
+    if entry["mode"] == "sos-convex":
+        outcome = check_sos_convexity(target)
+    elif entry["mode"] == "nonneg-mult":
+        outcome = check_sos(target, multiplier=load(entry["multiplier"]))
+    else:
+        outcome = check_sos(target)
+    assert outcome.status == EXPECTED[entry["expect"]], outcome.diagnostics

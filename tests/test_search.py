@@ -1,6 +1,7 @@
 """Tests for the numeric search, rounding, and end-to-end checkers."""
 
 import functools
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -90,6 +91,12 @@ def snap_fibers():
         "face_T31": hessian_form(face_at_bound(3, 1, [2, 1, 2, 1])),
     }
     return {name: parameterize(t, sos_basis(t)) for name, t in targets.items()}
+
+
+def stalled_fiber():
+    # b_thm22 over its pruned basis: no PSD Gram matrix, so DR never converges
+    b = builtin("b_thm22")
+    return parameterize(b, _prune_basis(bilinears(), b.to_form()))
 
 
 def face_at_bound(a, b, alphas):
@@ -218,14 +225,45 @@ class TestProjections:
         # one eigh per iteration for the PSD projection; the shadow's
         # eigvalsh only when the fiber distance is within tolerance, and
         # once for the report
-        b = builtin("b_thm22")
-        pz = parameterize(b, _prune_basis(bilinears(), b.to_form()))
+        pz = stalled_fiber()
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         result = search._projection_run(pz, least_norm_point(pz), 200, 1e-8)
         assert not result.converged and result.iterations == 200
         assert len(calls) <= 1
+
+    def test_run_state_projects_to_its_fiber_point(self):
+        # P is affine, so the update x + P(2y - x) - y has P(x_next) equal
+        # to the shadow of x: the state a stalled chunk hands on projects
+        # to the fiber point it reports
+        pz = stalled_fiber()
+        report = search._projection_run(pz, least_norm_point(pz), 200, 1e-8)
+        assert not report.converged and report.iterations == 200
+        scale = np.abs(report.fiber_point).max()
+        assert np.abs(pz.project(report.state) - report.fiber_point).max() <= 1e-9 * scale
+
+    def test_one_eigh_per_iteration_and_one_projection_per_run(self, monkeypatch):
+        pz = stalled_fiber()
+        x0 = least_norm_point(pz)
+        eighs, projections = [], []
+        eigh, project = np.linalg.eigh, pz.project
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
+        monkeypatch.setattr(pz, "project", lambda x: projections.append(1) or project(x))
+        report = search._projection_run(pz, x0, 200, 1e-8)
+        assert report.iterations == 200
+        assert len(eighs) == 200
+        assert len(projections) <= 1
+
+    def test_continued_chunks_match_one_run(self):
+        pz = stalled_fiber()
+        x0 = least_norm_point(pz)
+        first = search._projection_run(pz, x0, 100, 1e-8)
+        second = search._projection_run(pz, first.state, 100, 1e-8)
+        whole = search._projection_run(pz, x0, 200, 1e-8)
+        for a, b in [(second.state, whole.state), (second.fiber_point, whole.fiber_point)]:
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+        assert second.fiber_distance == pytest.approx(whole.fiber_distance, rel=1e-9)
 
     def test_deterministic_given_seed(self):
         pz = parameterize(builtin("choi_biquadratic"), bilinears())
@@ -420,6 +458,37 @@ class TestRefutation:
             outcome, target = check_sos_convexity(p), hessian_form(p)
         assert_integer_refutation(outcome, target)
 
+    def test_dual_screen_only_skips(self, monkeypatch):
+        # the float screen on each rounded functional's moment matrix skips
+        # only candidates the exact check rejects: every one it lets through
+        # is accepted, and the refutation is the one found without it
+        motzkin = parse_poly_expression("x1^4*x2^2+x1^2*x2^4-3*x1^2*x2^2*x3^2+x3^6", 3)
+        sextic = parse_poly_expression("x1^6+x2^6-4*x1^2*x2^4", 2)
+        runs = [
+            lambda: check_sos(builtin("b_thm22")),
+            lambda: check_sos(builtin("choi_biquadratic")),
+            lambda: check_sos(motzkin),
+            lambda: check_sos_convexity(sextic),
+        ]
+        verdicts = []
+        verify = search.verify_refutation
+
+        def recorded(*args):
+            result = verify(*args)
+            verdicts.append(bool(result))
+            return result
+
+        monkeypatch.setattr(search, "verify_refutation", recorded)
+        screened = [run() for run in runs]
+        assert all(verdicts) and len(verdicts) == len(runs)
+        verdicts.clear()
+        monkeypatch.setattr(search, "SCREEN_TOL", math.inf)
+        unscreened = [run() for run in runs]
+        assert len(verdicts) > len(runs)  # without it, rejected candidates reach the check
+        for a, b in zip(screened, unscreened):
+            assert a.status == b.status == "Refuted"
+            assert (a.dual.monomials, a.dual.c) == (b.dual.monomials, b.dual.c)
+
     def test_moment_matrix_all_positive(self):
         mm = moment_matrix(builtin_dual(), sos_basis(builtin("b_thm22")))
         floated = np.array([[float(v) for v in row] for row in mm.rows])
@@ -540,6 +609,34 @@ class TestConfig:
             SearchConfig(max_iterations=0)
         with pytest.raises(ValueError):
             SearchConfig(restarts=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", math.nan),
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("max_iterations", 0),
+            ("restarts", 1.0),
+            ("restarts", False),
+            ("denominator_bound", 2.5),
+            ("denominator_bound", 0),
+            ("seed", -1),
+            ("seed", 0.5),
+            ("seed", True),
+            ("convergence_tol", math.nan),
+            ("convergence_tol", math.inf),
+            ("convergence_tol", 0.0),
+            ("convergence_tol", True),
+            ("convergence_tol", "1e-8"),
+        ],
+    )
+    def test_invalid_value_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_least_valid_values_accepted(self):
+        SearchConfig(max_iterations=1, convergence_tol=1, denominator_bound=1, restarts=1, seed=0)
 
     def test_basis_helpers(self):
         assert len(sos_basis_for(Form(3, 4, {(4, 0, 0): F(1)}))) == 6

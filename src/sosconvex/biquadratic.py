@@ -23,10 +23,10 @@ from .forms import (
     Form,
     FormatError,
     PolyMatrix,
+    RationalTokens,
     _content_lines,
     fmt_frac,
     form_from_text,
-    hessian,
     polymatrix_from_text,
 )
 
@@ -208,12 +208,33 @@ def hessian_biquadratic(p: Form) -> BiquadraticForm:
     """The Hessian form y^T H_p(x) y of a quartic p: hessian_form(p) viewed at block size n."""
     if p.degree != 4:
         raise ValueError("hessian_biquadratic requires a quartic form")
-    return BiquadraticForm.from_form(_quadratic_in_y(hessian(p)), p.n_vars)
+    return BiquadraticForm.from_form(hessian_form(p), p.n_vars)
 
 
 def hessian_form(p: Form) -> Form:
-    """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2."""
-    return _quadratic_in_y(hessian(p))
+    """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2.
+
+    One pass over p's terms for each i <= j: the term c x^e gives
+    c e_i (e_j - [i = j]) (2 - [i = j]) to x^(e - e_i - e_j) y_i y_j. For
+    fixed (i, j) distinct terms reach distinct monomials, so nothing is
+    summed. The terms come in the order of _quadratic_in_y(hessian(p)), the
+    order in which a float evaluation of the result sums them.
+    """
+    if p.degree < 2:
+        raise ValueError("hessian requires degree >= 2")
+    n = p.n_vars
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for i in range(n):
+        for j in range(i, n):
+            y = tuple(int(t == i) + int(t == j) for t in range(n))
+            for e, c in p.terms.items():
+                k = e[i] * (e[j] - 1) if i == j else 2 * e[i] * e[j]
+                if k:
+                    x = list(e)
+                    x[i] -= 1
+                    x[j] -= 1
+                    terms[(*x, *y)] = c * k
+    return Form(2 * n, p.degree, terms)
 
 
 class SymmetryVerdict:
@@ -379,12 +400,13 @@ def biquadratic_from_text(text: str) -> BiquadraticForm:
     except ValueError as exc:
         raise FormatError(f"bad biq header: {lines[0]!r}") from exc
     coeffs: dict[Key, Fraction] = {}
+    tokens = RationalTokens()
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 5:
             raise FormatError(f"bad biq term line: {line!r}")
         try:
-            c = Fraction(parts[0])
+            c = tokens[parts[0]]
             i, j, k, l = (int(v) for v in parts[1:])
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad biq term line: {line!r}") from exc

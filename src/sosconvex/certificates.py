@@ -3,22 +3,37 @@
 A certificate asserts multiplier * target = scale * z^T Q z with Q positive
 semidefinite, which proves the target nonnegative (and SOS when the
 multiplier is 1). All checks are exact; no floating point enters this module.
-The PSD decision is a fraction-free LDL^T: symmetric Bareiss elimination on
-the integer matrix S Q S, with S the diagonal of per-row denominator lcms,
-whose LDL^T pivots are ratios of consecutive Bareiss pivots.
+
+Q is brought once onto the integers as the grid L Q, with L the lcm of its
+denominators, and both checks run there. The PSD decision is a fraction-free
+LDL^T: symmetric Bareiss elimination on L Q, whose LDL^T pivots, divided by
+L, are ratios of consecutive Bareiss pivots. The expansion sums z^T (L Q) z
+per monomial on ints, and each sum S_m is matched against the coefficient
+a/b of multiplier * target by cross-multiplication, a v L == u S_m b for
+scale u/v; a Fraction is built only for a reported mismatch.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .biquadratic import BUILTIN_FILES, BiquadraticForm, _monomials, corpus_text
-from .forms import Form, FormatError, _content_lines, as_frac, fmt_frac, form_from_text, form_to_text
+from .forms import (
+    Form,
+    FormatError,
+    RationalTokens,
+    _content_lines,
+    as_frac,
+    fmt_frac,
+    form_from_text,
+    form_to_text,
+)
 
 
 class SymRationalMatrix:
@@ -94,6 +109,50 @@ class LdltReport:
         return self.verdict is not Verdict.NOT_PSD
 
 
+def _integer_grid(q: SymRationalMatrix) -> tuple[list[list[int]], int]:
+    """The upper triangle of L Q on ints, with L the lcm of Q's denominators.
+
+    Row i holds columns i.. of row i, so row i's diagonal entry is its first.
+    """
+    rows = q.rows
+    lcd = math.lcm(*{v.denominator for row in rows for v in row})
+    grid = [[v.numerator * (lcd // v.denominator) for v in row[i:]] for i, row in enumerate(rows)]
+    return grid, lcd
+
+
+def _ldlt_on_grid(grid: list[list[int]], lcd: int) -> LdltReport:
+    """The LDL^T decision of Q from the upper triangle of the integer grid L Q.
+
+    Symmetric Bareiss elimination keeps every entry an integer (each update
+    divides exactly by the previous nonzero pivot, by Sylvester's identity),
+    and the LDL^T pivot of Q at step k is bareiss_k / (prev * L). A skipped
+    zero row leaves prev unchanged. Eliminated rows are replaced, never
+    mutated, so the caller's grid is left as it was.
+    """
+    a = list(grid)
+    n = len(a)
+    pivots: list[Fraction] = []
+    prev = 1
+    saw_zero = False
+    for k in range(n):
+        row = a[k]
+        piv = row[0]
+        pivots.append(Fraction(piv, prev * lcd))
+        if piv < 0:
+            return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
+        if piv == 0:
+            if any(row[1:]):
+                return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
+            saw_zero = True
+            continue
+        for i in range(k + 1, n):
+            f = row[i - k]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], row[i - k :])]
+        prev = piv
+    verdict = Verdict.POSITIVE_SEMIDEFINITE if saw_zero else Verdict.POSITIVE_DEFINITE
+    return LdltReport(verdict, pivots)
+
+
 def ldlt_psd_check(s: SymRationalMatrix) -> LdltReport:
     """Exact LDL^T positive-semidefiniteness decision, no pivoting.
 
@@ -101,44 +160,34 @@ def ldlt_psd_check(s: SymRationalMatrix) -> LdltReport:
     residual row means NotPSD; a zero pivot with a zero row is skipped. Sound
     and complete for PSD on exact input.
 
-    The elimination is fraction-free. Row i is scaled by s_i, the lcm of its
-    denominators, so S Q S is an integer matrix congruent to Q, with the same
-    verdict, failure step and zero rows. Symmetric Bareiss elimination on it
-    keeps every entry an integer (each update divides exactly by the previous
-    nonzero pivot, by Sylvester's identity), and the LDL^T pivot of Q at step
-    k is the ratio of consecutive Bareiss pivots, bareiss_k / (prev * s_k^2).
-    A skipped zero row leaves prev unchanged.
+    The elimination is fraction-free, on the integer matrix L Q with L the
+    lcm of Q's denominators: it has the same verdict, failure step and zero
+    rows as Q, and its pivots are L times Q's.
     """
-    n = s.dim
-    scales = [math.lcm(*(v.denominator for v in row)) for row in s.rows]
-    # upper triangle only: the residual matrix stays symmetric
-    a = [
-        [0] * i + [v.numerator * (si // v.denominator) * sj for v, sj in zip(row[i:], scales[i:])]
-        for i, (row, si) in enumerate(zip(s.rows, scales))
-    ]
-    pivots: list[Fraction] = []
-    prev = 1
-    saw_zero = False
-    for k in range(n):
-        row = a[k]
-        piv = row[k]
-        pivots.append(Fraction(piv, prev * scales[k] ** 2))
-        if piv < 0:
-            return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
-        if piv == 0:
-            if any(row[k + 1 :]):
-                return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
-            saw_zero = True
-            continue
-        for i in range(k + 1, n):
-            f = row[i]
-            a[i][i:] = [(piv * x - f * y) // prev for x, y in zip(a[i][i:], row[i:])]
-        prev = piv
-    verdict = Verdict.POSITIVE_SEMIDEFINITE if saw_zero else Verdict.POSITIVE_DEFINITE
-    return LdltReport(verdict, pivots)
+    return _ldlt_on_grid(*_integer_grid(s))
 
 
 Monomial = tuple[int, ...]  # exponent vector over the ambient variables
+
+
+def _gram_sums(z: Sequence[Monomial], grid: list[list[int]]) -> dict[Monomial, int]:
+    """The coefficients of z^T (L Q) z on ints, from the upper triangle of L Q.
+
+    Raises ValueError, as Form does, when a nonzero entry reaches a monomial
+    whose degree differs from that of z[0]^2.
+    """
+    degrees = [sum(m) for m in z]
+    degree = 2 * degrees[0]
+    sums: dict[Monomial, int] = {}
+    for r, (zr, row) in enumerate(zip(z, grid)):
+        for s, c in enumerate(row, r):
+            if not c:
+                continue
+            mono = tuple(map(operator.add, zr, z[s]))
+            if degrees[r] + degrees[s] != degree:
+                raise ValueError(f"monomial {mono} is not of degree {degree}")
+            sums[mono] = sums.get(mono, 0) + (c if r == s else 2 * c)
+    return sums
 
 
 def gram_expand(z: Sequence[Monomial], q: SymRationalMatrix) -> Form:
@@ -150,18 +199,9 @@ def gram_expand(z: Sequence[Monomial], q: SymRationalMatrix) -> Form:
     nv = len(z[0])
     if any(len(m) != nv for m in z):
         raise ValueError("monomials have mixed variable counts")
-    terms: dict[Monomial, Fraction] = {}
-    for r in range(q.dim):
-        for s_ in range(r, q.dim):
-            c = q.rows[r][s_]
-            if c == 0:
-                continue
-            if r != s_:
-                c = 2 * c
-            mono = tuple(a + b for a, b in zip(z[r], z[s_]))
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-    degree = 2 * sum(z[0])
-    return Form(nv, degree, terms)
+    grid, lcd = _integer_grid(q)
+    sums = _gram_sums(z, grid)
+    return Form(nv, 2 * sum(z[0]), {m: Fraction(c, lcd) for m, c in sums.items()})
 
 
 @dataclass
@@ -178,6 +218,8 @@ class SosCertificate:
             raise ValueError("certificate basis and Gram matrix size disagree")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        if any(e < 0 for m in self.z for e in m):
+            raise ValueError("basis monomials must have nonnegative exponents")
 
 
 def unit_multiplier(n_vars: int) -> Form:
@@ -292,6 +334,11 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
     order: a Q that is not PSD is rejected before z^T Q z is expanded.
     Acceptance proves the target nonnegative; with multiplier 1 it proves
     the target SOS.
+
+    Q is converted once to the integer grid L Q, and both the LDL^T and the
+    expansion run on it. Coefficient m of multiplier * target, a/b, equals
+    scale * z^T Q z at m, u/v times the integer sum S_m over L, exactly when
+    a v L == u S_m b, so a Fraction is built only for a reported mismatch.
     """
     tf = _as_form(target)
     if cert.multiplier.n_vars != tf.n_vars:
@@ -300,32 +347,41 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
         raise ValueError("certificate basis and target variable counts disagree")
     if len(cert.z) != cert.q.dim:
         raise ValueError(f"basis has {len(cert.z)} monomials but Q is {cert.q.dim}x{cert.q.dim}")
-    report = ldlt_psd_check(cert.q)
+    grid, lcd = _integer_grid(cert.q)
+    report = _ldlt_on_grid(grid, lcd)
     if not report.is_psd():
         return SosVerification(
             False,
             f"Gram matrix is not PSD (pivot {report.pivots[-1]} at step {report.failure_index})",
         )
     lhs = tf if cert.multiplier == unit_multiplier(tf.n_vars) else cert.multiplier * tf
-    rhs = gram_expand(cert.z, cert.q)
-    if cert.scale != 1:
-        rhs = rhs.scale(cert.scale)
-    if not (tf.is_zero() and rhs.is_zero()):
-        if not is_even_power_sum(cert.multiplier):
-            return SosVerification(False, "multiplier is not a sum of even monomial powers")
-        monos = sorted(set(lhs.terms) | set(rhs.terms))
-        for m in monos:
-            a = lhs.terms.get(m, Fraction(0))
-            b = rhs.terms.get(m, Fraction(0))
-            if a != b:
-                return SosVerification(
-                    False,
-                    f"coefficient mismatch at monomial {m}: "
-                    f"multiplier*target has {a}, scale*z^T Q z has {b}",
-                    mismatch_monomial=m,
-                    expected=a,
-                    actual=b,
-                )
+    sums = _gram_sums(cert.z, grid)
+    if tf.is_zero() and not any(sums.values()):
+        return SosVerification(True, "certificate accepted")
+    if not is_even_power_sum(cert.multiplier):
+        return SosVerification(False, "multiplier is not a sum of even monomial powers")
+    num, den = cert.scale.numerator, cert.scale.denominator * lcd
+    terms = lhs.terms
+    bad = []
+    for m in terms.keys() | sums.keys():
+        a = terms.get(m)
+        if a is None:
+            if sums[m]:
+                bad.append(m)
+        elif a.numerator * den != num * sums.get(m, 0) * a.denominator:
+            bad.append(m)
+    if bad:
+        m = min(bad)
+        a = terms.get(m, Fraction(0))
+        b = Fraction(num * sums.get(m, 0), den)
+        return SosVerification(
+            False,
+            f"coefficient mismatch at monomial {m}: "
+            f"multiplier*target has {a}, scale*z^T Q z has {b}",
+            mismatch_monomial=m,
+            expected=a,
+            actual=b,
+        )
     return SosVerification(True, "certificate accepted")
 
 
@@ -362,11 +418,12 @@ def certificate_from_text(text: str) -> SosCertificate:
     sections: dict[str, list[str]] = {}
     current = None
     scale = None
+    tokens = RationalTokens()
     for ln in _content_lines(text):
         upper = ln.upper()
         if upper.startswith("SCALE:"):
             try:
-                scale = Fraction(ln.split(":", 1)[1].strip())
+                scale = tokens[ln.split(":", 1)[1].strip()]
             except (ValueError, ZeroDivisionError) as exc:
                 raise FormatError(f"bad scale: {ln!r}") from exc
             current = None
@@ -402,7 +459,7 @@ def certificate_from_text(text: str) -> SosCertificate:
         if len(parts) != dim:
             raise FormatError(f"bad Q row: {ln!r}")
         try:
-            rows.append([Fraction(v) for v in parts])
+            rows.append([tokens[v] for v in parts])
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad Q row: {ln!r}") from exc
     try:

@@ -28,7 +28,7 @@ from .certificates import (
     ldlt_psd_check,
     sos_basis,
 )
-from .forms import FormatError, _content_lines, as_frac
+from .forms import FormatError, RationalTokens, _content_lines, as_frac
 
 
 @dataclass
@@ -109,9 +109,10 @@ def dual_from_text(text: str) -> DualCertificate:
     if len(lines) < 2 or lines[1].upper() != "C:":
         raise FormatError("missing C: section")
     values = []
+    tokens = RationalTokens()
     for ln in lines[2:]:
         try:
-            values.append(Fraction(ln))
+            values.append(tokens[ln])
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational: {ln!r}") from exc
     if order_name == "builtin36":

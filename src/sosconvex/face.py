@@ -275,8 +275,11 @@ def find_additional_zero(
 
     The quadratic's discriminant is checked positive exactly; the returned
     point is floating (precision dps), normalized so x and y have unit length,
-    with |h_p| at that point as the residual.
+    with |h_p| at that point as the residual. tol must be a positive finite
+    number: against NaN every residual would pass.
     """
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, not {tol!r}")
     fp.require_nonzero()
     vals = _alphas(alpha)
     aa, bb, cc = additional_zero_quadratic(vals, fp)

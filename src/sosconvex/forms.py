@@ -26,6 +26,20 @@ def as_frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
+class RationalTokens(dict):
+    """The rational-token reader of one parse: tokens[t] is Fraction(t).
+
+    It accepts exactly what Fraction(str) accepts ("1.5", "-3/4", "+2") and
+    raises what Fraction raises (ValueError, ZeroDivisionError) on anything
+    else, such as "x", "nan" or "1/0". Each distinct token is parsed once, so
+    equal entries of one file share one Fraction.
+    """
+
+    def __missing__(self, token: str) -> Fraction:
+        value = self[token] = Fraction(token)
+        return value
+
+
 def fmt_frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -384,12 +398,13 @@ def form_from_text(text: str) -> Form:
     except ValueError as exc:
         raise FormatError(f"bad form header: {lines[0]!r}") from exc
     terms: dict[tuple[int, ...], Fraction] = {}
+    tokens = RationalTokens()
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != n + 1:
             raise FormatError(f"bad term line: {line!r}")
         try:
-            coeff = Fraction(parts[0])
+            coeff = tokens[parts[0]]
             exps = tuple(int(x) for x in parts[1:])
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad term line: {line!r}") from exc
@@ -432,6 +447,7 @@ def polymatrix_from_text(text: str) -> PolyMatrix:
     current: tuple[int, int] | None = None
     seen: set[tuple[int, int]] = set()
     terms: dict[tuple[int, ...], Fraction] = {}
+    tokens = RationalTokens()
 
     def flush():
         if current is not None:
@@ -463,7 +479,7 @@ def polymatrix_from_text(text: str) -> PolyMatrix:
             if len(parts) != n + 1:
                 raise FormatError(f"bad term line: {line!r}")
             try:
-                coeff = Fraction(parts[0])
+                coeff = tokens[parts[0]]
                 exps = tuple(int(x) for x in parts[1:])
             except (ValueError, ZeroDivisionError) as exc:
                 raise FormatError(f"bad term line: {line!r}") from exc

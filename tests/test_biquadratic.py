@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from sosconvex.biquadratic import (
     BUILTIN36,
     BiquadraticForm,
+    _monomials,
+    _quadratic_in_y,
     antisymmetric_dimension,
     biquadratic_from_polymatrix,
     biquadratic_from_text,
@@ -29,7 +31,8 @@ from sosconvex.biquadratic import (
     ordering_by_name,
     swap_xy,
 )
-from sosconvex.forms import Form, FormatError
+from sosconvex.cli import main
+from sosconvex.forms import Form, FormatError, hessian
 
 
 def random_quartic(rng, n=3):
@@ -155,6 +158,29 @@ class TestHessian:
         for q in (p, p * Form.linear([1, -2, 3]) ** 2):
             assert hessian_form(q) == sympy_hessian_form(q)
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.integers(2, 6).flatmap(
+                lambda d: st.dictionaries(
+                    st.sampled_from(_monomials(n, d)),
+                    st.fractions(-7, 7, max_denominator=6),
+                    max_size=8,
+                ).map(lambda terms: Form(n, d, terms))
+            )
+        )
+    )
+    def test_one_pass_matches_the_hessian_matrix(self, p):
+        # the one-pass build against y^T H y from the PolyMatrix of second
+        # partials, term order included: evaluation in floats sums in it
+        expected = _quadratic_in_y(hessian(p))
+        got = hessian_form(p)
+        assert got == expected and got.degree == expected.degree
+        assert list(got.terms.items()) == list(expected.terms.items())
+        if p.degree == 4:
+            b = hessian_biquadratic(p)
+            assert b.n == p.n_vars and b.to_form() == expected
+
     def test_choi_matrix_gives_choi_biquadratic(self):
         assert biquadratic_from_polymatrix(builtin("choi_matrix")) == builtin("choi_biquadratic")
 
@@ -213,6 +239,13 @@ class TestDimensions:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_hessian_map_rank_is_dim_hessian(self, n):
         assert hessian_map_rank(n) == dim_hessian(n)
+
+    @pytest.mark.parametrize("n, line", [(2, "9 6 5"), (3, "36 21 15"), (4, "100 55 35"),
+                                         (5, "225 120 70")])
+    def test_cli_dims_match_the_hessian_map(self, n, line, capsys):
+        assert main(["dims", str(n)]) == 0
+        assert capsys.readouterr().out == line + "\n"
+        assert int(line.split()[2]) == hessian_map_rank(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_space_decomposition(self, n):

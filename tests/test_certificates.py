@@ -8,9 +8,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sosconvex.biquadratic import builtin
+from sosconvex.biquadratic import _monomials, builtin, hessian_form
 from sosconvex.certificates import (
     SosCertificate,
+    SosVerification,
     SymRationalMatrix,
     Verdict,
     builtin_certificate,
@@ -22,7 +23,7 @@ from sosconvex.certificates import (
     unit_multiplier,
     verify_sos_certificate,
 )
-from sosconvex.forms import Form, FormatError
+from sosconvex.forms import Form, FormatError, form_from_text
 
 
 class TestLdlt:
@@ -133,6 +134,129 @@ class TestLdltAgainstReference:
         assert_matches_reference(builtin_certificate().q)
 
 
+def textbook_expand(z, q):
+    """z^T Q z summed in Fractions, entry by entry."""
+    terms = {}
+    for r in range(q.dim):
+        for s_ in range(r, q.dim):
+            c = q.rows[r][s_]
+            if c == 0:
+                continue
+            if r != s_:
+                c = 2 * c
+            mono = tuple(a + b for a, b in zip(z[r], z[s_]))
+            terms[mono] = terms.get(mono, F(0)) + c
+    return Form(len(z[0]), 2 * sum(z[0]), terms)
+
+
+def textbook_verify(target, cert):
+    """The verifier in Fractions: textbook LDL^T, then z^T Q z expanded in
+    Fractions and compared with multiplier * target coefficient by
+    coefficient in sorted monomial order."""
+    verdict, pivots, failure = reference_ldlt(cert.q.rows)
+    if verdict is Verdict.NOT_PSD:
+        return SosVerification(
+            False, f"Gram matrix is not PSD (pivot {pivots[-1]} at step {failure})"
+        )
+    lhs = target if cert.multiplier == unit_multiplier(target.n_vars) else cert.multiplier * target
+    rhs = textbook_expand(cert.z, cert.q)
+    if cert.scale != 1:
+        rhs = rhs.scale(cert.scale)
+    if not (target.is_zero() and rhs.is_zero()):
+        if not is_even_power_sum(cert.multiplier):
+            return SosVerification(False, "multiplier is not a sum of even monomial powers")
+        for m in sorted(set(lhs.terms) | set(rhs.terms)):
+            a = lhs.terms.get(m, F(0))
+            b = rhs.terms.get(m, F(0))
+            if a != b:
+                return SosVerification(
+                    False,
+                    f"coefficient mismatch at monomial {m}: "
+                    f"multiplier*target has {a}, scale*z^T Q z has {b}",
+                    mismatch_monomial=m,
+                    expected=a,
+                    actual=b,
+                )
+    return SosVerification(True, "certificate accepted")
+
+
+MULTIPLIERS = {
+    "one": lambda n: unit_multiplier(n),
+    "x1^2+x2^2": lambda n: Form(n, 2, {(2,) + (0,) * (n - 1): F(1), (0, 2) + (0,) * (n - 2): F(1)}),
+    "x1*x2": lambda n: Form(n, 2, {(1, 1) + (0,) * (n - 2): F(1)}),
+}
+
+
+@st.composite
+def certificate_cases(draw):
+    """(target, certificate) pairs around Q = V V^T / den over a basis w.
+
+    The target is scale * w^T Q w. With multiplier 1 the basis is w; with a
+    quadratic multiplier x_a^2 + ... the basis is x1 w followed by x2 w and Q
+    is doubled block-diagonally, so x1^2 + x2^2 certifies exactly and x1*x2
+    (not an even power sum) does not. The case is then kept, or the target
+    and Q are zeroed, one entry is tampered with, or a diagonal entry is made
+    negative.
+    """
+    n = draw(st.integers(2, 3))
+    w = draw(st.lists(st.sampled_from(_monomials(n, draw(st.integers(1, 2)))),
+                      min_size=1, max_size=5, unique=True))
+    d = len(w)
+    rank = draw(st.integers(0, d))
+    v = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                      min_size=d, max_size=d))
+    den = draw(st.sampled_from([1, 2, 3, 7, 12]))
+    q = [[F(sum(a * b for a, b in zip(v[i], v[j])), den) for j in range(d)] for i in range(d)]
+    scale = draw(st.sampled_from([F(1), F(2), F(3, 5), F(7, 4)]))
+    mult_name = draw(st.sampled_from(sorted(MULTIPLIERS)))
+    multiplier = MULTIPLIERS[mult_name](n)
+    target = textbook_expand(w, SymRationalMatrix(q)).scale(scale)
+    z = list(w)
+    if mult_name != "one":
+        z = [tuple(e + (t == k) for t, e in enumerate(m)) for k in (0, 1) for m in w]
+        q = [row + [F(0)] * d for row in q] + [[F(0)] * d + row for row in q]
+    kind = draw(st.sampled_from(["kept", "zero", "tampered", "not_psd"]))
+    if kind == "zero":
+        target = Form.zero(n, target.degree)
+        q = [[F(0)] * len(z) for _ in z]
+    elif kind == "tampered":
+        i = draw(st.integers(0, len(z) - 1))
+        j = draw(st.integers(0, len(z) - 1))
+        # positive on the diagonal, so Q stays PSD and the expansion must catch it
+        delta = draw(st.sampled_from([F(1), F(1, 2), F(1, den)]))
+        q[i][j] += delta
+        if i != j:
+            q[j][i] += delta
+    elif kind == "not_psd":
+        i = draw(st.integers(0, len(z) - 1))
+        q[i][i] -= 1 + q[i][i]
+    return target, SosCertificate(z, SymRationalMatrix(q), multiplier, scale)
+
+
+class TestIntegerVerifier:
+    """The verifier on integers reports what the Fraction verifier reports."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(certificate_cases())
+    def test_matches_textbook_verify(self, case):
+        target, cert = case
+        ours = verify_sos_certificate(target, cert)
+        assert ours == textbook_verify(target, cert)
+        assert type(ours.expected) is type(ours.actual)
+        assert gram_expand(cert.z, cert.q) == textbook_expand(cert.z, cert.q)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parents[1] / "perfbench" / "corpus" / "verify").glob("pow*.cert")),
+        ids=lambda p: p.stem,
+    )
+    def test_corpus_certificates(self, path):
+        target = hessian_form(form_from_text(path.with_name(path.stem.split("_tampered")[0]
+                                                            + ".form").read_text()))
+        cert = certificate_from_text(path.read_text())
+        assert verify_sos_certificate(target, cert) == textbook_verify(target, cert)
+
+
 class TestGramExpand:
     def test_single_monomial(self):
         f = gram_expand([(1, 0)], SymRationalMatrix([[F(12)]]))
@@ -223,6 +347,10 @@ class TestSerialization:
     def test_missing_section(self):
         with pytest.raises(FormatError):
             certificate_from_text("Z:\n1 0\n")
+
+    def test_negative_exponent_in_basis_rejected(self):
+        with pytest.raises(FormatError, match="nonnegative"):
+            certificate_from_text("Z:\n-1 2\nQ:\n1\n1/1\n")
 
     def test_asymmetric_q_rejected(self):
         with pytest.raises(FormatError):

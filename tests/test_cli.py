@@ -119,6 +119,15 @@ class TestVerify:
         target.write_text(biquadratic_to_text(builtin("b_thm22").scale(F(-1))))
         assert main(["verify", str(target), str(dual)]) == EXIT_UNKNOWN
 
+    @pytest.mark.parametrize("token", ["nan", "1/0", "x"])
+    def test_bad_rational_in_certificate_is_an_input_error(self, tmp_path, b_file, token,
+                                                           capsys):
+        cert = tmp_path / "q22.cert"
+        main(["builtin", "q22_cert", str(cert)])
+        cert.write_text(cert.read_text().replace("4608/1", token, 1))
+        assert main(["verify", b_file, str(cert)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: bad Q row")
+
     def test_missing_file(self, tmp_path, b_file):
         assert main(["verify", b_file, str(tmp_path / "absent")]) == EXIT_ERROR
 
@@ -277,6 +286,17 @@ class TestFace:
         )
         assert code == EXIT_ERROR
         assert "--dps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_zero_tol_rejected(self, tol, capsys):
+        code = main(
+            ["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "1", "-1",
+             "--bound", "--zero", "--zero-tol", tol]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error:") and "tol" in captured.err
+        assert "zero_x:" not in captured.out
 
     def test_degenerate_params(self):
         code = main(["face", "--a", "0", "--b", "1", "--alphas", "1", "1", "1", "1", "0"])

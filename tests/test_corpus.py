@@ -1,8 +1,9 @@
 """Every benchmark corpus instance reaches its known status.
 
 The benchmark's certify and refute workloads (perfbench/corpus/manifest.json)
-are run here once each, in the benchmark's three modes, so a status
-regression fails the test suite and not only the benchmark.
+are run here once each, in the benchmark's three modes, and each CLI call of
+its verify workload once, so a status or exit-code regression fails the test
+suite and not only the benchmark.
 """
 
 import json
@@ -11,12 +12,14 @@ from pathlib import Path
 import pytest
 
 from sosconvex.biquadratic import biquadratic_from_text
+from sosconvex.cli import main
 from sosconvex.forms import form_from_text
 from sosconvex.search import check_sos, check_sos_convexity
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
 ENTRIES = [entry for workload in ("certify", "refute") for entry in MANIFEST["workloads"][workload]]
+CALLS = MANIFEST["workloads"]["verify"]
 EXPECTED = {"sos": "ExactCertificate", "not_sos": "Refuted"}
 
 
@@ -28,6 +31,7 @@ def load(rel):
 def test_corpus_has_every_search_instance():
     assert [e["expect"] for e in ENTRIES].count("sos") == 10
     assert [e["expect"] for e in ENTRIES].count("not_sos") == 4
+    assert len(CALLS) == 28
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e["id"] for e in ENTRIES])
@@ -40,3 +44,10 @@ def test_corpus_status(entry):
     else:
         outcome = check_sos(target)
     assert outcome.status == EXPECTED[entry["expect"]], outcome.diagnostics
+
+
+@pytest.mark.parametrize("entry", CALLS, ids=[e["id"] for e in CALLS])
+def test_corpus_verify_call(entry, capsys):
+    files = set(entry["files"])
+    argv = [str(CORPUS / a) if a in files else a for a in entry["argv"]]
+    assert main(argv) == entry["expect_exit"], capsys.readouterr()

@@ -209,6 +209,12 @@ class TestAdditionalZero:
         # the point is exact; only the unit normalization is floating
         assert pt.residual <= 1e-25
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # against NaN every residual would pass, and a tolerance <= 0 none
+        with pytest.raises(ValueError, match="tol"):
+            find_additional_zero([1, 1, 1, 1, -1], FaceParams(1, 1), tol=tol)
+
     def test_residual_shrinks_with_precision(self):
         fp = FaceParams(F(3, 2), F(2))
         alphas = [F(1), F(2), F(1), F(3)]

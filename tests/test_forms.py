@@ -6,10 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from sosconvex.biquadratic import biquadratic_from_text
+from sosconvex.certificates import certificate_from_text
+from sosconvex.dual import dual_from_text
 from sosconvex.forms import (
     Form,
     FormatError,
     PolyMatrix,
+    RationalTokens,
     differentiate,
     euler_recover,
     fmt_frac,
@@ -171,3 +175,46 @@ class TestSerialization:
     def test_bad_rational_raises_format_error(self):
         with pytest.raises(FormatError):
             form_from_text("form n=2 d=2\n1/0 2 0\n")
+
+
+def parse_in_every_format(token):
+    """The token read as a form coefficient, a biquadratic coefficient, a Q
+    entry and a dual value."""
+    form = form_from_text(f"form n=1 d=2\n{token} 2\n")
+    biq = biquadratic_from_text(f"biq n=1\n{token} 1 1 1 1\n")
+    cert = certificate_from_text(f"Z:\n1\nQ:\n1\n{token}\n")
+    dual = dual_from_text(f"ORDER: lex\nC:\n{token}\n")
+    return [form.coefficient((2,)), biq.coefficient(1, 1, 1, 1), cert.q[1, 1], dual.c[0]]
+
+
+class TestRationalTokens:
+    @pytest.mark.parametrize("token", ["1.5", "-3/4", "+2", "7", "2e-1"])
+    def test_accepts_what_fraction_accepts(self, token):
+        assert RationalTokens()[token] == F(token)
+        assert parse_in_every_format(token) == [F(token)] * 4
+        if F(token) > 0:
+            assert certificate_from_text(f"Z:\n1\nQ:\n1\n1\nSCALE: {token}\n").scale == F(token)
+
+    @pytest.mark.parametrize("token", ["1/0", "x", "nan", "inf", "1/2/3", "0x10"])
+    def test_rejects_what_fraction_rejects(self, token):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            F(token)
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            RationalTokens()[token]
+        for parse, text in [
+            (form_from_text, f"form n=1 d=2\n{token} 2\n"),
+            (biquadratic_from_text, f"biq n=1\n{token} 1 1 1 1\n"),
+            (certificate_from_text, f"Z:\n1\nQ:\n1\n{token}\n"),
+            (certificate_from_text, f"Z:\n1\nQ:\n1\n1\nSCALE: {token}\n"),
+            (dual_from_text, f"ORDER: lex\nC:\n{token}\n"),
+        ]:
+            with pytest.raises(FormatError):
+                parse(text)
+
+    def test_equal_entries_share_one_object(self):
+        cert = certificate_from_text(
+            "Z:\n2 0\n1 1\n0 2\nQ:\n3\n1/2 -1 1/2\n-1 1/2 -1\n1/2 -1 1/2\n"
+        )
+        rows = cert.q.rows
+        assert len({id(v) for row in rows for v in row}) == 2
+        assert rows[0][1] is rows[1][0] and rows[0][0] is rows[2][2]

@@ -3,7 +3,6 @@
 import functools
 import math
 import random
-import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -299,19 +298,17 @@ class TestRounding:
 
     def test_one_ldlt_per_accepted_certificate(self, monkeypatch):
         # the first rounding is accepted, and verify_sos_certificate is the
-        # only exact check it gets; count calls under every name that holds it
+        # only exact check it gets; count the elimination every LDL^T runs
         from sosconvex import certificates
 
         calls = []
-        ldlt = certificates.ldlt_psd_check
+        ldlt = certificates._ldlt_on_grid
 
-        def counted(q):
+        def counted(grid, lcd):
             calls.append(1)
-            return ldlt(q)
+            return ldlt(grid, lcd)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("sosconvex") and vars(module).get("ldlt_psd_check") is ldlt:
-                monkeypatch.setattr(module, "ldlt_psd_check", counted)
+        monkeypatch.setattr(certificates, "_ldlt_on_grid", counted)
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
         assert check_sos_convexity(p).is_certified()
         assert len(calls) == 1
@@ -323,14 +320,14 @@ class TestRounding:
         from sosconvex import certificates
 
         inside, ldlt_calls, screened = [], [], []
-        ldlt = certificates.ldlt_psd_check
+        ldlt = certificates._ldlt_on_grid
         screen = search._screen
         rationalize = search.rationalize_and_certify
 
-        def counted_ldlt(q):
+        def counted_ldlt(grid, lcd):
             if inside:
                 ldlt_calls.append(1)
-            return ldlt(q)
+            return ldlt(grid, lcd)
 
         def counted_screen(*args):
             value = screen(*args)
@@ -344,9 +341,7 @@ class TestRounding:
             finally:
                 inside.pop()
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("sosconvex") and vars(module).get("ldlt_psd_check") is ldlt:
-                monkeypatch.setattr(module, "ldlt_psd_check", counted_ldlt)
+        monkeypatch.setattr(certificates, "_ldlt_on_grid", counted_ldlt)
         monkeypatch.setattr(search, "_screen", counted_screen)
         monkeypatch.setattr(search, "rationalize_and_certify", traced_rationalize)
         assert check_sos_convexity(face_at_bound(3, 1, [2, 1, 2, 1])).is_certified()

@@ -3,14 +3,13 @@
 A certificate asserts multiplier * target = scale * z^T Q z with Q positive
 semidefinite, which proves the target nonnegative (and SOS when the
 multiplier is 1). All checks are exact; no floating point enters this module.
-
-Q is brought once onto the integers as the grid L Q, with L the lcm of its
-denominators, and both checks run there. The PSD decision is a fraction-free
-LDL^T: symmetric Bareiss elimination on L Q, whose LDL^T pivots, divided by
-L, are ratios of consecutive Bareiss pivots. The expansion sums z^T (L Q) z
-per monomial on ints, and each sum S_m is matched against the coefficient
-a/b of multiplier * target by cross-multiplication, a v L == u S_m b for
-scale u/v; a Fraction is built only for a reported mismatch.
+The PSD decision is a fraction-free LDL^T: symmetric Bareiss elimination on
+the integer matrix S Q S, with S the diagonal of per-row denominator lcms,
+whose LDL^T pivots are ratios of consecutive Bareiss pivots. The expansion
+sums z^T (L Q) z per monomial on ints, with L the lcm of all of Q's
+denominators, and each sum S_m is matched against the coefficient a/b of
+multiplier * target by cross-multiplication, a v L == u S_m b for scale u/v;
+a Fraction is built only for a reported mismatch.
 """
 
 from __future__ import annotations
@@ -109,50 +108,6 @@ class LdltReport:
         return self.verdict is not Verdict.NOT_PSD
 
 
-def _integer_grid(q: SymRationalMatrix) -> tuple[list[list[int]], int]:
-    """The upper triangle of L Q on ints, with L the lcm of Q's denominators.
-
-    Row i holds columns i.. of row i, so row i's diagonal entry is its first.
-    """
-    rows = q.rows
-    lcd = math.lcm(*{v.denominator for row in rows for v in row})
-    grid = [[v.numerator * (lcd // v.denominator) for v in row[i:]] for i, row in enumerate(rows)]
-    return grid, lcd
-
-
-def _ldlt_on_grid(grid: list[list[int]], lcd: int) -> LdltReport:
-    """The LDL^T decision of Q from the upper triangle of the integer grid L Q.
-
-    Symmetric Bareiss elimination keeps every entry an integer (each update
-    divides exactly by the previous nonzero pivot, by Sylvester's identity),
-    and the LDL^T pivot of Q at step k is bareiss_k / (prev * L). A skipped
-    zero row leaves prev unchanged. Eliminated rows are replaced, never
-    mutated, so the caller's grid is left as it was.
-    """
-    a = list(grid)
-    n = len(a)
-    pivots: list[Fraction] = []
-    prev = 1
-    saw_zero = False
-    for k in range(n):
-        row = a[k]
-        piv = row[0]
-        pivots.append(Fraction(piv, prev * lcd))
-        if piv < 0:
-            return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
-        if piv == 0:
-            if any(row[1:]):
-                return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
-            saw_zero = True
-            continue
-        for i in range(k + 1, n):
-            f = row[i - k]
-            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], row[i - k :])]
-        prev = piv
-    verdict = Verdict.POSITIVE_SEMIDEFINITE if saw_zero else Verdict.POSITIVE_DEFINITE
-    return LdltReport(verdict, pivots)
-
-
 def ldlt_psd_check(s: SymRationalMatrix) -> LdltReport:
     """Exact LDL^T positive-semidefiniteness decision, no pivoting.
 
@@ -160,14 +115,55 @@ def ldlt_psd_check(s: SymRationalMatrix) -> LdltReport:
     residual row means NotPSD; a zero pivot with a zero row is skipped. Sound
     and complete for PSD on exact input.
 
-    The elimination is fraction-free, on the integer matrix L Q with L the
-    lcm of Q's denominators: it has the same verdict, failure step and zero
-    rows as Q, and its pivots are L times Q's.
+    The elimination is fraction-free. Row i is scaled by s_i, the lcm of its
+    denominators, so S Q S is an integer matrix congruent to Q, with the same
+    verdict, failure step and zero rows. Symmetric Bareiss elimination on it
+    keeps every entry an integer (each update divides exactly by the previous
+    nonzero pivot, by Sylvester's identity), and the LDL^T pivot of Q at step
+    k is the ratio of consecutive Bareiss pivots, bareiss_k / (prev * s_k^2).
+    A skipped zero row leaves prev unchanged.
     """
-    return _ldlt_on_grid(*_integer_grid(s))
+    n = s.dim
+    scales = [math.lcm(*(v.denominator for v in row)) for row in s.rows]
+    # upper triangle only: the residual matrix stays symmetric
+    a = [
+        [0] * i + [v.numerator * (si // v.denominator) * sj for v, sj in zip(row[i:], scales[i:])]
+        for i, (row, si) in enumerate(zip(s.rows, scales))
+    ]
+    pivots: list[Fraction] = []
+    prev = 1
+    saw_zero = False
+    for k in range(n):
+        row = a[k]
+        piv = row[k]
+        pivots.append(Fraction(piv, prev * scales[k] ** 2))
+        if piv < 0:
+            return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
+        if piv == 0:
+            if any(row[k + 1 :]):
+                return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
+            saw_zero = True
+            continue
+        for i in range(k + 1, n):
+            f = row[i]
+            a[i][i:] = [(piv * x - f * y) // prev for x, y in zip(a[i][i:], row[i:])]
+        prev = piv
+    verdict = Verdict.POSITIVE_SEMIDEFINITE if saw_zero else Verdict.POSITIVE_DEFINITE
+    return LdltReport(verdict, pivots)
 
 
 Monomial = tuple[int, ...]  # exponent vector over the ambient variables
+
+
+def _integer_grid(q: SymRationalMatrix) -> tuple[list[list[int]], int]:
+    """The upper triangle of L Q on ints, with L the lcm of all of Q's denominators.
+
+    Row i holds columns i.. of row i, so row i's diagonal entry is its first.
+    """
+    rows = q.rows
+    lcd = math.lcm(*{v.denominator for row in rows for v in row})
+    grid = [[v.numerator * (lcd // v.denominator) for v in row[i:]] for i, row in enumerate(rows)]
+    return grid, lcd
 
 
 def _gram_sums(z: Sequence[Monomial], grid: list[list[int]]) -> dict[Monomial, int]:
@@ -335,10 +331,11 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
     Acceptance proves the target nonnegative; with multiplier 1 it proves
     the target SOS.
 
-    Q is converted once to the integer grid L Q, and both the LDL^T and the
-    expansion run on it. Coefficient m of multiplier * target, a/b, equals
-    scale * z^T Q z at m, u/v times the integer sum S_m over L, exactly when
-    a v L == u S_m b, so a Fraction is built only for a reported mismatch.
+    The LDL^T is ldlt_psd_check's. The expansion runs on the integer grid
+    L Q, with L the lcm of all of Q's denominators. Coefficient m of
+    multiplier * target, a/b, equals scale * z^T Q z at m, u/v times the
+    integer sum S_m over L, exactly when a v L == u S_m b, so a Fraction is
+    built only for a reported mismatch.
     """
     tf = _as_form(target)
     if cert.multiplier.n_vars != tf.n_vars:
@@ -347,14 +344,14 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
         raise ValueError("certificate basis and target variable counts disagree")
     if len(cert.z) != cert.q.dim:
         raise ValueError(f"basis has {len(cert.z)} monomials but Q is {cert.q.dim}x{cert.q.dim}")
-    grid, lcd = _integer_grid(cert.q)
-    report = _ldlt_on_grid(grid, lcd)
+    report = ldlt_psd_check(cert.q)
     if not report.is_psd():
         return SosVerification(
             False,
             f"Gram matrix is not PSD (pivot {report.pivots[-1]} at step {report.failure_index})",
         )
     lhs = tf if cert.multiplier == unit_multiplier(tf.n_vars) else cert.multiplier * tf
+    grid, lcd = _integer_grid(cert.q)
     sums = _gram_sums(cert.z, grid)
     if tf.is_zero() and not any(sums.values()):
         return SosVerification(True, "certificate accepted")

@@ -278,7 +278,7 @@ def find_additional_zero(
     with |h_p| at that point as the residual. tol must be a positive finite
     number: against NaN every residual would pass.
     """
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, not {tol!r}")
     fp.require_nonzero()
     vals = _alphas(alpha)

@@ -215,6 +215,16 @@ class TestAdditionalZero:
         with pytest.raises(ValueError, match="tol"):
             find_additional_zero([1, 1, 1, 1, -1], FaceParams(1, 1), tol=tol)
 
+    def test_rational_tolerance_accepted(self):
+        # tol need only compare with the float residual; a Fraction does
+        fp = FaceParams(F(3, 2), F(2))
+        alphas = [F(1), F(2), F(1), F(3)]
+        point = alphas + [alpha5_lower_bound(alphas, fp)]
+        pt = find_additional_zero(point, fp, tol=F(1, 10**9))
+        assert pt.residual <= F(1, 10**9)
+        with pytest.raises(ValueError, match="tol"):
+            find_additional_zero(point, fp, tol=F(0))
+
     def test_residual_shrinks_with_precision(self):
         fp = FaceParams(F(3, 2), F(2))
         alphas = [F(1), F(2), F(1), F(3)]

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -298,17 +299,19 @@ class TestRounding:
 
     def test_one_ldlt_per_accepted_certificate(self, monkeypatch):
         # the first rounding is accepted, and verify_sos_certificate is the
-        # only exact check it gets; count the elimination every LDL^T runs
+        # only exact check it gets; count calls under every name that holds it
         from sosconvex import certificates
 
         calls = []
-        ldlt = certificates._ldlt_on_grid
+        ldlt = certificates.ldlt_psd_check
 
-        def counted(grid, lcd):
+        def counted(q):
             calls.append(1)
-            return ldlt(grid, lcd)
+            return ldlt(q)
 
-        monkeypatch.setattr(certificates, "_ldlt_on_grid", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sosconvex") and vars(module).get("ldlt_psd_check") is ldlt:
+                monkeypatch.setattr(module, "ldlt_psd_check", counted)
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
         assert check_sos_convexity(p).is_certified()
         assert len(calls) == 1
@@ -320,14 +323,14 @@ class TestRounding:
         from sosconvex import certificates
 
         inside, ldlt_calls, screened = [], [], []
-        ldlt = certificates._ldlt_on_grid
+        ldlt = certificates.ldlt_psd_check
         screen = search._screen
         rationalize = search.rationalize_and_certify
 
-        def counted_ldlt(grid, lcd):
+        def counted_ldlt(q):
             if inside:
                 ldlt_calls.append(1)
-            return ldlt(grid, lcd)
+            return ldlt(q)
 
         def counted_screen(*args):
             value = screen(*args)
@@ -341,7 +344,9 @@ class TestRounding:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(certificates, "_ldlt_on_grid", counted_ldlt)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sosconvex") and vars(module).get("ldlt_psd_check") is ldlt:
+                monkeypatch.setattr(module, "ldlt_psd_check", counted_ldlt)
         monkeypatch.setattr(search, "_screen", counted_screen)
         monkeypatch.setattr(search, "rationalize_and_certify", traced_rationalize)
         assert check_sos_convexity(face_at_bound(3, 1, [2, 1, 2, 1])).is_certified()

@@ -6,14 +6,12 @@ BiquadraticForm is a bidegree-(2, 2) view of one quartic Form over 2n
 variables, x-block first: the Form holds the coefficients, and the block size
 n is the only other state. The key (i, j, k, l) with i<=j, k<=l names the
 monomial x_i x_j y_k y_l at the boundaries only (the constructor,
-`coefficient`, the text format, the orderings and the symmetry witness); the
-stored value is the coefficient of the written monomial, with no factor-of-2
-folding.
+`coefficient`, the text format and the symmetry witness); the stored value
+is the coefficient of the written monomial, with no factor-of-2 folding.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
@@ -128,57 +126,6 @@ class BiquadraticForm:
         return " + ".join(f"{c}*x{i}x{j}y{k}y{l}" for (i, j, k, l), c in _keyed_terms(self))
 
 
-class MonomialOrdering:
-    """An ordered list of all biquadratic monomials for one block size.
-
-    Built from (i, j), (k, l) pairs; held as exponent vectors over 2n
-    variables, x-block first.
-    """
-
-    __slots__ = ("name", "n", "monomials", "_index")
-
-    def __init__(self, name: str, n: int, entries: list[tuple[tuple[int, int], tuple[int, int]]]):
-        pairs = _pairs_ascending(n)
-        if sorted(entries) != [(p, q) for p in pairs for q in pairs]:
-            raise ValueError("entries are not a permutation of all biquadratic monomials")
-        self.name = name
-        self.n = n
-        self.monomials = [key_exponents(n, (*xs, *ys)) for xs, ys in entries]
-        self._index = {m: t for t, m in enumerate(self.monomials)}
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def index(self, i: int, j: int, k: int, l: int) -> int:
-        return self._index[key_exponents(self.n, (i, j, k, l))]
-
-
-def _pairs_ascending(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-
-
-@functools.cache
-def canonical_ordering(n: int) -> MonomialOrdering:
-    """Graded-lex ordering, x-block pairs before y-block pairs; one shared
-    instance per block size, never mutated."""
-    pairs = _pairs_ascending(n)
-    return MonomialOrdering("lex", n, [(p, q) for p in pairs for q in pairs])
-
-
-# The 36-entry n=3 ordering used for all published coefficient vectors, stored
-# verbatim (descending pair order, nonstandard); never re-derived.
-_PAIRS_36 = [(3, 3), (2, 3), (2, 2), (1, 3), (1, 2), (1, 1)]
-BUILTIN36 = MonomialOrdering("builtin36", 3, [(p, q) for p in _PAIRS_36 for q in _PAIRS_36])
-
-
-def ordering_by_name(name: str, n: int = 3) -> MonomialOrdering:
-    if name == "builtin36":
-        return BUILTIN36
-    if name == "lex":
-        return canonical_ordering(n)
-    raise ValueError(f"unknown ordering {name!r}")
-
-
 # -- operations ---------------------------------------------------------------
 
 
@@ -268,19 +215,6 @@ def is_symmetric(b: BiquadraticForm) -> SymmetryVerdict:
     return SymmetryVerdict(True)
 
 
-def coefficient_vector(b: BiquadraticForm, ordering: MonomialOrdering) -> list[Fraction]:
-    if ordering.n != b.n:
-        raise ValueError("ordering block size does not match the form")
-    return [b.to_form().coefficient(m) for m in ordering.monomials]
-
-
-def from_coefficient_vector(vec: Sequence, ordering: MonomialOrdering) -> BiquadraticForm:
-    if len(vec) != len(ordering):
-        raise ValueError("vector length does not match the ordering")
-    terms = dict(zip(ordering.monomials, vec))
-    return BiquadraticForm.from_form(Form(2 * ordering.n, 4, terms), ordering.n)
-
-
 def dim_nary(n: int) -> int:
     """Dimension of the space of n-ary biquadratic forms: C(n+1,2)^2."""
     if n < 1:
@@ -345,23 +279,22 @@ def builtin(name: str):
 
 def hessian_map_rank(n: int) -> int:
     """Exact rank of p -> hessian_biquadratic(p) over the quartic monomial basis."""
-    quartics = _monomials(n, 4)
-    ordering = canonical_ordering(n)
+    monos = bidegree_basis(n, 2, 2)
     rows = []
-    for exps in quartics:
-        hb = hessian_biquadratic(Form.monomial(n, exps))
-        rows.append(coefficient_vector(hb, ordering))
+    for exps in _monomials(n, 4):
+        f = hessian_biquadratic(Form.monomial(n, exps)).to_form()
+        rows.append([f.coefficient(m) for m in monos])
     return linalg.rank(rows)
 
 
 def antisymmetric_dimension(n: int) -> int:
     """Dimension of the strictly antisymmetric complement, by basis enumeration."""
-    ordering = canonical_ordering(n)
+    monos = bidegree_basis(n, 2, 2)
     rows = []
-    for exps in ordering.monomials:
+    for exps in monos:
         b = BiquadraticForm.from_form(Form.monomial(2 * n, exps), n)
-        anti = b + swap_xy(b).scale(-1)
-        rows.append(coefficient_vector(anti, ordering))
+        f = (b + swap_xy(b).scale(-1)).to_form()
+        rows.append([f.coefficient(m) for m in monos])
     return linalg.rank(rows)
 
 
@@ -373,6 +306,11 @@ def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
         for rest in _monomials(n - 1, d - e):
             out.append((e,) + rest)
     return out
+
+
+def bidegree_basis(n: int, dx: int, dy: int) -> list[tuple[int, ...]]:
+    """Monomials of x-degree dx and y-degree dy over 2n split variables."""
+    return [xm + ym for xm in _monomials(n, dx) for ym in _monomials(n, dy)]
 
 
 # -- text format ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .biquadratic import BUILTIN_FILES, BiquadraticForm, _monomials, corpus_text
+from .biquadratic import BUILTIN_FILES, BiquadraticForm, _monomials, bidegree_basis, corpus_text
 from .forms import (
     Form,
     FormatError,
@@ -287,11 +287,6 @@ def sos_basis_for(tf: Form) -> list[Monomial]:
     if tf.degree % 2 != 0:
         raise ValueError("only even-degree forms can be sums of squares")
     return _monomials(tf.n_vars, tf.degree // 2)
-
-
-def bidegree_basis(n: int, dx: int, dy: int) -> list[Monomial]:
-    """Monomials of x-degree dx and y-degree dy over 2n split variables."""
-    return [xm + ym for xm in _monomials(n, dx) for ym in _monomials(n, dy)]
 
 
 def _bidegree(form: Form) -> tuple[int, int] | None:

@@ -8,6 +8,7 @@ Run as `sosconvex ...` or `python -m sosconvex.cli ...`.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -260,7 +261,10 @@ def cmd_builtin(args) -> int:
     return EXIT_TRUE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged
+    and returns a fresh Namespace each call."""
     parser = argparse.ArgumentParser(
         prog="sosconvex",
         description="Exact SOS and sos-convexity certificates for polynomial forms.",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .biquadratic import BUILTIN_FILES, corpus_text, ordering_by_name
+from .biquadratic import BUILTIN_FILES, bidegree_basis, corpus_text, key_exponents
 from .certificates import (
     LdltReport,
     Monomial,
@@ -98,7 +98,13 @@ def verify_refutation(cert: DualCertificate, target) -> RefutationResult:
 # -- text format ---------------------------------------------------------------
 #
 # "ORDER: builtin36" or "ORDER: lex", then "C:" with one rational per line: the
-# values on the biquadratic monomials x_i x_j y_k y_l in that ordering.
+# values on a fixed list of exponent vectors that the name stands for. lex is
+# bidegree_basis(n, 2, 2) for the block size n the number of values gives;
+# builtin36 is the n = 3 list below.
+
+# The order of the published n = 3 functionals, stored verbatim (descending
+# pair order, nonstandard); never re-derived.
+_PAIRS_36 = [(3, 3), (2, 3), (2, 2), (1, 3), (1, 2), (1, 1)]
 
 
 def dual_from_text(text: str) -> DualCertificate:
@@ -116,18 +122,18 @@ def dual_from_text(text: str) -> DualCertificate:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational: {ln!r}") from exc
     if order_name == "builtin36":
-        ordering = ordering_by_name("builtin36")
+        monomials = [key_exponents(3, (*p, *q)) for p in _PAIRS_36 for q in _PAIRS_36]
     elif order_name == "lex":
         # infer n from the vector length: len = (n(n+1)/2)^2
         n = 1
         while (n * (n + 1) // 2) ** 2 < len(values):
             n += 1
-        ordering = ordering_by_name("lex", n)
+        monomials = bidegree_basis(n, 2, 2)
     else:
         raise FormatError(f"unknown ordering {order_name!r}")
-    if len(values) != len(ordering):
+    if len(values) != len(monomials):
         raise FormatError("vector length does not match the ordering")
-    return DualCertificate(ordering.monomials, values)
+    return DualCertificate(monomials, values)
 
 
 def builtin_dual() -> DualCertificate:

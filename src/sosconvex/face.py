@@ -24,7 +24,7 @@ import mpmath
 from . import linalg
 from .biquadratic import BiquadraticForm, hessian_biquadratic, _monomials
 from .certificates import LdltReport, SymRationalMatrix, gram_expand, ldlt_psd_check
-from .forms import Form, as_frac, differentiate
+from .forms import Form, as_frac, complement_basis, differentiate
 
 
 @dataclass(frozen=True)
@@ -241,29 +241,27 @@ def additional_zero_quadratic(alpha: Sequence, fp: FaceParams) -> tuple[Fraction
     return aa, bb, cc
 
 
+def _mpf(q: Fraction):
+    """q as an mpmath float at the working precision."""
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
 def _solve_point(alpha, fp, x1, x2, exact: bool):
     """Recover the remaining coordinates from x1, x2; None on degeneracy."""
-    vals = _alphas(alpha)
-    v1, v2, v3, v4, v5 = kernel_vector(vals, fp)
+    v1, v2, v3, v4, v5 = kernel_vector(_alphas(alpha), fp)
     a, b = fp.a, fp.b
-    if exact:
-        a_, b_ = a, b
-        v1_, v2_, v5_ = v1, v2, v5
-        k = v5 + a * b * ((v3 - v1) / (a * a) - (v4 - v2) / (b * b))
-    else:
-        a_, b_ = mpmath.mpf(a.numerator) / a.denominator, mpmath.mpf(b.numerator) / b.denominator
-        tofl = lambda q: mpmath.mpf(q.numerator) / q.denominator
-        v1_, v2_, v5_ = tofl(v1), tofl(v2), tofl(v5)
-        k = tofl(v5 + a * b * ((v3 - v1) / (a * a) - (v4 - v2) / (b * b)))
+    k = v5 + a * b * ((v3 - v1) / (a * a) - (v4 - v2) / (b * b))
+    if not exact:
+        a, b, v1, v2, v5, k = map(_mpf, (a, b, v1, v2, v5, k))
     if x1 == 0 or x2 == 0:
         return None
-    den_x3 = b_ * v1_ * x2 - a_ * v2_ * x1
-    den_y3 = a_ * x2 - b_ * x1
+    den_x3 = b * v1 * x2 - a * v2 * x1
+    den_y3 = a * x2 - b * x1
     if den_x3 == 0 or den_y3 == 0:
         return None
-    x3 = v5_ * x1 * x2 / den_x3
-    y1 = v1_ / x1
-    y2 = v2_ / x2
+    x3 = v5 * x1 * x2 / den_x3
+    y1 = v1 / x1
+    y2 = v2 / x2
     y3 = k / den_y3
     return (x1, x2, x3), (y1, y2, y3)
 
@@ -307,19 +305,18 @@ def find_additional_zero(
                     f"quadratic discriminant {disc} is not positive; "
                     "this contradicts the positivity argument and signals a bug"
                 )
-            tofl = lambda q: mpmath.mpf(q.numerator) / q.denominator
             if aa == 0:
-                roots = [(-tofl(cc) / tofl(bb), mpmath.mpf(1))]
+                roots = [(-_mpf(cc) / _mpf(bb), mpmath.mpf(1))]
             else:
-                sq = mpmath.sqrt(tofl(disc))
+                sq = mpmath.sqrt(_mpf(disc))
                 roots = [
-                    ((-tofl(bb) + sq) / (2 * tofl(aa)), mpmath.mpf(1)),
-                    ((-tofl(bb) - sq) / (2 * tofl(aa)), mpmath.mpf(1)),
+                    ((-_mpf(bb) + sq) / (2 * _mpf(aa)), mpmath.mpf(1)),
+                    ((-_mpf(bb) - sq) / (2 * _mpf(aa)), mpmath.mpf(1)),
                 ]
                 # retry with x1 = 1 if both x2-normalized roots degenerate
                 roots += [
-                    (mpmath.mpf(1), (-tofl(bb) + sq) / (2 * tofl(cc))) if cc != 0 else None,
-                    (mpmath.mpf(1), (-tofl(bb) - sq) / (2 * tofl(cc))) if cc != 0 else None,
+                    (mpmath.mpf(1), (-_mpf(bb) + sq) / (2 * _mpf(cc))) if cc != 0 else None,
+                    (mpmath.mpf(1), (-_mpf(bb) - sq) / (2 * _mpf(cc))) if cc != 0 else None,
                 ]
                 roots = [r for r in roots if r is not None]
             for x1, x2 in roots:
@@ -333,8 +330,8 @@ def find_additional_zero(
 
         best = None
         for xr, yr in candidates:
-            xf = [mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v for v in xr]
-            yf = [mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v for v in yr]
+            xf = [_mpf(v) if isinstance(v, Fraction) else v for v in xr]
+            yf = [_mpf(v) if isinstance(v, Fraction) else v for v in yr]
             nx = mpmath.sqrt(sum(v * v for v in xf))
             ny = mpmath.sqrt(sum(v * v for v in yf))
             xf = [v / nx for v in xf]
@@ -372,32 +369,12 @@ def tangent_hessian_check(
             val = as_frac(differentiate(di, j).evaluate(point))
             hess[i - 1][j - 1] = val
             hess[j - 1][i - 1] = val
-    basis = _orthogonal_basis(x0) + [[Fraction(0)] * n + v for v in _orthogonal_basis(y0)]
-    basis = [v + [Fraction(0)] * n if len(v) == n else v for v in basis]
-    bt = [[Fraction(0)] * 4 for _ in range(2 * n)]
-    for c, v in enumerate(basis):
-        for r in range(2 * n):
-            bt[r][c] = v[r]
-    restricted = linalg.mat_mul(list(map(list, zip(*bt))), linalg.mat_mul(hess, bt))
+    zero = [Fraction(0)] * n
+    basis = [v + zero for v in complement_basis(x0)] + [zero + v for v in complement_basis(y0)]
+    bt = [list(col) for col in zip(*basis)]
+    restricted = linalg.mat_mul(basis, linalg.mat_mul(hess, bt))
     mat = SymRationalMatrix(restricted)
     return mat, ldlt_psd_check(mat)
-
-
-def _orthogonal_basis(c: list[Fraction]) -> list[list[Fraction]]:
-    """Rational basis of {v : v.c = 0}, drop-largest-coordinate pivoting."""
-    if all(v == 0 for v in c):
-        raise ValueError("point must be nonzero")
-    n = len(c)
-    pivot = max(range(n), key=lambda i: (abs(c[i]), -i))
-    basis = []
-    for j in range(n):
-        if j == pivot:
-            continue
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        v[pivot] = -c[j] / c[pivot]
-        basis.append(v)
-    return basis
 
 
 @dataclass

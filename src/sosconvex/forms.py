@@ -338,29 +338,36 @@ def linear_change(f: Form, t: Sequence[Sequence]) -> Form:
     return substitute_linear(f, t)
 
 
-def restrict_to_complement(p: Form, c: Sequence) -> Form:
-    """Restrict p to the hyperplane {v : v.c = 0}, as a form in n-1 variables.
+def complement_basis(c: Sequence) -> list[list[Fraction]]:
+    """Rational basis of the hyperplane {v : v.c = 0}.
 
-    The basis of the hyperplane is fixed deterministically: drop the
-    coordinate of largest |c_i| (smallest index on ties) and solve for it.
+    Drop the coordinate of largest |c_i| (smallest index on ties) and solve
+    for it: one vector e_j - (c_j / c_pivot) e_pivot per other coordinate j,
+    in order.
     """
     cs = [as_frac(v) for v in c]
-    if len(cs) != p.n_vars:
-        raise ValueError("vector has wrong length")
     if all(v == 0 for v in cs):
         raise ValueError("vector must be nonzero")
-    if p.n_vars < 2:
-        raise ValueError("need at least two variables to restrict")
     pivot = max(range(len(cs)), key=lambda i: (abs(cs[i]), -i))
-    kept = [i for i in range(len(cs)) if i != pivot]
-    # x_pivot = -(1/c_pivot) * sum over kept of c_j t_j; x_{kept[r]} = t_r.
-    b = []
-    for i in range(p.n_vars):
-        if i == pivot:
-            b.append([-cs[j] / cs[pivot] for j in kept])
-        else:
-            b.append([Fraction(1) if j == i else Fraction(0) for j in kept])
-    return substitute_linear(p, b)
+    basis = []
+    for j in range(len(cs)):
+        if j != pivot:
+            v = [Fraction(0)] * len(cs)
+            v[j] = Fraction(1)
+            v[pivot] = -cs[j] / cs[pivot]
+            basis.append(v)
+    return basis
+
+
+def restrict_to_complement(p: Form, c: Sequence) -> Form:
+    """Restrict p to the hyperplane {v : v.c = 0}, as a form in n-1 variables:
+    t_r is the coordinate along the r-th vector of complement_basis(c)."""
+    if len(c) != p.n_vars:
+        raise ValueError("vector has wrong length")
+    basis = complement_basis(c)
+    if not basis:
+        raise ValueError("need at least two variables to restrict")
+    return substitute_linear(p, [list(col) for col in zip(*basis)])
 
 
 # -- text format --------------------------------------------------------------

@@ -15,7 +15,6 @@ from sosconvex.biquadratic import (
     BiquadraticForm,
     antisymmetric_dimension,
     builtin,
-    canonical_ordering,
     dim_hessian,
     dim_nary,
     dim_symmetric,
@@ -122,7 +121,7 @@ def test_criterion_03_dimension_counts():
     with criterion(3, 5.0):
         assert (dim_nary(3), dim_symmetric(3), dim_hessian(3)) == (36, 21, 15)
         for n in range(1, 5):
-            assert dim_nary(n) == len(canonical_ordering(n))
+            assert dim_nary(n) == len(bidegree_basis(n, 2, 2))
             # symmetric + antisymmetric parts tile the whole space (exact ranks)
             assert dim_symmetric(n) == dim_nary(n) - antisymmetric_dimension(n)
             assert dim_hessian(n) == hessian_map_rank(n)

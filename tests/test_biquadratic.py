@@ -1,4 +1,4 @@
-"""Tests for biquadratic forms, orderings, dimensions, and the corpus."""
+"""Tests for biquadratic forms, dimensions, and the corpus."""
 
 import math
 import random
@@ -9,7 +9,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from sosconvex.biquadratic import (
-    BUILTIN36,
     BiquadraticForm,
     _monomials,
     _quadratic_in_y,
@@ -18,17 +17,13 @@ from sosconvex.biquadratic import (
     biquadratic_from_text,
     biquadratic_to_text,
     builtin,
-    canonical_ordering,
-    coefficient_vector,
     dim_hessian,
     dim_nary,
     dim_symmetric,
-    from_coefficient_vector,
     hessian_biquadratic,
     hessian_form,
     hessian_map_rank,
     is_symmetric,
-    ordering_by_name,
     swap_xy,
 )
 from sosconvex.cli import main
@@ -138,12 +133,6 @@ class TestView:
         assert swap_xy(swap_xy(b)) == b
         assert is_symmetric(b + swap_xy(b))
 
-    @view_settings
-    @given(biquadratics())
-    def test_lex_vector_roundtrip(self, b):
-        lex = canonical_ordering(b.n)
-        assert from_coefficient_vector(coefficient_vector(b, lex), lex) == b
-
 
 class TestHessian:
     def test_hessian_biquadratic_symmetric(self):
@@ -196,35 +185,6 @@ class TestHessian:
         assert swap_xy(swap_xy(b)) == b
 
 
-class TestOrderings:
-    def test_builtin36_length_and_block(self):
-        assert len(BUILTIN36) == 36 and BUILTIN36.n == 3
-
-    def test_builtin36_first_entry_is_x2x3_y2y3(self):
-        # the builtin36 ordering starts at the (3,3)(3,3) corner: index of
-        # alpha_{3,3,3,3} is 0, alpha_{1,1,1,1} is 35
-        assert BUILTIN36.index(3, 3, 3, 3) == 0
-        assert BUILTIN36.index(1, 1, 1, 1) == 35
-
-    def test_vector_roundtrip(self):
-        b = builtin("b_thm22")
-        vec = coefficient_vector(b, BUILTIN36)
-        assert from_coefficient_vector(vec, BUILTIN36) == b
-
-    def test_lex_ordering_roundtrip(self):
-        b = builtin("b_thm22")
-        lex = canonical_ordering(3)
-        assert from_coefficient_vector(coefficient_vector(b, lex), lex) == b
-
-    def test_canonical_ordering_shared_per_block_size(self):
-        assert canonical_ordering(3) is canonical_ordering(3)
-        assert ordering_by_name("lex", 2) is canonical_ordering(2)
-
-    def test_unknown_ordering_name(self):
-        with pytest.raises(ValueError):
-            ordering_by_name("nope")
-
-
 class TestDimensions:
     def test_ternary_counts(self):
         assert (dim_nary(3), dim_symmetric(3), dim_hessian(3)) == (36, 21, 15)
@@ -264,9 +224,8 @@ class TestCorpus:
 
     def test_b_thm22_spot_values(self):
         b = builtin("b_thm22")
-        vec = coefficient_vector(b, BUILTIN36)
-        assert vec[0] == 12 and vec[-1] == 12
-        assert vec[16] == 23
+        assert b.coefficient(3, 3, 3, 3) == b.coefficient(1, 1, 1, 1) == 12
+        assert b.coefficient(2, 2, 1, 2) == 23
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):

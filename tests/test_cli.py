@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its exit codes."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -54,6 +55,25 @@ class TestDims:
 
     def test_bad_n(self):
         assert main(["dims", "0"]) == EXIT_ERROR
+
+
+class TestParser:
+    def test_built_once_and_unchanged_by_a_parse_error(self, capsys, monkeypatch):
+        assert main(["dims", "3"]) == EXIT_TRUE
+        first = capsys.readouterr()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["dims"]) == EXIT_ERROR
+        assert "usage:" in capsys.readouterr().err
+        assert main(["dims", "3"]) == EXIT_TRUE
+        assert capsys.readouterr() == first
+        assert built == []
 
 
 class TestModuleEntry:

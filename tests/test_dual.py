@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from sosconvex.biquadratic import BiquadraticForm, _monomials, builtin, hessian_form
+from sosconvex.biquadratic import BiquadraticForm, _monomials, builtin, hessian_form, key_exponents
 from sosconvex.certificates import Verdict, ldlt_psd_check, sos_basis
 from sosconvex.dual import (
     DualCertificate,
@@ -138,3 +138,22 @@ class TestSerialization:
     def test_wrong_length(self):
         with pytest.raises(FormatError):
             dual_from_text("ORDER: builtin36\nC:\n1/1\n")
+
+    def test_unknown_ordering_name(self):
+        with pytest.raises(FormatError):
+            dual_from_text("ORDER: nope\nC:\n" + "0\n" * 36)
+
+    def test_c_dual_in_lex_order(self):
+        # lex lists the pairs (1,1) (1,2) (1,3) (2,2) (2,3) (3,3) in each
+        # block, x-block pairs outermost
+        pairs = [(i, j) for i in range(1, 4) for j in range(i, 4)]
+        lex = [key_exponents(3, (*p, *q)) for p in pairs for q in pairs]
+        shipped = builtin_dual()
+        values = dict(zip(shipped.monomials, shipped.c))
+        cert = dual_from_text("ORDER: lex\nC:\n" + "".join(f"{values[m]}\n" for m in lex))
+        assert cert.monomials == lex
+        assert dict(zip(cert.monomials, cert.c)) == values
+        b = builtin("b_thm22")
+        assert pairing(cert, b) == -37
+        result = verify_refutation(cert, b)
+        assert result.accepted and result.pairing_value == -37

@@ -14,6 +14,7 @@ from sosconvex.forms import (
     FormatError,
     PolyMatrix,
     RationalTokens,
+    complement_basis,
     differentiate,
     euler_recover,
     fmt_frac,
@@ -126,6 +127,14 @@ class TestSubstitution:
         g = restrict_to_complement(f, [F(1), F(1)])
         assert g.n_vars == 1
         assert g == Form.variable(1, 1) ** 2  # x1 = -x2 on the hyperplane
+
+    def test_complement_basis_solves_for_the_largest_coordinate(self):
+        c = [F(1, 2), F(-3), F(2)]
+        basis = complement_basis(c)
+        assert basis == [[F(1), F(1, 6), F(0)], [F(0), F(2, 3), F(1)]]
+        assert all(sum(a * b for a, b in zip(v, c)) == 0 for v in basis)
+        with pytest.raises(ValueError, match="must be nonzero"):
+            complement_basis([0, 0, 0])
 
 
 class TestSerialization:

@@ -22,7 +22,10 @@ from .forms import (
     FormatError,
     PolyMatrix,
     RationalTokens,
+    _add_term,
+    _build,
     _content_lines,
+    _header,
     fmt_frac,
     form_from_text,
     polymatrix_from_text,
@@ -328,32 +331,11 @@ def biquadratic_to_text(b: BiquadraticForm) -> str:
 
 def biquadratic_from_text(text: str) -> BiquadraticForm:
     lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty biq file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "biq":
-        raise FormatError(f"bad biq header: {lines[0]!r}")
-    try:
-        n = int(header[1].removeprefix("n="))
-    except ValueError as exc:
-        raise FormatError(f"bad biq header: {lines[0]!r}") from exc
+    (n,) = _header(lines, "biq", "n")
     coeffs: dict[Key, Fraction] = {}
     tokens = RationalTokens()
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 5:
-            raise FormatError(f"bad biq term line: {line!r}")
-        try:
-            c = tokens[parts[0]]
-            i, j, k, l = (int(v) for v in parts[1:])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad biq term line: {line!r}") from exc
+        i, j, k, l = _add_term(coeffs, line, 4, tokens, bad="bad biq term line")
         if not (i <= j and k <= l):
             raise FormatError(f"indices must satisfy i<=j, k<=l: {line!r}")
-        if (i, j, k, l) in coeffs:
-            raise FormatError(f"duplicate monomial: {line!r}")
-        coeffs[(i, j, k, l)] = c
-    try:
-        return BiquadraticForm(n, coeffs)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _build(BiquadraticForm, n, coeffs)

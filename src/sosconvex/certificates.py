@@ -27,6 +27,7 @@ from .forms import (
     Form,
     FormatError,
     RationalTokens,
+    _build,
     _content_lines,
     as_frac,
     fmt_frac,
@@ -454,10 +455,7 @@ def certificate_from_text(text: str) -> SosCertificate:
             rows.append([tokens[v] for v in parts])
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad Q row: {ln!r}") from exc
-    try:
-        q = SymRationalMatrix(rows)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    q = _build(SymRationalMatrix, rows)
     if "MULTIPLIER" in sections:
         multiplier = form_from_text("\n".join(sections["MULTIPLIER"]))
     else:
@@ -466,10 +464,7 @@ def certificate_from_text(text: str) -> SosCertificate:
         multiplier = unit_multiplier(len(z[0]))
     if scale is None:
         scale = Fraction(1)
-    try:
-        return SosCertificate(z, q, multiplier, scale)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _build(SosCertificate, z, q, multiplier, scale)
 
 
 def builtin_certificate() -> SosCertificate:

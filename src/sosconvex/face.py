@@ -23,7 +23,7 @@ import mpmath
 
 from . import linalg
 from .biquadratic import BiquadraticForm, hessian_biquadratic, _monomials
-from .certificates import LdltReport, SymRationalMatrix, gram_expand, ldlt_psd_check
+from .certificates import LdltReport, SymRationalMatrix, ldlt_psd_check
 from .forms import Form, as_frac, complement_basis, differentiate
 
 

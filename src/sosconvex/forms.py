@@ -9,7 +9,7 @@ x1..xn are presentation only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class FormatError(ValueError):
@@ -392,36 +392,52 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _header(lines: list[str], kind: str, *fields: str) -> list[int]:
+    """The integer fields of the header line "<kind> f1=<v1> f2=<v2> ..."."""
+    if not lines:
+        raise FormatError(f"empty {kind} file")
+    header = lines[0].split()
+    if len(header) != len(fields) + 1 or header[0] != kind:
+        raise FormatError(f"bad {kind} header: {lines[0]!r}")
+    try:
+        return [int(tok.removeprefix(f"{f}=")) for tok, f in zip(header[1:], fields)]
+    except ValueError as exc:
+        raise FormatError(f"bad {kind} header: {lines[0]!r}") from exc
+
+
+def _add_term(terms: dict, line: str, width: int, tokens: RationalTokens, bad="bad term line"):
+    """Add the term line "coeff k1 ... k<width>" to terms under the key
+    (k1, ..., k<width>), and return the key; a repeated key is a fault."""
+    parts = line.split()
+    if len(parts) != width + 1:
+        raise FormatError(f"{bad}: {line!r}")
+    try:
+        coeff = tokens[parts[0]]
+        key = tuple(int(x) for x in parts[1:])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{bad}: {line!r}") from exc
+    if key in terms:
+        raise FormatError(f"duplicate monomial: {line!r}")
+    terms[key] = coeff
+    return key
+
+
+def _build(make, *args):
+    """make(*args), with a ValueError it raises turned into a FormatError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def form_from_text(text: str) -> Form:
     lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty form file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "form":
-        raise FormatError(f"bad form header: {lines[0]!r}")
-    try:
-        n = int(header[1].removeprefix("n="))
-        d = int(header[2].removeprefix("d="))
-    except ValueError as exc:
-        raise FormatError(f"bad form header: {lines[0]!r}") from exc
+    n, d = _header(lines, "form", "n", "d")
     terms: dict[tuple[int, ...], Fraction] = {}
     tokens = RationalTokens()
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != n + 1:
-            raise FormatError(f"bad term line: {line!r}")
-        try:
-            coeff = tokens[parts[0]]
-            exps = tuple(int(x) for x in parts[1:])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad term line: {line!r}") from exc
-        if exps in terms:
-            raise FormatError(f"duplicate monomial: {line!r}")
-        terms[exps] = coeff
-    try:
-        return Form(n, d, terms)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        _add_term(terms, line, n, tokens)
+    return _build(Form, n, d, terms)
 
 
 def polymatrix_to_text(a: PolyMatrix) -> str:
@@ -439,29 +455,19 @@ def polymatrix_to_text(a: PolyMatrix) -> str:
 
 def polymatrix_from_text(text: str) -> PolyMatrix:
     lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty polymat file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "polymat":
-        raise FormatError(f"bad polymat header: {lines[0]!r}")
-    try:
-        n = int(header[1].removeprefix("n="))
-        dim = int(header[2].removeprefix("dim="))
-        d = int(header[3].removeprefix("d="))
-    except ValueError as exc:
-        raise FormatError(f"bad polymat header: {lines[0]!r}") from exc
-    grid = [[Form.zero(n, d) for _ in range(dim)] for _ in range(dim)]
+    n, dim, d = _header(lines, "polymat", "n", "dim", "d")
+    grid = [[_build(Form.zero, n, d) for _ in range(dim)] for _ in range(dim)]
     current: tuple[int, int] | None = None
     seen: set[tuple[int, int]] = set()
     terms: dict[tuple[int, ...], Fraction] = {}
     tokens = RationalTokens()
 
     def flush():
+        # each entry is built when its block closes, so the first fault in
+        # file order is the one reported
         if current is not None:
             i, j = current
-            f = Form(n, d, terms)
-            grid[i - 1][j - 1] = f
-            grid[j - 1][i - 1] = f
+            grid[i - 1][j - 1] = grid[j - 1][i - 1] = _build(Form, n, d, terms)
 
     for line in lines[1:]:
         parts = line.split()
@@ -480,21 +486,9 @@ def polymatrix_from_text(text: str) -> PolyMatrix:
             seen.add(pair)
             current = (i, j)
             terms = {}
+        elif current is None:
+            raise FormatError(f"term line before any entry: {line!r}")
         else:
-            if current is None:
-                raise FormatError(f"term line before any entry: {line!r}")
-            if len(parts) != n + 1:
-                raise FormatError(f"bad term line: {line!r}")
-            try:
-                coeff = tokens[parts[0]]
-                exps = tuple(int(x) for x in parts[1:])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"bad term line: {line!r}") from exc
-            if exps in terms:
-                raise FormatError(f"duplicate monomial: {line!r}")
-            terms[exps] = coeff
+            _add_term(terms, line, n, tokens)
     flush()
-    try:
-        return PolyMatrix(grid)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _build(PolyMatrix, grid)

@@ -13,18 +13,20 @@ The pipeline runs Douglas-Rachford iterations between the PSD cone and the
 fiber, one eigh and one fiber residual per iteration: the fiber projection
 is affine, so the projection of the reflection 2y - x is twice the shadow
 of x less the projection of x, which is carried from the last iteration.
-It then rounds the result to exact rationals in the manner of
-Peyrl-Parrilo: round Q entrywise, once to the grid 1/D and once to
-continued fractions with denominators at most D, for a ladder of bounds D,
-each rounding held as integer numerators and denominators. A chunk is
-rounded when it ends near the fiber or on a numerically PSD shadow. Each
-rounding is first screened in floats: one eigvalsh of its float fiber
-projection, and a rounding clearly not PSD there is skipped. A rounding
-that passes is snapped onto the fiber by the same per-monomial correction
-in integer arithmetic over one common denominator, so it lies exactly on
-the fiber, and goes to verify_sos_certificate, the one exact gate: its
-LDL^T check runs first, and the first candidate it accepts is the
-certificate. The screen only skips; it never accepts.
+douglas_rachford yields a DRReport per chunk of iterations, and check_sos
+is one loop over them: it rounds a chunk that ends near the fiber or on a
+PSD shadow, and tries a refutation from every chunk it does not certify.
+Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
+entrywise, once to the grid 1/D and once to continued fractions with
+denominators at most D, for a ladder of bounds D, each rounding held as
+integer numerators and denominators. Each rounding is first screened in
+floats: one eigvalsh of its float fiber projection, and a rounding clearly
+not PSD there is skipped. A rounding that passes is snapped onto the fiber
+by the same per-monomial correction in integer arithmetic over one common
+denominator, so it lies exactly on the fiber, and goes to
+verify_sos_certificate, the one exact gate: its LDL^T check runs first, and
+the first candidate it accepts is the certificate. The screen only skips;
+it never accepts.
 
 The basis comes from the target alone: when every term has the same even
 (x-degree, y-degree) split of the variables at n_vars/2, as the Hessian
@@ -61,6 +63,7 @@ from .certificates import (
     SosVerification,
     SymRationalMatrix,
     _as_form,
+    is_even_power_sum,
     sos_basis,
     unit_multiplier,
     verify_sos_certificate,
@@ -280,23 +283,20 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
     return DRReport(it + 1, shadow_eig, fiber_dist, shadow, x, stagnated=stagnated)
 
 
-def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
-    """Restarted Douglas-Rachford search for a PSD point of the fiber.
+def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DRReport]:
+    """Restarted Douglas-Rachford search for a PSD point of the fiber,
+    yielding the DRReport of every chunk of iterations.
 
     The first restart starts from project(0), the least-norm fiber point;
     later ones from projections of random symmetric matrices. Each restart
     runs in doubling chunks of iterations, each continuing from the last
-    state, until it converges, stagnates or spends the iteration budget.
-    Every chunk, converged or not, hands its DRReport to `attempt`, so an
-    answer can come long before the restart stagnates; chunks double, so a
-    restart makes about log2(max_iterations) attempts. A non-None answer ends
-    the search and is returned. Otherwise the first converged report ends the
-    search and is returned; when no chunk converges, the report with the
-    smallest residual is returned.
+    state, until it converges, stagnates or spends the iteration budget;
+    chunks double, so a restart yields about log2(max_iterations) reports.
+    A converged report is the last one yielded. The caller may stop pulling
+    at any report, and no further chunk runs.
     """
     rng = np.random.default_rng(cfg.seed)
     dim = len(pz.z)
-    best = None
     for restart in range(cfg.restarts):
         x = np.zeros((dim, dim)) if restart == 0 else rng.standard_normal((dim, dim))
         x = pz.project((x + x.T) / 2.0)
@@ -307,18 +307,12 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig, attempt=None):
             report = _projection_run(pz, x, budget, cfg.convergence_tol)
             used += report.iterations
             x = report.state
-            if best is None or report.residual < best.residual:
-                best = report
-            if attempt is not None:
-                answer = attempt(report)
-                if answer is not None:
-                    return answer
+            yield report
             if report.converged:
-                return report
+                return
             if report.stagnated:
                 break
             chunk *= 2
-    return best
 
 
 # -- exact rounding --------------------------------------------------------------
@@ -496,11 +490,13 @@ def check_sos(
 ) -> SearchOutcome:
     """Full SOS pipeline: parameterize, search, round, verify exactly.
 
-    With a multiplier the certificate attests multiplier * target SOS, which
-    proves target nonnegative when the multiplier is a sum of even powers.
+    With a multiplier, which must be a sum of even monomial powers, the
+    certificate attests multiplier * target SOS, so target is nonnegative.
     Without one, the target can also be refuted.
     """
     cfg = cfg or SearchConfig()
+    if multiplier is not None and not is_even_power_sum(multiplier):
+        raise ValueError("multiplier must be a sum of even monomial powers, such as x1^2+x2^2")
     tf = _as_form(target)
     search_form = tf if multiplier is None else multiplier * tf
     z = sos_basis(search_form)
@@ -520,51 +516,42 @@ def check_sos(
         return SearchOutcome("Stalled", diagnostics=f"parameterization failed: {exc}")
 
     last_reason = ""
-
-    def certify(g_num):
-        # every acceptance is gated by the exact verifier, so rounding a
-        # rough numeric point is sound
-        nonlocal last_reason
-        cert = rationalize_and_certify(g_num, pz, cfg, tf, multiplier)
-        if not cert:
-            last_reason = cert.reason
-            return None
-        # the certified Gram matrix lies exactly on the fiber and is exactly
-        # PSD, so its residual is zero, not the rougher search point's
-        return SearchOutcome("ExactCertificate", certificate=cert, residual=0.0)
-
-    def attempt(report: DRReport):
+    best = None
+    for report in douglas_rachford(pz, cfg):
+        if best is None or report.residual < best.residual:
+            best = report
         # a chunk that ends near the fiber or on a PSD shadow (a fiber point
-        # by construction; a converged chunk is one) is rounded; a chunk
-        # that is not certified carries the DR gap, which may separate the
-        # target from the SOS cone
+        # by construction; a converged chunk is one) is rounded; every
+        # acceptance is gated by the exact verifier, so rounding a rough
+        # numeric point is sound
         if report.residual <= 1e-4 or report.min_eigenvalue >= -cfg.convergence_tol:
-            outcome = certify(report.fiber_point)
-            if outcome is not None:
-                return outcome
+            cert = rationalize_and_certify(report.fiber_point, pz, cfg, tf, multiplier)
+            if cert:
+                # the certified Gram matrix lies exactly on the fiber and is
+                # exactly PSD, so its residual is zero, not the search point's
+                return SearchOutcome("ExactCertificate", certificate=cert, residual=0.0)
+            last_reason = cert.reason
+        # a chunk that is not certified carries the DR gap, which may
+        # separate the target from the SOS cone
         if multiplier is None:
             found = refutation_search(tf, pz, report.fiber_point)
             if found is not None:
                 dual, refutation = found
                 return SearchOutcome("Refuted", dual=dual, refutation=refutation)
-        return None
-
-    result = douglas_rachford(pz, cfg, attempt)
-    if isinstance(result, SearchOutcome):
-        return result
-    if result.converged:
+    # every search yields at least one report, and a converged one is the last
+    if report.converged:
         return SearchOutcome(
             "NumericFeasible",
-            residual=result.residual,
+            residual=report.residual,
             diagnostics=f"feasible numerically but rounding failed: {last_reason}",
         )
     diagnostics = (
-        f"stalled with min eigenvalue {result.min_eigenvalue:.3e}, "
-        f"fiber distance {result.fiber_distance:.3e}"
+        f"stalled with min eigenvalue {best.min_eigenvalue:.3e}, "
+        f"fiber distance {best.fiber_distance:.3e}"
     )
     if last_reason:
         diagnostics += f"; last rounding failure: {last_reason}"
-    return SearchOutcome("Stalled", residual=result.residual, diagnostics=diagnostics)
+    return SearchOutcome("Stalled", residual=best.residual, diagnostics=diagnostics)
 
 
 def check_sos_convexity(p: Form, cfg: SearchConfig | None = None) -> SearchOutcome:

@@ -230,6 +230,12 @@ class TestCheck:
         assert code == EXIT_TRUE
         assert main(["verify", b_file, str(out)]) == EXIT_TRUE
 
+    @pytest.mark.parametrize("mult", ["x1^2-x2^2", "0*x1^2"])
+    def test_multiplier_not_an_even_power_sum_rejected(self, b_file, mult, capsys):
+        assert main(["check", b_file, "--nonneg-mult", mult]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: multiplier must be a sum of even monomial powers")
+
     def test_odd_multiplier_degree_rejected(self, b_file):
         assert main(["check", b_file, "--nonneg-mult", "x1"]) == EXIT_ERROR
 

@@ -181,6 +181,39 @@ class TestSerialization:
         with pytest.raises(FormatError, match=re.escape(repr(line))):
             polymatrix_from_text("polymat n=2 dim=2 d=2\n" + body)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("entry 1 1\n1 3 0\n", "monomial (3, 0) is not of degree 2"),
+            ("entry 1 2\n1 4 -2\n", "negative exponent in (4, -2)"),
+            # each entry is built when its block closes: the first fault in
+            # file order is the one reported
+            ("entry 1 1\n1 4 -2\nentry 2 2\n1 3 0\n", "negative exponent in (4, -2)"),
+        ],
+        ids=["wrong_degree", "negative_exponent", "first_fault_in_file_order"],
+    )
+    def test_bad_polymat_term_raises_format_error(self, body, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            polymatrix_from_text("polymat n=2 dim=2 d=2\n" + body)
+
+    def test_polymat_without_variables_raises_format_error(self):
+        with pytest.raises(FormatError, match="n_vars must be positive"):
+            polymatrix_from_text("polymat n=0 dim=1 d=2\n")
+
+    @pytest.mark.parametrize(
+        "parse, kind, header",
+        [
+            (form_from_text, "form", "form n=2"),
+            (polymatrix_from_text, "polymat", "polymat n=2 dim=x d=2"),
+            (biquadratic_from_text, "biq", "form n=2"),
+        ],
+    )
+    def test_empty_file_and_bad_header(self, parse, kind, header):
+        with pytest.raises(FormatError, match=f"^empty {kind} file$"):
+            parse("# only a comment\n")
+        with pytest.raises(FormatError, match=re.escape(f"bad {kind} header: {header!r}")):
+            parse(header + "\n")
+
     def test_bad_rational_raises_format_error(self):
         with pytest.raises(FormatError):
             form_from_text("form n=2 d=2\n1/0 2 0\n")

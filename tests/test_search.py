@@ -204,10 +204,10 @@ class TestProjections:
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
         h = hessian_biquadratic(p)
         pz = parameterize(h, bilinears())
-        result = douglas_rachford(pz, SearchConfig())
-        assert result.converged
-        assert result.min_eigenvalue >= -1e-8
-        assert result.fiber_distance <= 1e-8
+        *earlier, last = douglas_rachford(pz, SearchConfig())
+        assert last.converged and not any(r.converged for r in earlier)
+        assert last.min_eigenvalue >= -1e-8
+        assert last.fiber_distance <= 1e-8
 
     def test_multiplier_target_numerically_feasible(self):
         b = builtin("b_thm22")
@@ -218,8 +218,8 @@ class TestProjections:
 
     def test_builtin_b_stalls_on_bilinears(self):
         pz = parameterize(builtin("b_thm22"), bilinears())
-        result = douglas_rachford(pz, SearchConfig(max_iterations=10_000))
-        assert not result.converged
+        reports = list(douglas_rachford(pz, SearchConfig(max_iterations=10_000)))
+        assert reports and not any(r.converged for r in reports)
 
     def test_stalled_iterations_skip_the_shadow_spectrum(self, monkeypatch):
         # one eigh per iteration for the PSD projection; the shadow's
@@ -268,11 +268,70 @@ class TestProjections:
     def test_deterministic_given_seed(self):
         pz = parameterize(builtin("choi_biquadratic"), bilinears())
         cfg = SearchConfig(max_iterations=500, restarts=2, seed=42)
-        r1 = douglas_rachford(pz, cfg)
-        r2 = douglas_rachford(pz, cfg)
-        assert not r1.converged and not r2.converged
-        assert r1.min_eigenvalue == r2.min_eigenvalue
-        assert r1.fiber_distance == r2.fiber_distance
+
+        def summary(r):
+            return r.iterations, r.min_eigenvalue, r.fiber_distance, r.converged, r.stagnated
+
+        r1 = list(douglas_rachford(pz, cfg))
+        r2 = list(douglas_rachford(pz, cfg))
+        assert r1 and not any(r.converged for r in r1)
+        assert [summary(r) for r in r1] == [summary(r) for r in r2]
+
+
+class TestSearchLoop:
+    """check_sos is one loop over the reports douglas_rachford yields."""
+
+    def test_one_pull_runs_one_chunk(self, monkeypatch):
+        pz = stalled_fiber()
+        runs = []
+        run = search._projection_run
+        monkeypatch.setattr(search, "_projection_run", lambda *a: runs.append(a[2]) or run(*a))
+        reports = douglas_rachford(pz, SearchConfig())
+        assert runs == []
+        first = next(reports)
+        assert runs == [200] and first.iterations == 200 and not first.converged
+        next(reports)
+        assert runs == [200, 400]
+
+    def test_rank_one_square_ends_numeric_feasible_on_the_converged_report(self):
+        # (x1^3 - 2 x1^2 x2 + x1 x2^2 + x2^3)^2 has a rank-1 Gram matrix: DR
+        # converges, but no rounding of the point it ends on is exactly PSD
+        c = Form(2, 3, {(3, 0): F(1), (2, 1): F(-2), (1, 2): F(1), (0, 3): F(1)})
+        target = c * c
+        outcome = check_sos(target)
+        assert outcome.status == "NumericFeasible"
+        assert outcome.diagnostics.startswith("feasible numerically but rounding failed: ")
+        reports = list(douglas_rachford(parameterize(target, sos_basis(target)), SearchConfig()))
+        assert reports[-1].converged
+        assert outcome.residual == reports[-1].residual
+
+    def test_stalled_outcome_reports_the_smallest_residual(self):
+        square_sum = Form(2, 2, {(2, 0): F(1), (0, 2): F(1)})
+        cfg = SearchConfig(max_iterations=600, restarts=2)
+        outcome = check_sos(-square_sum, cfg, multiplier=square_sum)
+        assert outcome.status == "Stalled"
+        search_form = square_sum * -square_sum
+        reports = list(douglas_rachford(parameterize(search_form, sos_basis(search_form)), cfg))
+        assert not any(r.converged for r in reports)
+        best = min(reports, key=lambda r: r.residual)
+        assert outcome.residual == best.residual
+        assert outcome.diagnostics == (
+            f"stalled with min eigenvalue {best.min_eigenvalue:.3e}, "
+            f"fiber distance {best.fiber_distance:.3e}"
+        )
+
+    @pytest.mark.parametrize(
+        "multiplier",
+        [Form(2, 2, {(2, 0): F(1), (0, 2): F(-1)}), Form.zero(2, 2), Form(2, 2, {(1, 1): F(1)})],
+        ids=["difference", "zero", "odd"],
+    )
+    def test_multiplier_not_an_even_power_sum_is_rejected_before_search(
+        self, multiplier, monkeypatch
+    ):
+        monkeypatch.setattr(search, "parameterize", lambda *a: pytest.fail("searched"))
+        target = Form(2, 2, {(2, 0): F(1), (0, 2): F(1)})
+        with pytest.raises(ValueError, match="multiplier must be a sum of even monomial powers"):
+            check_sos(target, multiplier=multiplier)
 
 
 class TestRounding:

@@ -12,6 +12,7 @@ is the coefficient of the written monomial, with no factor-of-2 folding.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
@@ -301,19 +302,30 @@ def antisymmetric_dimension(n: int) -> int:
     return linalg.rank(rows)
 
 
-def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
+# The exponent tuples are built once per shape and shared; each call returns a
+# fresh list of them, which its caller may change.
+
+
+@functools.cache
+def _monomial_tuple(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     if n == 1:
-        return [(d,)]
-    out = []
-    for e in range(d, -1, -1):
-        for rest in _monomials(n - 1, d - e):
-            out.append((e,) + rest)
-    return out
+        return ((d,),)
+    return tuple((e,) + rest for e in range(d, -1, -1) for rest in _monomial_tuple(n - 1, d - e))
+
+
+@functools.cache
+def _bidegree_tuple(n: int, dx: int, dy: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(xm + ym for xm in _monomial_tuple(n, dx) for ym in _monomial_tuple(n, dy))
+
+
+def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
+    """Monomials of degree d in n variables, lexicographically descending."""
+    return list(_monomial_tuple(n, d))
 
 
 def bidegree_basis(n: int, dx: int, dy: int) -> list[tuple[int, ...]]:
     """Monomials of x-degree dx and y-degree dy over 2n split variables."""
-    return [xm + ym for xm in _monomials(n, dx) for ym in _monomials(n, dy)]
+    return list(_bidegree_tuple(n, dx, dy))
 
 
 # -- text format ---------------------------------------------------------------

@@ -15,6 +15,7 @@ a Fraction is built only for a reported mismatch.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -219,7 +220,9 @@ class SosCertificate:
             raise ValueError("basis monomials must have nonnegative exponents")
 
 
+@functools.cache
 def unit_multiplier(n_vars: int) -> Form:
+    """The constant 1 over n_vars variables, one shared object per n_vars."""
     return Form(n_vars, 0, {(0,) * n_vars: Fraction(1)})
 
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
 from . import linalg
 from .biquadratic import BiquadraticForm, hessian_biquadratic, _monomials
 from .certificates import LdltReport, SymRationalMatrix, ldlt_psd_check
@@ -243,6 +241,8 @@ def additional_zero_quadratic(alpha: Sequence, fp: FaceParams) -> tuple[Fraction
 
 def _mpf(q: Fraction):
     """q as an mpmath float at the working precision."""
+    import mpmath
+
     return mpmath.mpf(q.numerator) / q.denominator
 
 
@@ -276,6 +276,8 @@ def find_additional_zero(
     with |h_p| at that point as the residual. tol must be a positive finite
     number: against NaN every residual would pass.
     """
+    import mpmath  # not at module level: only the zero search needs it
+
     if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, not {tol!r}")
     fp.require_nonzero()

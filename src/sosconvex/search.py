@@ -9,11 +9,21 @@ the Frobenius projection onto the fiber is a per-monomial mean correction
 (Henrion-Malick): add to each entry its monomial's residual divided by its
 pair count.
 
-The pipeline runs Douglas-Rachford iterations between the PSD cone and the
-fiber, one eigh and one fiber residual per iteration: the fiber projection
-is affine, so the projection of the reflection 2y - x is twice the shadow
-of x less the projection of x, which is carried from the last iteration.
-douglas_rachford yields a DRReport per chunk of iterations, and check_sos
+The pipeline runs Douglas-Rachford (DR) between the PSD cone and the fiber,
+one eigh and one fiber residual per evaluation of the DR map T: the fiber
+projection is affine, so the projection of the reflection 2y - x is twice
+the shadow of x less the projection of x, which is carried from the last
+evaluation. The step is safeguarded type-II Anderson acceleration
+(Fu-Zhang-Boyd 2020) with memory ANDERSON_MEMORY: the next point is the
+combination T(x) - dT gamma of the last differences of T, gamma a
+least-squares fit of the residual g = T(x) - x with a small Tikhonov term,
+and its fiber projection is the same combination of shadows, so no
+evaluation needs a second eigh or projection. A candidate whose residual
+norm exceeds that of the point it extrapolates from is rejected for the
+plain step T(x), and the history is cleared; a singular solve or a
+non-finite candidate counts as rejected. The history rides on the state a
+chunk hands on, so a chunked run takes the same steps as one run.
+douglas_rachford yields a DRReport per chunk of evaluations, and check_sos
 is one loop over them: it rounds a chunk that ends near the fiber or on a
 PSD shadow, and tries a refutation from every chunk it does not certify.
 Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
@@ -49,6 +59,7 @@ reaches is refuted at once by the functional that is nonzero only there.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,8 +180,8 @@ class DRReport:
     iterations: int
     min_eigenvalue: float
     fiber_distance: float
-    fiber_point: np.ndarray  # the shadow the chunk ended on
-    state: np.ndarray  # governing iterate, for warm continuation
+    fiber_point: np.ndarray  # the converged shadow, or P(state) for a stalled chunk
+    state: np.ndarray  # the next point, with its Anderson history: continue from it
     converged: bool = False
     stagnated: bool = False  # progress fell below 1% per window: geometry gap
 
@@ -231,24 +242,128 @@ def _project_psd(x: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
+# Anderson acceleration of the DR map: the number of differences kept, and the
+# Tikhonov weight of its least-squares solve relative to |g|^2. Relative to the
+# residual, the weight is negligible while the differences of g are as large
+# as g, and it damps the step back towards plain DR when g barely changes:
+# there, as on slowly converging sextics, the undamped combinations wander and
+# the shadows never settle on a PSD point.
+ANDERSON_MEMORY = 5
+ANDERSON_REG = 1e-6
+_EYE = np.eye(ANDERSON_MEMORY)
+
+
+class _Anderson:
+    """The type-II Anderson history of one DR restart, and its pending step.
+
+    Rows of dg, dt and ds hold the last ANDERSON_MEMORY differences, between
+    consecutive accepted points, of the residual g = T(x) - x, of T(x) and of
+    the shadow P(T(x)), flattened; gram[i, j] is the dot product of rows i
+    and j of dg, kept one row at a time. last holds g, T(x), the shadow and
+    |g|^2 at the last accepted point; pending says that the point evaluated
+    next is an Anderson candidate, to be checked against last; px is the
+    fiber projection of that point.
+    """
+
+    def __init__(self, size: int):
+        self.dg = np.empty((ANDERSON_MEMORY, size))
+        self.dt = np.empty((ANDERSON_MEMORY, size))
+        self.ds = np.empty((ANDERSON_MEMORY, size))
+        self.gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.count = 0
+        self.last = None
+        self.pending = False
+        self.px = None
+
+    def copy(self) -> _Anderson:
+        new = copy.copy(self)
+        new.dg, new.dt, new.ds = self.dg.copy(), self.dt.copy(), self.ds.copy()
+        new.gram = self.gram.copy()
+        return new
+
+    def step(self, x: np.ndarray, g: np.ndarray, shadow: np.ndarray):
+        """The next point and its fiber projection, after evaluating x.
+
+        A candidate x whose residual norm exceeds that of the last accepted
+        point is rejected: the next point is the plain step T from that
+        point, and the history is cleared. Otherwise x is accepted, its
+        differences enter the history, and the next point is the Anderson
+        combination T(x) - dt^T gamma, gamma minimizing |g - dg^T gamma|^2 plus
+        the Tikhonov term. P is affine and the combination's weights sum to
+        one, so its projection is shadow - ds^T gamma. A singular solve or a
+        non-finite candidate falls back to the plain step T(x), as rejected.
+        """
+        g = g.ravel()
+        gg = float(g @ g)
+        if self.pending and not gg <= self.last[3]:
+            self.count = 0
+            self.pending = False
+            return self.last[1].reshape(x.shape), self.last[2].reshape(x.shape)
+        tx = x.ravel() + g
+        shadow = shadow.ravel()
+        gram = self.gram
+        if self.last is not None:
+            k = self.count % ANDERSON_MEMORY
+            g0, t0, s0, _ = self.last
+            np.subtract(g, g0, out=self.dg[k])
+            np.subtract(tx, t0, out=self.dt[k])
+            np.subtract(shadow, s0, out=self.ds[k])
+            self.count += 1
+            m = min(self.count, ANDERSON_MEMORY)
+            gram[k, :m] = gram[:m, k] = self.dg[:m] @ self.dg[k]
+        self.last = (g, tx, shadow, gg)
+        self.pending = False
+        m = min(self.count, ANDERSON_MEMORY)
+        if m:
+            a = gram[:m, :m] + (ANDERSON_REG * gg) * _EYE[:m, :m]
+            try:
+                gamma = np.linalg.solve(a, self.dg[:m] @ g)
+            except np.linalg.LinAlgError:
+                gamma = None
+            if gamma is not None:
+                xa = tx - gamma @ self.dt[:m]
+                if math.isfinite(xa.sum()):
+                    self.pending = True
+                    pa = shadow - gamma @ self.ds[:m]
+                    return xa.reshape(x.shape), pa.reshape(x.shape)
+            self.count = 0
+        return tx.reshape(x.shape), shadow.reshape(x.shape)
+
+
+class DRState(np.ndarray):
+    """A DR iterate that carries its restart's Anderson history, so that a
+    run continued from it takes the same steps as one longer run."""
+
+    def __array_finalize__(self, obj):
+        self.anderson = None
+
+
 def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: int, tol: float):
     """One projection run from x0, reported as a DRReport.
 
-    Douglas-Rachford reflections between the PSD cone and the affine fiber;
-    the monitored iterate is the shadow sequence P_fiber(P_psd(x)), which
-    converges to a feasible point when one exists and whose residual
-    stagnates at the gap when none does. Each iteration makes one eigh and
-    one fiber residual: y = P_psd(x), r = residual(y), shadow = y + r. The
-    fiber projection P is affine, so P(2y - x) = 2 shadow - P(x), and the
-    update x + P(2y - x) - y has P(x_next) = shadow; P(x) is carried from
-    one iteration to the next and computed once per run. y is PSD, so
-    lambda_min(shadow) >= -d * max|r|: the shadow's spectrum is needed only
-    once the fiber distance max|r| is within tol, and for a stalled run's
-    report.
+    Douglas-Rachford reflections between the PSD cone and the affine fiber,
+    with a safeguarded type-II Anderson step (_Anderson.step); the monitored
+    iterate is the shadow sequence P_fiber(P_psd(x)), which converges to a
+    feasible point when one exists and whose residual stagnates at the gap
+    when none does. Each evaluation of the DR map T makes one eigh and one
+    fiber residual: y = P_psd(x), r = residual(y), shadow = y + r. The fiber
+    projection P is affine, so P(2y - x) = 2 shadow - P(x), and
+    T(x) = x + P(2y - x) - y has P(T(x)) = shadow; P of the next point is
+    carried from one evaluation to the next and computed once per run. y is
+    PSD, so lambda_min(shadow) >= -d * max|r|: the shadow's spectrum is
+    needed only once the fiber distance max|r| is within tol, and for a
+    stalled run's report, which is on the fiber point P(state). iterations
+    counts evaluations, rejected Anderson candidates included, and every
+    evaluated shadow is checked for convergence.
     """
-    x = x0
-    px = pz.project(x0)
-    shadow = px
+    anderson = getattr(x0, "anderson", None)
+    if anderson is None:
+        anderson = _Anderson(x0.size)
+        px = pz.project(x0)
+    else:
+        anderson = anderson.copy()
+        px = anderson.px
+    x = np.asarray(x0)
     fiber_dist = math.inf
     it = 0
     best_progress = math.inf
@@ -264,8 +379,7 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
             shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
             if shadow_eig >= -tol:
                 return DRReport(it + 1, shadow_eig, fiber_dist, shadow, x, converged=True)
-        x = x + 2.0 * shadow - px - y
-        px = shadow
+        x, px = anderson.step(x, 2.0 * shadow - px - y, shadow)
         # the iteration is non-monotone and plateaus before snapping to the
         # answer, so stagnation needs both a running best and patience; the
         # fiber distance bounds -lambda_min(shadow), so it alone is progress
@@ -279,19 +393,23 @@ def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: in
             else:
                 flat_windows = 0
             window_best = best_progress
-    shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
-    return DRReport(it + 1, shadow_eig, fiber_dist, shadow, x, stagnated=stagnated)
+    anderson.px = px
+    state = x.view(DRState)
+    state.anderson = anderson
+    shadow_eig = float(np.linalg.eigvalsh(px)[0])
+    return DRReport(it + 1, shadow_eig, fiber_dist, px, state, stagnated=stagnated)
 
 
 def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DRReport]:
     """Restarted Douglas-Rachford search for a PSD point of the fiber,
-    yielding the DRReport of every chunk of iterations.
+    yielding the DRReport of every chunk of evaluations.
 
     The first restart starts from project(0), the least-norm fiber point;
     later ones from projections of random symmetric matrices. Each restart
-    runs in doubling chunks of iterations, each continuing from the last
-    state, until it converges, stagnates or spends the iteration budget;
-    chunks double, so a restart yields about log2(max_iterations) reports.
+    runs in doubling chunks of evaluations, each continuing from the last
+    state and the Anderson history it carries, until it converges,
+    stagnates or spends the iteration budget; chunks double, so a restart
+    yields about log2(max_iterations) reports.
     A converged report is the last one yielded. The caller may stop pulling
     at any report, and no further chunk runs.
     """

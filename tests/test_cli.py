@@ -86,6 +86,26 @@ class TestModuleEntry:
         )
         assert (run.returncode, run.stdout.strip()) == (EXIT_TRUE, "36 21 15")
 
+    def test_mpmath_is_imported_by_the_zero_search_alone(self):
+        # the search and verify paths never need mpmath, so importing the CLI
+        # leaves it out; face --zero imports it when it runs
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        script = (
+            "import sys\n"
+            "from sosconvex.cli import main\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "code = main(['face', '--a', '1', '--b', '1', '--alphas', '1', '1', '1', '1', '-1',"
+            " '--bound', '--zero'])\n"
+            "assert 'mpmath' in sys.modules\n"
+            "sys.exit(code)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == EXIT_TRUE, run.stderr
+        assert "zero_x:" in run.stdout and "residual:" in run.stdout
+
 
 class TestBuiltin:
     def test_roundtrip_is_bit_exact(self, tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from sosconvex.biquadratic import biquadratic_from_text
 from sosconvex.cli import main
 from sosconvex.forms import form_from_text
+from sosconvex import search
 from sosconvex.search import check_sos, check_sos_convexity
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -21,6 +22,7 @@ MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
 ENTRIES = [entry for workload in ("certify", "refute") for entry in MANIFEST["workloads"][workload]]
 CALLS = MANIFEST["workloads"]["verify"]
 EXPECTED = {"sos": "ExactCertificate", "not_sos": "Refuted"}
+BY_ID = {e["id"]: e for e in ENTRIES}
 
 
 def load(rel):
@@ -51,3 +53,33 @@ def test_corpus_verify_call(entry, capsys):
     files = set(entry["files"])
     argv = [str(CORPUS / a) if a in files else a for a in entry["argv"]]
     assert main(argv) == entry["expect_exit"], capsys.readouterr()
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """The DR evaluations of each chunk the search runs, in order."""
+    evaluations = []
+    run = search._projection_run
+
+    def counted(*args):
+        report = run(*args)
+        evaluations.append(report.iterations)
+        return report
+
+    monkeypatch.setattr(search, "_projection_run", counted)
+    return evaluations
+
+
+def test_face_forms_at_the_bound_certify_in_tens_of_evaluations(chunks):
+    # the Anderson step reaches the face: plain DR spent 259 and 600
+    # evaluations on these two
+    for ident in ("face_T11_at", "face_T23_at"):
+        assert check_sos_convexity(load(BY_ID[ident]["target"])).is_certified()
+    assert sum(chunks) <= 100
+
+
+@pytest.mark.parametrize("ident", ["face_T11_below", "face_T23_below"])
+def test_face_forms_below_the_bound_refuted_from_the_first_chunk(ident, chunks):
+    # plain DR needed 600 and 1,400 evaluations before the gap separated
+    assert check_sos_convexity(load(BY_ID[ident]["target"])).status == "Refuted"
+    assert chunks == [200]

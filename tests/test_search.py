@@ -255,6 +255,51 @@ class TestProjections:
         assert len(eighs) == 200
         assert len(projections) <= 1
 
+    def test_random_start_on_a_stalled_fiber_stays_finite(self, monkeypatch):
+        # no PSD point exists, so some Anderson candidates are rejected and
+        # the history cleared; the run neither blows up nor raises
+        accepted = []
+        step = search._Anderson.step
+
+        def traced(self, *args):
+            candidate = self.pending
+            result = step(self, *args)
+            if candidate:
+                accepted.append(self.count > 0)
+            return result
+
+        monkeypatch.setattr(search._Anderson, "step", traced)
+        pz = stalled_fiber()
+        d = len(pz.z)
+        a = np.random.default_rng(5).standard_normal((d, d))
+        report = search._projection_run(pz, pz.project((a + a.T) / 2.0), 2000, 1e-8)
+        assert not report.converged
+        assert report.stagnated or report.iterations == 2000
+        assert np.isfinite(report.state).all() and np.isfinite(report.fiber_point).all()
+        assert any(accepted) and not all(accepted)
+
+    def test_singular_anderson_solve_takes_the_plain_step(self):
+        # a repeated zero residual leaves a zero Gram matrix and no Tikhonov
+        # weight: the solve is singular, rejected without raising, and the
+        # next point is the plain step with the history cleared
+        anderson = search._Anderson(4)
+        x, g, shadow = np.eye(2), np.zeros((2, 2)), np.full((2, 2), 3.0)
+        for _ in range(2):
+            nxt, pnext = anderson.step(x, g, shadow)
+            assert np.array_equal(nxt, x + g) and np.array_equal(pnext, shadow)
+            assert anderson.count == 0 and not anderson.pending
+
+    def test_non_finite_anderson_candidate_takes_the_plain_step(self):
+        # the combination overflows: rejected, and the plain step is taken
+        anderson = search._Anderson(4)
+        shadow = np.zeros((2, 2))
+        anderson.step(np.zeros((2, 2)), np.ones((2, 2)), shadow)
+        x, g = np.full((2, 2), 1e308), np.full((2, 2), 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt, _ = anderson.step(x, g, shadow)
+        assert np.array_equal(nxt, x + g)
+        assert anderson.count == 0 and not anderson.pending
+
     def test_continued_chunks_match_one_run(self):
         pz = stalled_fiber()
         x0 = least_norm_point(pz)
@@ -376,19 +421,18 @@ class TestRounding:
         assert len(calls) == 1
 
     def test_one_ldlt_per_screened_candidate(self, monkeypatch):
-        # at the alpha5 bound the Gram matrix is singular: most roundings are
-        # not PSD and the float screen skips them; every one it passes gets
+        # (c x)^2 / 7 has the singular Gram matrix c c^T / 7: near a fixed
+        # perturbation of it, the coarse roundings leave its face, are not
+        # PSD and the float screen skips them; every one it passes gets
         # exactly one LDL^T inside rationalize_and_certify
         from sosconvex import certificates
 
-        inside, ldlt_calls, screened = [], [], []
+        ldlt_calls, screened = [], []
         ldlt = certificates.ldlt_psd_check
         screen = search._screen
-        rationalize = search.rationalize_and_certify
 
         def counted_ldlt(q):
-            if inside:
-                ldlt_calls.append(1)
+            ldlt_calls.append(1)
             return ldlt(q)
 
         def counted_screen(*args):
@@ -396,19 +440,16 @@ class TestRounding:
             screened.append(value)
             return value
 
-        def traced_rationalize(*args, **kwargs):
-            inside.append(1)
-            try:
-                return rationalize(*args, **kwargs)
-            finally:
-                inside.pop()
-
         for name, module in list(sys.modules.items()):
             if name.startswith("sosconvex") and vars(module).get("ldlt_psd_check") is ldlt:
                 monkeypatch.setattr(module, "ldlt_psd_check", counted_ldlt)
         monkeypatch.setattr(search, "_screen", counted_screen)
-        monkeypatch.setattr(search, "rationalize_and_certify", traced_rationalize)
-        assert check_sos_convexity(face_at_bound(3, 1, [2, 1, 2, 1])).is_certified()
+        c = Form(2, 3, {(3, 0): F(1), (2, 1): F(-2), (1, 2): F(1), (0, 3): F(1)})
+        target = (c * c).scale(F(1, 7))
+        pz = parameterize(target, sos_basis(target))
+        v = np.array([1.0, -2.0, 1.0, 1.0])
+        g = np.outer(v, v) / 7 + 1e-6 * np.add.outer(range(4), range(4))
+        assert rationalize_and_certify(g, pz, SearchConfig(), target)
         passed = sum(v >= -search.SCREEN_TOL for v in screened)
         assert 0 < passed < len(screened)
         assert len(ldlt_calls) == passed

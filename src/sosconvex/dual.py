@@ -35,7 +35,7 @@ from .forms import FormatError, RationalTokens, _content_lines, as_frac
 class DualCertificate:
     """The functional with value c[t] on monomials[t] and 0 elsewhere."""
 
-    monomials: list[Monomial]  # kept, not copied: the duals of one search share it
+    monomials: list[Monomial]  # kept, not copied: the duals of one basis share it
     c: list[Fraction]
 
     def __post_init__(self):

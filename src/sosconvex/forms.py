@@ -8,6 +8,7 @@ x1..xn are presentation only.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -16,11 +17,22 @@ class FormatError(ValueError):
     """Raised on malformed text input for any of the file formats."""
 
 
+@functools.lru_cache(maxsize=4096)
+def shared_fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator), one object per recently used pair.
+
+    Certificates and functionals outlive the search that found them and
+    repeat a few values, so taking their entries from this bounded cache,
+    in lowest terms, makes equal entries one object across witnesses.
+    """
+    return Fraction(numerator, denominator)
+
+
 def as_frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return shared_fraction(x, 1)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")

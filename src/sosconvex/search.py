@@ -4,10 +4,12 @@ The Gram fiber of a target over a monomial basis z is {Q symmetric :
 z^T Q z = target}. Every entry (r, s) of Q feeds exactly one monomial
 z_r z_s, so the fiber is held in closed form: an index map from entries to
 monomial ids, the number of ordered pairs reaching each monomial, and the
-exact target coefficients. The constraint map then has A A^T diagonal, and
-the Frobenius projection onto the fiber is a per-monomial mean correction
-(Henrion-Malick): add to each entry its monomial's residual divided by its
-pair count.
+exact target coefficients. All but the coefficients depend on the basis
+alone, so they are built once per basis (fiber_skeleton, a small bounded
+cache) and shared by every fiber, certificate and functional over it. The
+constraint map has A A^T diagonal, and the Frobenius projection onto the
+fiber is a per-monomial mean correction (Henrion-Malick): add to each entry
+its monomial's residual divided by its pair count.
 
 The pipeline runs Douglas-Rachford (DR) between the PSD cone and the fiber,
 one eigh and one fiber residual per evaluation of the DR map T: the fiber
@@ -26,6 +28,10 @@ chunk hands on, so a chunked run takes the same steps as one run.
 douglas_rachford yields a DRReport per chunk of evaluations, and check_sos
 is one loop over them: it rounds a chunk that ends near the fiber or on a
 PSD shadow, and tries a refutation from every chunk it does not certify.
+A restart's chunks end after 25, 50, 100 and 200 evaluations and then
+after 600, 1,400, 3,000, ... (doubling chunks from 400), so a point that
+rounds to a certificate or a gap that separates early is tried early, and
+a long run still yields few reports.
 Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
 entrywise, once to the grid 1/D and once to continued fractions with
 denominators at most D, for a ladder of bounds D, each rounding held as
@@ -60,6 +66,8 @@ reaches is refuted at once by the functional that is nonzero only there.
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,34 +88,82 @@ from .certificates import (
     verify_sos_certificate,
 )
 from .dual import DualCertificate, RefutationResult, verify_refutation
-from .forms import Form
+from .forms import Form, as_frac, shared_fraction
 
 
-@dataclass
-class GramParameterization:
-    """Closed-form Gram fiber {Q : sum of Q[r, s] over pairs reaching m = target[m]}.
+@dataclass(frozen=True)
+class FiberSkeleton:
+    """The target-free part of the Gram fiber over a basis z, one per basis.
 
-    index[r, s] is the id of the monomial z_r z_s, monomials[m] the monomial
-    with id m, counts[m] the number of ordered pairs (r, s) reaching it, and
-    target[m] its exact coefficient in the target.
+    index[r, s] is the id of the monomial z_r z_s (read-only), monomials[m]
+    the monomial with id m and ids its inverse, counts[m] the number of
+    ordered pairs (r, s) reaching it; upper is the upper triangle, row by
+    row, as index arrays and as pairs, upper_ids its entries' monomial ids,
+    and count_den the lcm of the counts.
     """
 
     z: list[Monomial]
     index: np.ndarray
     monomials: list[Monomial]
+    ids: dict[Monomial, int]
     counts: np.ndarray
-    target: list[Fraction]
+    upper: tuple[np.ndarray, np.ndarray]
+    pairs: list[tuple[int, int]]
+    upper_ids: list[int]
+    count_den: int
 
-    def __post_init__(self):
-        self._b = np.array([float(c) for c in self.target])
-        # the upper triangle, row by row, and each of its entries' monomial
-        self._upper = np.triu_indices(len(self.z))
-        self._pairs = list(zip(*(ix.tolist() for ix in self._upper)))
-        self._upper_ids = self.index[self._upper].tolist()
+
+@functools.lru_cache(maxsize=32)
+def fiber_skeleton(z: tuple[Monomial, ...]) -> FiberSkeleton:
+    """The FiberSkeleton of the basis z, shared by every fiber over it."""
+    ids: dict[Monomial, int] = {}
+    index = np.empty((len(z), len(z)), dtype=np.intp)
+    for r, zr in enumerate(z):
+        for s in range(r, len(z)):
+            mono = tuple(a + b for a, b in zip(zr, z[s]))
+            index[r, s] = index[s, r] = ids.setdefault(mono, len(ids))
+    counts = np.bincount(index.ravel())
+    upper = np.triu_indices(len(z))
+    for array in (index, counts, *upper):
+        array.flags.writeable = False
+    return FiberSkeleton(
+        z=list(z),
+        index=index,
+        monomials=list(ids),
+        ids=ids,
+        counts=counts,
+        upper=upper,
+        pairs=list(zip(*(ix.tolist() for ix in upper))),
+        upper_ids=index[upper].tolist(),
+        count_den=math.lcm(*counts.tolist()),
+    )
+
+
+class GramParameterization:
+    """Closed-form Gram fiber {Q : sum of Q[r, s] over pairs reaching m = target[m]}.
+
+    index[r, s] is the id of the monomial z_r z_s, monomials[m] the monomial
+    with id m, counts[m] the number of ordered pairs (r, s) reaching it, and
+    target[m] its exact coefficient in the target. Everything but the target
+    comes from the basis's FiberSkeleton and is shared, not copied, by every
+    fiber over the same basis: the certificates and functionals of one basis
+    hold one z and one monomials list, and index cannot be written.
+    """
+
+    def __init__(self, skeleton: FiberSkeleton, target: list[Fraction]):
+        self.z = skeleton.z
+        self.index = skeleton.index
+        self.monomials = skeleton.monomials
+        self.counts = skeleton.counts
+        self.target = target
+        self._b = np.array([float(c) for c in target])
+        self._upper = skeleton.upper
+        self._pairs = skeleton.pairs
+        self._upper_ids = skeleton.upper_ids
+        self._count_den = skeleton.count_den
         # the target over its common denominator, for the integer snap
-        self._target_den = math.lcm(*(t.denominator for t in self.target))
-        self._target_nums = [t.numerator * (self._target_den // t.denominator) for t in self.target]
-        self._count_den = math.lcm(*self.counts.tolist())
+        self._target_den = math.lcm(*(t.denominator for t in target))
+        self._target_nums = [t.numerator * (self._target_den // t.denominator) for t in target]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Per monomial, the target coefficient minus x's sum over the pairs
@@ -129,9 +185,10 @@ class GramParameterization:
         with L, T and C the lcms of dens, of the target's denominators and of
         the pair counts: entry k, reaching monomial m, is a_k / L plus the
         residual r_m / (L T) of m divided by its pair count c_m, so its
-        numerator is a_k T C + r_m C / c_m. One Fraction is built per
-        distinct value: a certificate outlives the search and its entries
-        repeat a few values, so equal entries share one object.
+        numerator is a_k T C + r_m C / c_m. Each distinct value is taken in
+        lowest terms from forms.shared_fraction: a certificate outlives the
+        search and its entries repeat a few values, so equal entries, within
+        one certificate and across certificates, share one object.
         """
         lcd = math.lcm(*dens)
         scaled = [n * (lcd // q) for n, q in zip(nums, dens)]
@@ -146,7 +203,10 @@ class GramParameterization:
         lifted = t_den * c_den
         entries = [a * lifted + corrections[m] for a, m in zip(scaled, self._upper_ids)]
         den = lcd * lifted
-        values = {n: Fraction(n, den) for n in set(entries)}
+        values = {}
+        for n in set(entries):
+            g = math.gcd(n, den)
+            values[n] = shared_fraction(n // g, den // g)
         d = len(self.z)
         rows = [[None] * d for _ in range(d)]
         for (r, s), n in zip(self._pairs, entries):
@@ -214,22 +274,17 @@ class UnrepresentableMonomial(ValueError):
 def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
     """The closed-form Gram fiber of the target over the basis z."""
     tf = _as_form(target)
-    z = [tuple(m) for m in z]
+    z = tuple(tuple(m) for m in z)
     if not z:
         raise ValueError("empty monomial basis")
     if any(len(m) != tf.n_vars for m in z):
         raise ValueError("basis and target variable counts disagree")
-    ids: dict[Monomial, int] = {}
-    index = np.empty((len(z), len(z)), dtype=np.intp)
-    for r, zr in enumerate(z):
-        for s in range(r, len(z)):
-            mono = tuple(a + b for a, b in zip(zr, z[s]))
-            index[r, s] = index[s, r] = ids.setdefault(mono, len(ids))
+    skeleton = fiber_skeleton(z)
     for mono in tf.terms:
-        if mono not in ids:
+        if mono not in skeleton.ids:
             raise UnrepresentableMonomial(mono)
-    target = [tf.terms.get(mono, Fraction(0)) for mono in ids]
-    return GramParameterization(z, index, list(ids), np.bincount(index.ravel()), target)
+    zero = as_frac(0)
+    return GramParameterization(skeleton, [tf.terms.get(mono, zero) for mono in skeleton.monomials])
 
 
 # -- numeric search --------------------------------------------------------------
@@ -256,28 +311,28 @@ _EYE = np.eye(ANDERSON_MEMORY)
 class _Anderson:
     """The type-II Anderson history of one DR restart, and its pending step.
 
-    Rows of dg, dt and ds hold the last ANDERSON_MEMORY differences, between
-    consecutive accepted points, of the residual g = T(x) - x, of T(x) and of
-    the shadow P(T(x)), flattened; gram[i, j] is the dot product of rows i
-    and j of dg, kept one row at a time. last holds g, T(x), the shadow and
-    |g|^2 at the last accepted point; pending says that the point evaluated
-    next is an Anderson candidate, to be checked against last; px is the
-    fiber projection of that point.
+    hist[k] holds one difference, between consecutive accepted points, of
+    the rows of a (3, d^2) stack: the residual g = T(x) - x, T(x) and the
+    shadow P(T(x)), flattened; the last ANDERSON_MEMORY differences are
+    kept. gram[i, j] is the dot product of the g rows of hist[i] and
+    hist[j], kept one row at a time. last is the stack at the last accepted
+    point and gg its |g|^2; pending says that the point evaluated next is an
+    Anderson candidate, to be checked against last; px is the fiber
+    projection of that point.
     """
 
     def __init__(self, size: int):
-        self.dg = np.empty((ANDERSON_MEMORY, size))
-        self.dt = np.empty((ANDERSON_MEMORY, size))
-        self.ds = np.empty((ANDERSON_MEMORY, size))
+        self.hist = np.empty((ANDERSON_MEMORY, 3, size))
         self.gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
         self.count = 0
         self.last = None
+        self.gg = math.inf
         self.pending = False
         self.px = None
 
     def copy(self) -> _Anderson:
         new = copy.copy(self)
-        new.dg, new.dt, new.ds = self.dg.copy(), self.dt.copy(), self.ds.copy()
+        new.hist = self.hist.copy()
         new.gram = self.gram.copy()
         return new
 
@@ -288,46 +343,47 @@ class _Anderson:
         point is rejected: the next point is the plain step T from that
         point, and the history is cleared. Otherwise x is accepted, its
         differences enter the history, and the next point is the Anderson
-        combination T(x) - dt^T gamma, gamma minimizing |g - dg^T gamma|^2 plus
-        the Tikhonov term. P is affine and the combination's weights sum to
-        one, so its projection is shadow - ds^T gamma. A singular solve or a
-        non-finite candidate falls back to the plain step T(x), as rejected.
+        combination T(x) - dT^T gamma, gamma minimizing |g - dg^T gamma|^2
+        plus the Tikhonov term. P is affine and the combination's weights
+        sum to one, so its projection is shadow - dS^T gamma; one product of
+        gamma with the T and shadow rows of the history gives both. A
+        singular solve or a non-finite candidate falls back to the plain
+        step T(x), as rejected.
         """
         g = g.ravel()
         gg = float(g @ g)
-        if self.pending and not gg <= self.last[3]:
+        if self.pending and not gg <= self.gg:
             self.count = 0
             self.pending = False
             return self.last[1].reshape(x.shape), self.last[2].reshape(x.shape)
-        tx = x.ravel() + g
-        shadow = shadow.ravel()
+        now = np.empty((3, g.size))
+        now[0] = g
+        np.add(x.ravel(), g, out=now[1])
+        now[2] = shadow.ravel()
         gram = self.gram
         if self.last is not None:
             k = self.count % ANDERSON_MEMORY
-            g0, t0, s0, _ = self.last
-            np.subtract(g, g0, out=self.dg[k])
-            np.subtract(tx, t0, out=self.dt[k])
-            np.subtract(shadow, s0, out=self.ds[k])
+            np.subtract(now, self.last, out=self.hist[k])
             self.count += 1
             m = min(self.count, ANDERSON_MEMORY)
-            gram[k, :m] = gram[:m, k] = self.dg[:m] @ self.dg[k]
-        self.last = (g, tx, shadow, gg)
+            gram[k, :m] = gram[:m, k] = self.hist[:m, 0] @ self.hist[k, 0]
+        self.last, self.gg = now, gg
         self.pending = False
         m = min(self.count, ANDERSON_MEMORY)
         if m:
             a = gram[:m, :m] + (ANDERSON_REG * gg) * _EYE[:m, :m]
             try:
-                gamma = np.linalg.solve(a, self.dg[:m] @ g)
+                gamma = np.linalg.solve(a, self.hist[:m, 0] @ g)
             except np.linalg.LinAlgError:
                 gamma = None
             if gamma is not None:
-                xa = tx - gamma @ self.dt[:m]
+                both = now[1:].ravel() - gamma @ self.hist[:m, 1:].reshape(m, -1)
+                xa, pa = both[: g.size], both[g.size :]
                 if math.isfinite(xa.sum()):
                     self.pending = True
-                    pa = shadow - gamma @ self.ds[:m]
                     return xa.reshape(x.shape), pa.reshape(x.shape)
             self.count = 0
-        return tx.reshape(x.shape), shadow.reshape(x.shape)
+        return now[1].reshape(x.shape), now[2].reshape(x.shape)
 
 
 class DRState(np.ndarray):
@@ -406,12 +462,13 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DR
 
     The first restart starts from project(0), the least-norm fiber point;
     later ones from projections of random symmetric matrices. Each restart
-    runs in doubling chunks of evaluations, each continuing from the last
-    state and the Anderson history it carries, until it converges,
-    stagnates or spends the iteration budget; chunks double, so a restart
-    yields about log2(max_iterations) reports.
-    A converged report is the last one yielded. The caller may stop pulling
-    at any report, and no further chunk runs.
+    runs in chunks of 25, 25, 50 and 100 evaluations, then of 400, 800,
+    1,600 and so on, each continuing from the last state and the Anderson
+    history it carries, until it converges, stagnates or spends the
+    iteration budget: a chunk ends after 25, 50, 100, 200, 600, 1,400, ...
+    evaluations of the restart, and the chunks take the same steps as one
+    run. A converged report is the last one yielded. The caller may stop
+    pulling at any report, and no further chunk runs.
     """
     rng = np.random.default_rng(cfg.seed)
     dim = len(pz.z)
@@ -419,10 +476,14 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DR
         x = np.zeros((dim, dim)) if restart == 0 else rng.standard_normal((dim, dim))
         x = pz.project((x + x.T) / 2.0)
         used = 0
-        chunk = 200
-        while used < cfg.max_iterations:
-            budget = min(chunk, cfg.max_iterations - used)
-            report = _projection_run(pz, x, budget, cfg.convergence_tol)
+        # the first 200 evaluations in four short chunks, so that an early
+        # PSD shadow or separating gap is tried at once, then doubling ones;
+        # stagnation needs 1,200 evaluations inside one chunk, so the short
+        # chunks move no stagnation stop
+        for chunk in itertools.chain((25, 25, 50, 100), (400 << k for k in itertools.count())):
+            if used >= cfg.max_iterations:
+                break
+            report = _projection_run(pz, x, min(chunk, cfg.max_iterations - used), cfg.convergence_tol)
             used += report.iterations
             x = report.state
             yield report
@@ -430,7 +491,6 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DR
                 return
             if report.stagnated:
                 break
-            chunk *= 2
 
 
 # -- exact rounding --------------------------------------------------------------
@@ -531,7 +591,7 @@ def rationalize_and_certify(
                 f"float screen: rounded Gram matrix is not PSD (relative lambda_min {lam:.3e})",
             )
             continue
-        cert = SosCertificate(pz.z, pz.snap(nums, dens), multiplier, Fraction(1))
+        cert = SosCertificate(pz.z, pz.snap(nums, dens), multiplier, as_frac(1))
         check = verify_sos_certificate(target, cert)
         if check:
             return cert

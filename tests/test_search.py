@@ -1,6 +1,7 @@
 """Tests for the numeric search, rounding, and end-to-end checkers."""
 
 import functools
+import itertools
 import math
 import random
 import sys
@@ -25,7 +26,7 @@ from sosconvex.certificates import (
 from sosconvex.cli import parse_poly_expression
 from sosconvex.dual import moment_matrix, builtin_dual, verify_refutation
 from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
-from sosconvex.forms import Form
+from sosconvex.forms import Form, as_frac
 from sosconvex.search import (
     SearchConfig,
     check_sos,
@@ -334,9 +335,29 @@ class TestSearchLoop:
         reports = douglas_rachford(pz, SearchConfig())
         assert runs == []
         first = next(reports)
-        assert runs == [200] and first.iterations == 200 and not first.converged
+        assert runs == [25] and first.iterations == 25 and not first.converged
         next(reports)
-        assert runs == [200, 400]
+        assert runs == [25, 25]
+
+    def test_chunk_ends_on_a_stalled_fiber(self):
+        # the short chunks take the same steps as one run, so stagnation
+        # stops the restart after 2,600 evaluations, as chunks from 200 did
+        # ([200, 600, 1400, 2600])
+        reports = list(douglas_rachford(stalled_fiber(), SearchConfig(restarts=1)))
+        ends = list(itertools.accumulate(r.iterations for r in reports))
+        assert ends == [25, 50, 100, 200, 600, 1400, 2600]
+        assert reports[-1].stagnated and not any(r.stagnated for r in reports[:-1])
+
+    def test_chunk_ends_within_the_budget(self, monkeypatch):
+        # a restart that never converges or stagnates spends its budget in
+        # the four short chunks, then in doubling ones from 400
+        def never_stagnates(pz, x, budget, tol):
+            return search.DRReport(budget, -1.0, 1.0, x, x)
+
+        monkeypatch.setattr(search, "_projection_run", never_stagnates)
+        cfg = SearchConfig(max_iterations=10_000, restarts=1)
+        ends = list(itertools.accumulate(r.iterations for r in douglas_rachford(stalled_fiber(), cfg)))
+        assert ends == [25, 50, 100, 200, 600, 1400, 3000, 6200, 10_000]
 
     def test_rank_one_square_ends_numeric_feasible_on_the_converged_report(self):
         # (x1^3 - 2 x1^2 x2 + x1 x2^2 + x2^3)^2 has a rank-1 Gram matrix: DR
@@ -377,6 +398,37 @@ class TestSearchLoop:
         target = Form(2, 2, {(2, 0): F(1), (0, 2): F(1)})
         with pytest.raises(ValueError, match="multiplier must be a sum of even monomial powers"):
             check_sos(target, multiplier=multiplier)
+
+
+class TestSharedWitnessParts:
+    """Witnesses over one basis share their parts, so keeping many is cheap."""
+
+    def test_refutations_of_one_target_share_their_monomials(self):
+        b = builtin("choi_biquadratic")
+        first, second = check_sos(b), check_sos(b)
+        assert first.status == second.status == "Refuted"
+        assert first.dual.monomials is second.dual.monomials
+
+    def test_certificates_of_one_target_share_basis_and_entries(self):
+        p = face_at_bound(1, 1, [1, 2, 3, 4])
+        first, second = check_sos_convexity(p), check_sos_convexity(p)
+        assert first.is_certified() and second.is_certified()
+        assert first.certificate.z is second.certificate.z
+        entries = {}
+        for cert in (first.certificate, second.certificate):
+            for row in cert.q.rows:
+                for v in row:
+                    assert entries.setdefault(v, v) is v
+
+    def test_integer_fractions_are_shared(self):
+        assert as_frac(7) is as_frac(7)
+        assert as_frac(7) == F(7)
+
+    def test_fiber_index_is_read_only(self):
+        pz = stalled_fiber()
+        assert pz.index is stalled_fiber().index
+        with pytest.raises(ValueError):
+            pz.index[0, 0] = 1
 
 
 class TestRounding:
@@ -499,7 +551,7 @@ class TestRefutation:
     @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
     def test_refuted_after_first_chunk(self, name, monkeypatch):
         # every stalled chunk is offered to the gap rounding, so the first
-        # 200-iteration chunk already refutes
+        # 25-evaluation chunk already refutes
         iterations = []
         run = search._projection_run
 
@@ -511,7 +563,7 @@ class TestRefutation:
         monkeypatch.setattr(search, "_projection_run", counted)
         b = builtin(name)
         assert_integer_refutation(check_sos(b), b)
-        assert sum(iterations) <= 200
+        assert sum(iterations) <= 25
 
     @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
     def test_plain_form_target_refuted(self, name):
@@ -675,6 +727,43 @@ class TestPowerSumProperty:
         outcome = check_sos_convexity(p)
         assert outcome.status == "ExactCertificate"
         assert verify_sos_certificate(hessian_biquadratic(p), outcome.certificate)
+
+
+def sextic_power_sum_draw(seed):
+    """Sum of (l_i . x)^6 over k = randint(5, 7) ternary l_i with entries in
+    -3..3, drawn from Random(seed); an all-zero l becomes e_1. Sos-convex by
+    construction: 30 sum w_i w_i^T is a Gram matrix of its Hessian form."""
+    rng = random.Random(seed)
+    k = rng.randint(5, 7)
+    ls = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(k)]
+    ls = [l if any(l) else [1, 0, 0] for l in ls]
+    return k, sum((Form.linear(l) ** 6 for l in ls[1:]), Form.linear(ls[0]) ** 6)
+
+
+class TestEdgeOfDecision:
+    """Draws that certify today from families where many draws stay
+    undecided: a search change must not lose them."""
+
+    @pytest.mark.parametrize("seed", [104, 113])
+    def test_five_term_ternary_sextic_certifies(self, seed):
+        k, p = sextic_power_sum_draw(seed)
+        assert k == 5
+        outcome = check_sos_convexity(p)
+        assert outcome.status == "ExactCertificate", outcome.diagnostics
+        assert verify_sos_certificate(hessian_form(p), outcome.certificate)
+
+    # T_{a,b} members at the alpha5 bound, drawn from Random(11) with a, b in
+    # +-1..3 and alpha_1..4 = randint(1, 16) / choice(1, 2, 4); about a third
+    # of such draws end NumericFeasible
+    @pytest.mark.parametrize(
+        "a, b, alphas",
+        [(-1, -2, [F(15, 2), F(7), F(4), F(6)]), (-3, 1, [F(4), F(8), F(1, 2), F(10)])],
+    )
+    def test_face_draw_at_the_bound_certifies(self, a, b, alphas):
+        p = face_at_bound(a, b, alphas)
+        outcome = check_sos_convexity(p)
+        assert outcome.status == "ExactCertificate", outcome.diagnostics
+        assert verify_sos_certificate(hessian_form(p), outcome.certificate)
 
 
 class TestBelowBoundProperty:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
-from . import linalg
 from .forms import (
     Form,
     FormatError,
@@ -165,26 +164,33 @@ def hessian_biquadratic(p: Form) -> BiquadraticForm:
 def hessian_form(p: Form) -> Form:
     """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2.
 
-    One pass over p's terms for each i <= j: the term c x^e gives
-    c e_i (e_j - [i = j]) (2 - [i = j]) to x^(e - e_i - e_j) y_i y_j. For
-    fixed (i, j) distinct terms reach distinct monomials, so nothing is
-    summed. The terms come in the order of _quadratic_in_y(hessian(p)), the
-    order in which a float evaluation of the result sums them.
+    The term c x^e gives c e_i (e_j - [i = j]) (2 - [i = j]) to
+    x^(e - e_i - e_j) y_i y_j for each pair i <= j in the support of e, in
+    the bucket of (i, j); for fixed (i, j) distinct terms reach distinct
+    monomials. Read in (i, j) order, the buckets give the term order of
+    _quadratic_in_y(hessian(p)), in which float evaluation sums them.
     """
     if p.degree < 2:
         raise ValueError("hessian requires degree >= 2")
     n = p.n_vars
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(n):
-        for j in range(i, n):
-            y = tuple(int(t == i) + int(t == j) for t in range(n))
-            for e, c in p.terms.items():
-                k = e[i] * (e[j] - 1) if i == j else 2 * e[i] * e[j]
+    buckets = {(i, j): [] for i in range(n) for j in range(i, n)}
+    for e, c in p.terms.items():
+        support = [t for t, et in enumerate(e) if et]
+        num, den = c.numerator, c.denominator
+        for s, i in enumerate(support):
+            ei = e[i]
+            for j in support[s:]:
+                k = ei * (ei - 1) if i == j else 2 * ei * e[j]
                 if k:
-                    x = list(e)
-                    x[i] -= 1
-                    x[j] -= 1
-                    terms[(*x, *y)] = c * k
+                    buckets[i, j].append((e, Fraction(num * k) if den == 1 else c * k))
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for (i, j), bucket in buckets.items():
+        y = tuple(int(t == i) + int(t == j) for t in range(n))
+        for e, c in bucket:
+            x = list(e)
+            x[i] -= 1
+            x[j] -= 1
+            terms[(*x, *y)] = c
     return Form(2 * n, p.degree, terms)
 
 
@@ -283,23 +289,25 @@ def builtin(name: str):
 
 def hessian_map_rank(n: int) -> int:
     """Exact rank of p -> hessian_biquadratic(p) over the quartic monomial basis."""
+    from .certificates import rank  # certificates imports this module
     monos = bidegree_basis(n, 2, 2)
     rows = []
     for exps in _monomials(n, 4):
         f = hessian_biquadratic(Form.monomial(n, exps)).to_form()
         rows.append([f.coefficient(m) for m in monos])
-    return linalg.rank(rows)
+    return rank(rows)
 
 
 def antisymmetric_dimension(n: int) -> int:
     """Dimension of the strictly antisymmetric complement, by basis enumeration."""
+    from .certificates import rank  # certificates imports this module
     monos = bidegree_basis(n, 2, 2)
     rows = []
     for exps in monos:
         b = BiquadraticForm.from_form(Form.monomial(2 * n, exps), n)
         f = (b + swap_xy(b).scale(-1)).to_form()
         rows.append([f.coefficient(m) for m in monos])
-    return linalg.rank(rows)
+    return rank(rows)
 
 
 # The exponent tuples are built once per shape and shared; each call returns a

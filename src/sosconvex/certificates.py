@@ -9,7 +9,8 @@ whose LDL^T pivots are ratios of consecutive Bareiss pivots. The expansion
 sums z^T (L Q) z per monomial on ints, with L the lcm of all of Q's
 denominators, and each sum S_m is matched against the coefficient a/b of
 multiplier * target by cross-multiplication, a v L == u S_m b for scale u/v;
-a Fraction is built only for a reported mismatch.
+a Fraction is built only for a reported mismatch. Rank and determinant run
+one fraction-free echelon (Bareiss with row swaps) on the rows scaled to ints.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .biquadratic import BUILTIN_FILES, BiquadraticForm, _monomials, bidegree_basis, corpus_text
 from .forms import (
     Form,
@@ -46,11 +46,13 @@ class SymRationalMatrix:
         dim = len(rows)
         if dim < 1 or any(len(r) != dim for r in rows):
             raise ValueError("rows must form a square grid")
-        grid = [[as_frac(v) for v in r] for r in rows]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if grid[i][j] != grid[j][i]:
-                    raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
+        grid = [list(map(as_frac, r)) for r in rows]
+        # row i against column i, where equal entries are mostly one object;
+        # the first row to differ does so right of its diagonal
+        for i, (row, col) in enumerate(zip(grid, zip(*grid))):
+            if tuple(row) != col:
+                j = next(j for j in range(i + 1, dim) if row[j] != col[j])
+                raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
         self.dim = dim
         self.rows = grid
 
@@ -85,13 +87,51 @@ class SymRationalMatrix:
         return SymRationalMatrix([[t * v for v in r] for r in self.rows])
 
     def mat_vec(self, v: Sequence) -> list[Fraction]:
-        return linalg.mat_vec(self.rows, [as_frac(x) for x in v])
+        v = [as_frac(x) for x in v]
+        return [sum(map(operator.mul, row, v), Fraction(0)) for row in self.rows]
 
     def det(self) -> Fraction:
-        return linalg.det(self.rows)
+        return det(self.rows)
 
     def __repr__(self) -> str:
         return f"SymRationalMatrix({self.rows!r})"
+
+
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction]:
+    """Bareiss elimination with row swaps on the rows times s_i, the lcm of
+    their denominators: a column's pivot is its first nonzero entry at or
+    below the current row, and each update divides exactly by the previous
+    pivot. Returns the rank and the signed last pivot over the product of
+    the s_i, the determinant of a square matrix of full rank."""
+    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    m = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
+    rank, prev, sign = 0, 1, 1
+    for c in range(len(m[0]) if m else 0):
+        r = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if r is None:
+            continue
+        if r != rank:
+            m[rank], m[r] = m[r], m[rank]
+            sign = -sign
+        top = m[rank]
+        piv = top[c]
+        for row in m[rank + 1 :]:
+            f = row[c]
+            row[c:] = [(piv * x - f * y) // prev for x, y in zip(row[c:], top[c:])]
+        prev = piv
+        rank += 1
+    return rank, Fraction(sign * prev, math.prod(scales))
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """The rank of a rational matrix, given as a list of rows."""
+    return _echelon(rows)[0]
+
+
+def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """The determinant of a square rational matrix, given as a list of rows."""
+    full, last = _echelon(rows)
+    return last if full == len(rows) else Fraction(0)
 
 
 class Verdict(enum.Enum):
@@ -127,28 +167,32 @@ def ldlt_psd_check(s: SymRationalMatrix) -> LdltReport:
     """
     n = s.dim
     scales = [math.lcm(*(v.denominator for v in row)) for row in s.rows]
-    # upper triangle only: the residual matrix stays symmetric
+    # upper triangle only, row i from its diagonal: the residual stays symmetric
     a = [
-        [0] * i + [v.numerator * (si // v.denominator) * sj for v, sj in zip(row[i:], scales[i:])]
+        [v.numerator * (si // v.denominator) * sj for v, sj in zip(row[i:], scales[i:])]
         for i, (row, si) in enumerate(zip(s.rows, scales))
     ]
+    # live[i] is False while row i is zero: a step with f == 0 leaves it zero
+    live = [any(row) for row in a]
     pivots: list[Fraction] = []
     prev = 1
     saw_zero = False
-    for k in range(n):
-        row = a[k]
-        piv = row[k]
+    for k, row in enumerate(a):
+        piv = row[0]
         pivots.append(Fraction(piv, prev * scales[k] ** 2))
         if piv < 0:
             return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
         if piv == 0:
-            if any(row[k + 1 :]):
+            if live[k] and any(row):
                 return LdltReport(Verdict.NOT_PSD, pivots, failure_index=k + 1)
             saw_zero = True
             continue
         for i in range(k + 1, n):
-            f = row[i]
-            a[i][i:] = [(piv * x - f * y) // prev for x, y in zip(a[i][i:], row[i:])]
+            f = row[i - k]
+            if f or live[i]:
+                new = [(piv * x - f * y) // prev for x, y in zip(a[i], row[i - k :])]
+                a[i] = new
+                live[i] = any(new)
         prev = piv
     verdict = Verdict.POSITIVE_SEMIDEFINITE if saw_zero else Verdict.POSITIVE_DEFINITE
     return LdltReport(verdict, pivots)
@@ -163,7 +207,7 @@ def _integer_grid(q: SymRationalMatrix) -> tuple[list[list[int]], int]:
     Row i holds columns i.. of row i, so row i's diagonal entry is its first.
     """
     rows = q.rows
-    lcd = math.lcm(*{v.denominator for row in rows for v in row})
+    lcd = math.lcm(*{v.denominator for i, row in enumerate(rows) for v in row[i:]})
     grid = [[v.numerator * (lcd // v.denominator) for v in row[i:]] for i, row in enumerate(rows)]
     return grid, lcd
 
@@ -216,7 +260,7 @@ class SosCertificate:
             raise ValueError("certificate basis and Gram matrix size disagree")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if any(e < 0 for m in self.z for e in m):
+        if min(map(min, self.z), default=0) < 0:
             raise ValueError("basis monomials must have nonnegative exponents")
 
 
@@ -276,7 +320,7 @@ def _prune_basis(z: list[Monomial], tf: Form) -> list[Monomial]:
             if tf.terms.get(sq, Fraction(0)) != 0:
                 continue
             reachable = any(
-                tuple(a + b for a, b in zip(z[r], z[s])) == sq
+                tuple(map(operator.add, z[r], z[s])) == sq
                 for r in range(len(z))
                 for s in range(r + 1, len(z))
             )
@@ -358,14 +402,10 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
         return SosVerification(False, "multiplier is not a sum of even monomial powers")
     num, den = cert.scale.numerator, cert.scale.denominator * lcd
     terms = lhs.terms
-    bad = []
-    for m in terms.keys() | sums.keys():
-        a = terms.get(m)
-        if a is None:
-            if sums[m]:
-                bad.append(m)
-        elif a.numerator * den != num * sums.get(m, 0) * a.denominator:
-            bad.append(m)
+    bad = [m for m, s in sums.items() if s and m not in terms]
+    bad += [
+        m for m, a in terms.items() if a.numerator * den != num * sums.get(m, 0) * a.denominator
+    ]
     if bad:
         m = min(bad)
         a = terms.get(m, Fraction(0))
@@ -437,7 +477,7 @@ def certificate_from_text(text: str) -> SosCertificate:
     for ln in sections["Z"]:
         parts = ln.replace("|", " ").split()
         try:
-            z.append(tuple(int(v) for v in parts))
+            z.append(tuple(map(int, parts)))
         except ValueError as exc:
             raise FormatError(f"bad monomial line: {ln!r}") from exc
     qlines = sections["Q"]
@@ -455,7 +495,7 @@ def certificate_from_text(text: str) -> SosCertificate:
         if len(parts) != dim:
             raise FormatError(f"bad Q row: {ln!r}")
         try:
-            rows.append([tokens[v] for v in parts])
+            rows.append(list(map(tokens.__getitem__, parts)))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad Q row: {ln!r}") from exc
     q = _build(SymRationalMatrix, rows)

@@ -33,8 +33,9 @@ from .face import (
     find_additional_zero,
     gram_M,
     membership_T,
+    require_positive_tol,
 )
-from .forms import Form, FormatError, _content_lines, fmt_frac, form_from_text
+from .forms import Form, FormatError, fmt_frac, form_from_text
 from .search import SearchConfig, check_sos, check_sos_convexity
 
 EXIT_TRUE = 0
@@ -60,8 +61,8 @@ def _write(path: str, text: str) -> None:
 
 def _head(text: str) -> str:
     """First word of the first content line, lower-cased; '' for no content."""
-    lines = _content_lines(text)
-    return lines[0].split()[0].lower() if lines else ""
+    line = next(filter(None, (raw.split("#", 1)[0].strip() for raw in text.splitlines())), "")
+    return line.split()[0].lower() if line else ""
 
 
 def _load_target(text: str):
@@ -221,15 +222,22 @@ def cmd_face(args) -> int:
         print("error: --dps must be a positive number of digits", file=sys.stderr)
         return EXIT_ERROR
     fp = FaceParams(a, b)
-    print("alphas: " + " ".join(fmt_frac(v) for v in alphas))
-    print(f"a: {fmt_frac(a)}")
-    print(f"b: {fmt_frac(b)}")
-    member = membership_T(alphas, fp)
+    # every precondition is checked before the first line is printed
     if args.bound or args.zero:
         if any(v <= 0 for v in alphas[:4]):
             print("error: the bound needs alpha1..alpha4 > 0", file=sys.stderr)
             return EXIT_ERROR
         bound = alpha5_lower_bound(alphas[:4], fp)
+    if args.zero:
+        if alphas[4] != bound:
+            print("error: --zero needs alpha5 at the lower bound", file=sys.stderr)
+            return EXIT_ERROR
+        require_positive_tol(args.zero_tol)
+    print("alphas: " + " ".join(fmt_frac(v) for v in alphas))
+    print(f"a: {fmt_frac(a)}")
+    print(f"b: {fmt_frac(b)}")
+    member = membership_T(alphas, fp)
+    if args.bound or args.zero:
         print(f"bound: {fmt_frac(bound)}")
     print(f"membership: {'true' if member else 'false'}")
     if all(v != 0 for v in alphas[:4]):
@@ -237,9 +245,6 @@ def cmd_face(args) -> int:
         print(f"det_closed: {fmt_frac(closed)}")
     print(f"det_brute: {fmt_frac(gram_M(alphas, fp).det())}")
     if args.zero:
-        if alphas[4] != bound:
-            print("error: --zero needs alpha5 at the lower bound", file=sys.stderr)
-            return EXIT_ERROR
         try:
             pt = find_additional_zero(alphas, fp, tol=args.zero_tol, dps=args.dps)
         except (DegenerateZeroSearch, RuntimeError) as exc:

@@ -15,14 +15,14 @@ differs from a naive transcription by swapping c and 1/c, where c = a/b.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .biquadratic import BiquadraticForm, hessian_biquadratic, _monomials
-from .certificates import LdltReport, SymRationalMatrix, ldlt_psd_check
-from .forms import Form, as_frac, complement_basis, differentiate
+from .certificates import LdltReport, SymRationalMatrix, ldlt_psd_check, rank
+from .forms import Form, as_frac, complement_basis, evaluate_terms, hessian
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,19 @@ def _alphas(alpha: Sequence) -> list[Fraction]:
 
 
 def q_basis(fp: FaceParams) -> list[Form]:
-    """q1..q5: a basis of the 5-dimensional space L_{a,b} when a, b != 0."""
+    """q1..q5: a basis of the 5-dimensional space L_{a,b} when a, b != 0;
+    binomial expansions in Form.__pow__'s term order, zero terms dropped."""
     fp.require_not_both_zero()
     a, b = fp.a, fp.b
-    x1, x2, x3 = (Form.variable(3, i) for i in (1, 2, 3))
-    return [
-        x1**4,
-        x2**4,
-        (x1 - x3.scale(a)) ** 4,
-        (x2 - x3.scale(b)) ** 4,
-        x3**2 * (x1.scale(b) - x2.scale(a)) ** 2,
-    ]
+    one, comb = Fraction(1), math.comb
+    terms = (
+        {(4, 0, 0): one},
+        {(0, 4, 0): one},
+        {(4 - i, 0, i): comb(4, i) * (-a) ** i for i in range(5)},
+        {(0, 4 - i, i): comb(4, i) * (-b) ** i for i in range(5)},
+        {(2 - i, i, 2): comb(2, i) * b ** (2 - i) * (-a) ** i for i in range(3)},
+    )
+    return [Form(3, 4, t) for t in terms]
 
 
 def s_basis(fp: FaceParams) -> list[Form]:
@@ -117,7 +119,7 @@ def l_ab_constraint_matrix(fp: FaceParams) -> list[list[Fraction]]:
 
 def l_ab_dimension(fp: FaceParams) -> tuple[int, int]:
     """Returns (dimension of L_{a,b}, rank of the constraint system)."""
-    r = linalg.rank(l_ab_constraint_matrix(fp))
+    r = rank(l_ab_constraint_matrix(fp))
     return 15 - r, r
 
 
@@ -126,30 +128,35 @@ def gram_M(alpha: Sequence, fp: FaceParams) -> SymRationalMatrix:
     fp.require_nonzero()
     a1, a2, a3, a4, a5 = _alphas(alpha)
     c = fp.a / fp.b
-    ci = 1 / c
+    # 2 alpha5 times c^-2, c^-1, 1, c, c^2, shared by the symmetric entries
+    u = 2 * a5
+    ui, uc = u / c, u * c
+    uii, ucc = ui / c, uc * c
+    nu, nui, nuc, nuii, nucc = -u, -ui, -uc, -uii, -ucc
     rows = [
-        [12 * a1 + 2 * a5 * ci * ci, -2 * a5, -2 * a5 * ci * ci, 2 * a5, 2 * a5 * ci],
-        [-2 * a5, 12 * a2 + 2 * a5 * c * c, 2 * a5, -2 * a5 * c * c, -2 * a5 * c],
-        [-2 * a5 * ci * ci, 2 * a5, 12 * a3 + 2 * a5 * ci * ci, -2 * a5, -2 * a5 * ci],
-        [2 * a5, -2 * a5 * c * c, -2 * a5, 12 * a4 + 2 * a5 * c * c, 2 * a5 * c],
-        [2 * a5 * ci, -2 * a5 * c, -2 * a5 * ci, 2 * a5 * c, -4 * a5],
+        [12 * a1 + uii, nu, nuii, u, ui],
+        [nu, 12 * a2 + ucc, u, nucc, nuc],
+        [nuii, u, 12 * a3 + uii, nu, nui],
+        [u, nucc, nu, 12 * a4 + ucc, uc],
+        [ui, nuc, nui, uc, -2 * u],
     ]
     return SymRationalMatrix(rows)
 
 
 def face_form(alpha: Sequence, fp: FaceParams) -> Form:
-    """p = sum alpha_i q_i."""
-    vals = _alphas(alpha)
-    acc = Form.zero(3, 4)
-    for v, q in zip(vals, q_basis(fp)):
-        acc = acc + q.scale(v)
-    return acc
+    """p = sum alpha_i q_i, in the term order of that sum of Forms."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for v, q in zip(_alphas(alpha), q_basis(fp)):
+        for e, c in q.terms.items():
+            terms[e] = terms.get(e, 0) + v * c
+        terms = {e: c for e, c in terms.items() if c}
+    return Form(3, 4, terms)
 
 
 def _bound_denominator(alpha: Sequence[Fraction], fp: FaceParams) -> Fraction:
     a1, a2, a3, a4 = alpha[:4]
-    a, b = fp.a, fp.b
-    return b**4 / a1 + a**4 / a2 + b**4 / a3 + a**4 / a4
+    qa, qb = fp.a**4, fp.b**4
+    return qb / a1 + qa / a2 + qb / a3 + qa / a4
 
 
 def det_M_closed(alpha: Sequence, fp: FaceParams) -> Fraction:
@@ -215,15 +222,10 @@ class DegenerateZeroSearch(RuntimeError):
     """Raised when every dehomogenization hits a degenerate division."""
 
 
-def additional_zero_quadratic(alpha: Sequence, fp: FaceParams) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (A, B, C) of the quadratic A x1^2 + B x1 x2 + C x2^2 = 0
-    whose roots give the extra zero of h_p at the alpha5 bound.
-
-    Derived by eliminating y1, y2, y3, x3 from the system s_i = v_i.
-    """
+def _zero_system(alpha: Sequence, fp: FaceParams):
+    """The kernel vector v, the y3 numerator k and additional_zero_quadratic."""
     fp.require_nonzero()
-    vals = _alphas(alpha)
-    v = kernel_vector(vals, fp)
+    v = kernel_vector(_alphas(alpha), fp)
     a, b = fp.a, fp.b
     v1, v2, v3, v4, v5 = v
     k = v5 + a * b * ((v3 - v1) / (a * a) - (v4 - v2) / (b * b))
@@ -236,7 +238,16 @@ def additional_zero_quadratic(alpha: Sequence, fp: FaceParams) -> tuple[Fraction
     aa = p1 * p2 - v3 * p3 * p4
     bb = p1 * q2 + q1 * p2 - v3 * (p3 * q4 + q3 * p4)
     cc = q1 * q2 - v3 * q3 * q4
-    return aa, bb, cc
+    return v, k, (aa, bb, cc)
+
+
+def additional_zero_quadratic(alpha: Sequence, fp: FaceParams) -> tuple[Fraction, Fraction, Fraction]:
+    """Coefficients (A, B, C) of the quadratic A x1^2 + B x1 x2 + C x2^2 = 0
+    whose roots give the extra zero of h_p at the alpha5 bound.
+
+    Derived by eliminating y1, y2, y3, x3 from the system s_i = v_i.
+    """
+    return _zero_system(alpha, fp)[2]
 
 
 def _mpf(q: Fraction):
@@ -246,13 +257,10 @@ def _mpf(q: Fraction):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _solve_point(alpha, fp, x1, x2, exact: bool):
-    """Recover the remaining coordinates from x1, x2; None on degeneracy."""
-    v1, v2, v3, v4, v5 = kernel_vector(_alphas(alpha), fp)
-    a, b = fp.a, fp.b
-    k = v5 + a * b * ((v3 - v1) / (a * a) - (v4 - v2) / (b * b))
-    if not exact:
-        a, b, v1, v2, v5, k = map(_mpf, (a, b, v1, v2, v5, k))
+def _solve_point(consts, x1, x2):
+    """The remaining coordinates from x1, x2 and consts = (a, b, v1, v2, v5, k),
+    exact or mpmath floats as x1, x2 are; None on degeneracy."""
+    a, b, v1, v2, v5, k = consts
     if x1 == 0 or x2 == 0:
         return None
     den_x3 = b * v1 * x2 - a * v2 * x1
@@ -266,6 +274,12 @@ def _solve_point(alpha, fp, x1, x2, exact: bool):
     return (x1, x2, x3), (y1, y2, y3)
 
 
+def require_positive_tol(tol) -> None:
+    """Reject a zero-search tolerance that is not a positive finite number."""
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, not {tol!r}")
+
+
 def find_additional_zero(
     alpha: Sequence, fp: FaceParams, tol: float = 1e-9, dps: int = 30
 ) -> BiquadPoint:
@@ -275,16 +289,17 @@ def find_additional_zero(
     point is floating (precision dps), normalized so x and y have unit length,
     with |h_p| at that point as the residual. tol must be a positive finite
     number: against NaN every residual would pass.
+
+    The kernel vector and k are computed once; the residual is h_p.evaluate's
+    sum, with each coefficient converted once by mpmathify, as mpmath
+    converts a Fraction operand.
     """
     import mpmath  # not at module level: only the zero search needs it
 
-    if isinstance(tol, bool) or not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, not {tol!r}")
-    fp.require_nonzero()
-    vals = _alphas(alpha)
-    aa, bb, cc = additional_zero_quadratic(vals, fp)
-    p = face_form(vals, fp)
-    hp = hessian_biquadratic(p)
+    require_positive_tol(tol)
+    v, k, (aa, bb, cc) = _zero_system(alpha, fp)
+    exact = (fp.a, fp.b, v[0], v[1], v[4], k)
+    hp = hessian_biquadratic(face_form(alpha, fp)).to_form()
 
     candidates = []
     with mpmath.workdps(dps):
@@ -292,11 +307,11 @@ def find_additional_zero(
             # The quadratic degenerates to the whole line: any generic x1
             # gives an exact rational zero.
             for x1 in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5), Fraction(7, 3)):
-                pt = _solve_point(vals, fp, x1, Fraction(1), exact=True)
+                pt = _solve_point(exact, x1, Fraction(1))
                 if pt is not None:
                     xr, yr = pt
-                    if hp.evaluate(xr, yr) == 0 and 0 not in (xr[0], xr[1], yr[0], yr[1]):
-                        candidates.append((tuple(map(Fraction, xr)), tuple(map(Fraction, yr))))
+                    if hp.evaluate([*xr, *yr]) == 0 and 0 not in (xr[0], xr[1], yr[0], yr[1]):
+                        candidates.append(pt)
                         break
             if not candidates:
                 raise DegenerateZeroSearch("no nondegenerate rational point found")
@@ -321,8 +336,9 @@ def find_additional_zero(
                     (mpmath.mpf(1), (-_mpf(bb) - sq) / (2 * _mpf(cc))) if cc != 0 else None,
                 ]
                 roots = [r for r in roots if r is not None]
+            floats = tuple(map(_mpf, exact))
             for x1, x2 in roots:
-                pt = _solve_point(vals, fp, x1, x2, exact=False)
+                pt = _solve_point(floats, x1, x2)
                 if pt is not None:
                     candidates.append(pt)
             if not candidates:
@@ -330,6 +346,7 @@ def find_additional_zero(
                     "every root hit a degenerate division (a x2 - b x1 = 0 or worse)"
                 )
 
+        terms = [(e, mpmath.mpmathify(c)) for e, c in hp.terms.items()]
         best = None
         for xr, yr in candidates:
             xf = [_mpf(v) if isinstance(v, Fraction) else v for v in xr]
@@ -338,7 +355,7 @@ def find_additional_zero(
             ny = mpmath.sqrt(sum(v * v for v in yf))
             xf = [v / nx for v in xf]
             yf = [v / ny for v in yf]
-            res = abs(hp.evaluate(xf, yf))
+            res = abs(evaluate_terms(terms, xf + yf))
             if best is None or res < best[2]:
                 best = (xf, yf, res)
         xf, yf, res = best
@@ -362,19 +379,14 @@ def tangent_hessian_check(
     if b.evaluate(x0, y0) != 0:
         raise ValueError("the form does not vanish at the given point")
     n = b.n
-    f = b.to_form()
-    point = x0 + y0
-    hess = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, 2 * n + 1):
-        di = differentiate(f, i)
-        for j in range(i, 2 * n + 1):
-            val = as_frac(differentiate(di, j).evaluate(point))
-            hess[i - 1][j - 1] = val
-            hess[j - 1][i - 1] = val
+    hess = [[as_frac(f.evaluate(x0 + y0)) for f in row] for row in hessian(b.to_form()).entries]
     zero = [Fraction(0)] * n
     basis = [v + zero for v in complement_basis(x0)] + [zero + v for v in complement_basis(y0)]
-    bt = [list(col) for col in zip(*basis)]
-    restricted = linalg.mat_mul(basis, linalg.mat_mul(hess, bt))
+    # B H B^T, with the tangent basis vectors as the rows of B
+    hb = [[sum(map(operator.mul, row, v), Fraction(0)) for v in basis] for row in hess]
+    restricted = [
+        [sum(map(operator.mul, v, col), Fraction(0)) for col in zip(*hb)] for v in basis
+    ]
     mat = SymRationalMatrix(restricted)
     return mat, ldlt_psd_check(mat)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class FormatError(ValueError):
@@ -48,7 +48,10 @@ class RationalTokens(dict):
     """
 
     def __missing__(self, token: str) -> Fraction:
-        value = self[token] = Fraction(token)
+        num, slash, den = token.partition("/")
+        # signed digits over digits go to int, which rejects what Fraction does
+        simple = token.isascii() and num.lstrip("+-").isdigit() and (den.isdigit() or not slash)
+        value = self[token] = Fraction(int(num), int(den or 1)) if simple else Fraction(token)
         return value
 
 
@@ -69,14 +72,16 @@ class Form:
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
-            if len(exps) != n_vars:
-                raise ValueError(f"exponent vector {exps} has wrong length (expected {n_vars})")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if sum(exps) != degree:
+            # one test on the common path; the messages name the first check
+            # that fails, in this order
+            if len(exps) != n_vars or min(exps) < 0 or sum(exps) != degree:
+                if len(exps) != n_vars:
+                    raise ValueError(f"exponent vector {exps} has wrong length (expected {n_vars})")
+                if any(e < 0 for e in exps):
+                    raise ValueError(f"negative exponent in {exps}")
                 raise ValueError(f"monomial {exps} is not of degree {degree}")
-            c = as_frac(coeff)
-            if c != 0:
+            c = coeff if type(coeff) is Fraction else as_frac(coeff)
+            if c:
                 clean[exps] = c
         self.n_vars = n_vars
         self.degree = degree
@@ -185,16 +190,7 @@ class Form:
         """Evaluate at a point; exact when the point is rational."""
         if len(point) != self.n_vars:
             raise ValueError("point has wrong length")
-        total = None
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, exps):
-                for _ in range(e):
-                    v = v * x
-            total = v if total is None else total + v
-        if total is None:
-            return Fraction(0)
-        return total
+        return evaluate_terms(self.terms.items(), point)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -205,6 +201,21 @@ class Form:
             mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
             parts.append(f"{c}*{mono}" if mono else str(c))
         return " + ".join(parts)
+
+
+def evaluate_terms(terms: Iterable[tuple[tuple[int, ...], object]], point: Sequence):
+    """The sum of c * point^e over the (e, c) pairs, in their order, with each
+    product built left to right; Fraction(0) when there are none."""
+    total = None
+    for exps, coeff in terms:
+        v = coeff
+        for x, e in zip(point, exps):
+            for _ in range(e):
+                v = v * x
+        total = v if total is None else total + v
+    if total is None:
+        return Fraction(0)
+    return total
 
 
 class PolyMatrix:
@@ -425,7 +436,7 @@ def _add_term(terms: dict, line: str, width: int, tokens: RationalTokens, bad="b
         raise FormatError(f"{bad}: {line!r}")
     try:
         coeff = tokens[parts[0]]
-        key = tuple(int(x) for x in parts[1:])
+        key = tuple(map(int, parts[1:]))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"{bad}: {line!r}") from exc
     if key in terms:

@@ -17,9 +17,11 @@ from sosconvex.certificates import (
     builtin_certificate,
     certificate_from_text,
     certificate_to_text,
+    det,
     gram_expand,
     is_even_power_sum,
     ldlt_psd_check,
+    rank,
     unit_multiplier,
     verify_sos_certificate,
 )
@@ -114,6 +116,53 @@ def symmetric_matrices(draw):
     return SymRationalMatrix(rows)
 
 
+@st.composite
+def rational_matrices(draw, square=False):
+    """Products B C of drawn inner dimension, so rank-deficient ones are common,
+    up to 7x7; half of them get a zero top-left entry, which makes the
+    elimination look further down the first column for its pivot."""
+    n_rows = draw(st.integers(1, 7))
+    n_cols = n_rows if square else draw(st.integers(1, 7))
+    inner = draw(st.integers(0, min(n_rows, n_cols)))
+    b = draw(st.lists(st.lists(rationals, min_size=inner, max_size=inner), min_size=n_rows, max_size=n_rows))
+    c = draw(st.lists(st.lists(rationals, min_size=n_cols, max_size=n_cols), min_size=inner, max_size=inner))
+    rows = [[sum((x * c[t][j] for t, x in enumerate(bi)), F(0)) for j in range(n_cols)] for bi in b]
+    if draw(st.booleans()):
+        rows[0][0] = F(0)
+    return rows
+
+
+def sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+class TestIntegerEchelon:
+    """det and rank run on one fraction-free elimination of the row-scaled ints."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(rational_matrices())
+    def test_rank_agrees_with_sympy(self, rows):
+        assert rank(rows) == sympy_matrix(rows).rank()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(rational_matrices(square=True))
+    def test_det_agrees_with_sympy(self, rows):
+        expected = sympy_matrix(rows).det()
+        assert det(rows) == F(int(expected.p), int(expected.q))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(symmetric_matrices())
+    def test_symmetric_det_agrees_with_sympy(self, m):
+        expected = sympy_matrix(m.rows).det()
+        assert m.det() == F(int(expected.p), int(expected.q))
+
+    def test_first_pivot_zero_needs_a_row_swap(self):
+        rows = [[F(0), F(2), F(1)], [F(3), F(1, 2), F(0)], [F(1), F(0), F(-1)]]
+        assert det(rows) == sympy_matrix(rows).det() == F(11, 2)
+        assert rank(rows) == 3
+        assert rank([[F(0), F(1)], [F(0), F(2)]]) == 1
+
+
 class TestLdltAgainstReference:
     """The fraction-free elimination reports what textbook LDL^T reports."""
 
@@ -132,6 +181,20 @@ class TestLdltAgainstReference:
 
     def test_shipped_certificate(self):
         assert_matches_reference(builtin_certificate().q)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1], [1, 0]],
+            [[2, 0, 1], [0, 0, 0], [1, 0, 0]],
+            [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+        ],
+    )
+    def test_row_zero_from_its_diagonal_on_is_still_updated(self, rows):
+        # the stored part of the last row is zero, but its column is not
+        m = SymRationalMatrix([[F(v) for v in row] for row in rows])
+        assert_matches_reference(m)
+        assert ldlt_psd_check(m).verdict is Verdict.NOT_PSD
 
 
 def textbook_expand(z, q):

@@ -353,6 +353,78 @@ class TestFace:
         assert code == EXIT_ERROR
 
 
+# stdout of face queries of the benchmark corpus (perfbench/corpus, verify
+# workload), byte for byte: the exact lines, the zero's coordinates and the
+# residual, which sums h_p's terms in mpmath in a fixed order
+FACE_OUTPUTS = [
+    (
+        ["--a", "1", "--b", "1", "--alphas", "1/1", "6/5", "3/5", "3/2", "-0.96", "--bound", "--zero"],
+        EXIT_TRUE,
+        "alphas: 1/1 6/5 3/5 3/2 -24/25\na: 1/1\nb: 1/1\nbound: -24/25\nmembership: true\n"
+        "det_closed: 0/1\ndet_brute: 0/1\n"
+        "zero_x: 0.431230803364 0.683593491545 0.588846272423\n"
+        "zero_y: 0.267743944687 -0.140750604211 -0.953153947428\nresidual: 0.000e+00\n",
+    ),
+    (
+        ["--a", "1", "--b", "1", "--alphas", "1/1", "1/2", "1/1", "7/4", "-0.875", "--bound", "--zero"],
+        EXIT_TRUE,
+        "alphas: 1/1 1/2 1/1 7/4 -7/8\na: 1/1\nb: 1/1\nbound: -7/8\nmembership: true\n"
+        "det_closed: 0/1\ndet_brute: 0/1\n"
+        "zero_x: 0.82666700861 -0.323803271278 -0.460188111955\n"
+        "zero_y: 0.183282664288 0.935838178651 0.301022205745\nresidual: 1.972e-31\n",
+    ),
+    (
+        ["--a", "2", "--b", "3", "--alphas", "5/1", "8/1", "1/1", "1/1", "-1.25", "--bound", "--zero"],
+        EXIT_TRUE,
+        "alphas: 5/1 8/1 1/1 1/1 -5/4\na: 2/1\nb: 3/1\nbound: -5/4\nmembership: true\n"
+        "det_closed: 0/1\ndet_brute: 0/1\n"
+        "zero_x: 0.88787545703 -0.0370157116592 -0.458592422413\n"
+        "zero_y: 0.143760477512 0.957862020328 0.248662974965\nresidual: 3.081e-32\n",
+    ),
+    (
+        ["--a", "2", "--b", "3", "--alphas", "3/2", "5/2", "1/2", "2/1", "-0.625", "--bound", "--zero"],
+        EXIT_TRUE,
+        "alphas: 3/2 5/2 1/2 2/1 -5/8\na: 2/1\nb: 3/1\nbound: -5/8\nmembership: true\n"
+        "det_closed: 0/1\ndet_brute: 0/1\n"
+        "zero_x: 0.715872080512 -0.0606674285224 -0.69559084774\n"
+        "zero_y: 0.289633043101 0.911374089633 0.292420876631\nresidual: 9.553e-30\n",
+    ),
+    (
+        ["--a", "1", "--b", "1", "--alphas", "1/1", "6/5", "3/5", "3/2", "-0.48"],
+        EXIT_TRUE,
+        "alphas: 1/1 6/5 3/5 3/2 -12/25\na: 1/1\nb: 1/1\nmembership: true\n"
+        "det_closed: 13436928/625\ndet_brute: 13436928/625\n",
+    ),
+    (
+        ["--a", "2", "--b", "3", "--alphas", "3/2", "5/2", "1/2", "2/1", "-0.63125", "--bound"],
+        EXIT_FALSE,
+        "alphas: 3/2 5/2 1/2 2/1 -101/160\na: 2/1\nb: 3/1\nbound: -5/8\nmembership: false\n"
+        "det_closed: -49086/25\ndet_brute: -49086/25\n",
+    ),
+]
+
+
+class TestFaceOutput:
+    @pytest.mark.parametrize("args, code, stdout", FACE_OUTPUTS)
+    def test_corpus_queries_print_the_same_bytes(self, args, code, stdout, capsys):
+        assert main(["face", *args]) == code
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--alphas", "1", "1", "1", "1", "-1/2", "--zero"],
+            ["--alphas", "1", "1", "1", "1", "-1", "--zero", "--zero-tol", "nan"],
+        ],
+        ids=["alpha5-off-the-bound", "nan-tolerance"],
+    )
+    def test_zero_preconditions_fail_before_any_output(self, args, capsys):
+        assert main(["face", "--a", "1", "--b", "1", *args]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 class TestExpressionParser:
     def test_simple_quadratic(self):
         f = parse_poly_expression("x1^2+x2^2", 3)

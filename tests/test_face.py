@@ -4,10 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sosconvex import linalg
 from sosconvex.biquadratic import builtin, hessian_biquadratic
-from sosconvex.certificates import Verdict, ldlt_psd_check
+from sosconvex.certificates import Verdict, ldlt_psd_check, rank
 from sosconvex.face import (
     FaceParams,
     additional_zero_quadratic,
@@ -49,7 +49,7 @@ class TestBases:
             fp, _ = random_face(rng)
             rows = [[q.coefficient(m) for m in sorted({m for p in q_basis(fp) for m in p.terms})]
                     for q in q_basis(fp)]
-            assert linalg.rank(rows) == 5
+            assert rank(rows) == 5
 
     def test_s_normalization_hq_is_12_s_squared(self):
         fp = FaceParams(F(2), F(3))
@@ -292,3 +292,28 @@ class TestFaceForm:
         qs = q_basis(fp)
         p = face_form([1, 0, 0, 0, 0], fp)
         assert p == qs[0]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.lists(st.sampled_from([F(0), F(1), F(-1), F(2), F(-1, 2), F(3, 4)]), min_size=2, max_size=2)
+        .filter(lambda ab: ab != [0, 0]),
+        st.lists(st.sampled_from([F(0), F(1), F(-1), F(1, 3), F(-2), F(5, 7)]), min_size=5, max_size=5),
+    )
+    def test_closed_forms_keep_the_term_order_of_form_arithmetic(self, ab, alphas):
+        # the residual of the zero search sums h_p's terms in this order, and
+        # h_p's order follows p's; a cancelled term leaves and comes back last
+        a, b = ab
+        x1, x2, x3 = (Form.variable(3, i) for i in (1, 2, 3))
+        qs = [
+            x1**4,
+            x2**4,
+            (x1 - x3.scale(a)) ** 4,
+            (x2 - x3.scale(b)) ** 4,
+            x3**2 * (x1.scale(b) - x2.scale(a)) ** 2,
+        ]
+        acc = Form.zero(3, 4)
+        for v, q in zip(alphas, qs):
+            acc = acc + q.scale(v)
+        fp = FaceParams(a, b)
+        assert [list(q.terms.items()) for q in q_basis(fp)] == [list(q.terms.items()) for q in qs]
+        assert list(face_form(alphas, fp).terms.items()) == list(acc.terms.items())

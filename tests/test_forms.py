@@ -230,14 +230,17 @@ def parse_in_every_format(token):
 
 
 class TestRationalTokens:
-    @pytest.mark.parametrize("token", ["1.5", "-3/4", "+2", "7", "2e-1"])
+    # the int reading of signed digits over digits meets Fraction(str) at its edges
+    @pytest.mark.parametrize("token", ["1.5", "-3/4", "+2", "7", "2e-1", "00012/0006", "-0", "١٢"])
     def test_accepts_what_fraction_accepts(self, token):
         assert RationalTokens()[token] == F(token)
         assert parse_in_every_format(token) == [F(token)] * 4
         if F(token) > 0:
             assert certificate_from_text(f"Z:\n1\nQ:\n1\n1\nSCALE: {token}\n").scale == F(token)
 
-    @pytest.mark.parametrize("token", ["1/0", "x", "nan", "inf", "1/2/3", "0x10"])
+    @pytest.mark.parametrize(
+        "token", ["1/0", "x", "nan", "inf", "1/2/3", "0x10", "--1", "+-1/2", "1/+2", "1/", "/2"]
+    )
     def test_rejects_what_fraction_rejects(self, token):
         with pytest.raises((ValueError, ZeroDivisionError)):
             F(token)

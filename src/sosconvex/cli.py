@@ -28,11 +28,9 @@ from .dual import dual_from_text, verify_refutation
 from .face import (
     DegenerateZeroSearch,
     FaceParams,
-    alpha5_lower_bound,
-    det_M_closed,
+    face_query,
     find_additional_zero,
     gram_M,
-    membership_T,
     require_positive_tol,
 )
 from .forms import Form, FormatError, fmt_frac, form_from_text
@@ -223,26 +221,23 @@ def cmd_face(args) -> int:
         return EXIT_ERROR
     fp = FaceParams(a, b)
     # every precondition is checked before the first line is printed
-    if args.bound or args.zero:
-        if any(v <= 0 for v in alphas[:4]):
-            print("error: the bound needs alpha1..alpha4 > 0", file=sys.stderr)
-            return EXIT_ERROR
-        bound = alpha5_lower_bound(alphas[:4], fp)
+    if (args.bound or args.zero) and any(v <= 0 for v in alphas[:4]):
+        print("error: the bound needs alpha1..alpha4 > 0", file=sys.stderr)
+        return EXIT_ERROR
+    query = face_query(alphas, fp)
     if args.zero:
-        if alphas[4] != bound:
+        if alphas[4] != query.bound:
             print("error: --zero needs alpha5 at the lower bound", file=sys.stderr)
             return EXIT_ERROR
         require_positive_tol(args.zero_tol)
     print("alphas: " + " ".join(fmt_frac(v) for v in alphas))
     print(f"a: {fmt_frac(a)}")
     print(f"b: {fmt_frac(b)}")
-    member = membership_T(alphas, fp)
     if args.bound or args.zero:
-        print(f"bound: {fmt_frac(bound)}")
-    print(f"membership: {'true' if member else 'false'}")
-    if all(v != 0 for v in alphas[:4]):
-        closed = det_M_closed(alphas, fp)
-        print(f"det_closed: {fmt_frac(closed)}")
+        print(f"bound: {fmt_frac(query.bound)}")
+    print(f"membership: {'true' if query.member else 'false'}")
+    if query.det_closed is not None:
+        print(f"det_closed: {fmt_frac(query.det_closed)}")
     print(f"det_brute: {fmt_frac(gram_M(alphas, fp).det())}")
     if args.zero:
         try:
@@ -253,7 +248,7 @@ def cmd_face(args) -> int:
         print("zero_x: " + " ".join(f"{v:.12g}" for v in pt.x))
         print("zero_y: " + " ".join(f"{v:.12g}" for v in pt.y))
         print(f"residual: {pt.residual:.3e}")
-    return EXIT_TRUE if member else EXIT_FALSE
+    return EXIT_TRUE if query.member else EXIT_FALSE
 
 
 def cmd_builtin(args) -> int:

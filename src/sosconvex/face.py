@@ -159,16 +159,47 @@ def _bound_denominator(alpha: Sequence[Fraction], fp: FaceParams) -> Fraction:
     return qb / a1 + qa / a2 + qb / a3 + qa / a4
 
 
-def det_M_closed(alpha: Sequence, fp: FaceParams) -> Fraction:
-    """Closed-form determinant of M; equals the brute-force determinant."""
+@dataclass(frozen=True)
+class FaceQuery:
+    """Membership in T_{a,b}, the alpha5 bound (when alpha1..alpha4 > 0) and
+    the closed-form det M (when alpha1..alpha4 are nonzero) of one point."""
+
+    member: bool
+    bound: Fraction | None
+    det_closed: Fraction | None
+
+
+def face_query(alpha: Sequence, fp: FaceParams) -> FaceQuery:
+    """The FaceQuery of alpha, from one bound denominator D.
+
+    With c = 4 a^2 b^2, the bound is -c / D and det M is
+    -20736 alpha1..alpha5 (c + alpha5 D) / (a^2 b^2).
+    """
     fp.require_nonzero()
     vals = _alphas(alpha)
     a1, a2, a3, a4, a5 = vals
-    if 0 in (a1, a2, a3, a4):
+    bound = det = None
+    if 0 not in (a1, a2, a3, a4):
+        a, b = fp.a, fp.b
+        c, den = 4 * a**2 * b**2, _bound_denominator(vals, fp)
+        det = Fraction(-20736) * a1 * a2 * a3 * a4 * a5 * (c + a5 * den) / (a**2 * b**2)
+        if all(v > 0 for v in (a1, a2, a3, a4)):
+            bound = -c / den
+    if any(v < 0 for v in (a1, a2, a3, a4)) or a5 > 0:
+        member = False
+    elif bound is None:
+        member = a5 == 0
+    else:
+        member = a5 >= bound
+    return FaceQuery(member, bound, det)
+
+
+def det_M_closed(alpha: Sequence, fp: FaceParams) -> Fraction:
+    """Closed-form determinant of M; equals the brute-force determinant."""
+    det = face_query(alpha, fp).det_closed
+    if det is None:
         raise ValueError("closed form requires alpha1..alpha4 nonzero")
-    a, b = fp.a, fp.b
-    inner = 4 * a**2 * b**2 + a5 * _bound_denominator(vals, fp)
-    return Fraction(-20736) * a1 * a2 * a3 * a4 * a5 * inner / (a**2 * b**2)
+    return det
 
 
 def alpha5_lower_bound(alpha1_4: Sequence, fp: FaceParams) -> Fraction:
@@ -180,7 +211,7 @@ def alpha5_lower_bound(alpha1_4: Sequence, fp: FaceParams) -> Fraction:
     if any(v <= 0 for v in vals):
         raise ValueError("alpha1..alpha4 must be positive")
     a, b = fp.a, fp.b
-    return -4 * a**2 * b**2 / _bound_denominator(vals + [Fraction(0)], fp)
+    return -4 * a**2 * b**2 / _bound_denominator(vals, fp)
 
 
 def membership_T(alpha: Sequence, fp: FaceParams) -> bool:
@@ -189,14 +220,7 @@ def membership_T(alpha: Sequence, fp: FaceParams) -> bool:
     Requires alpha1..alpha4 >= 0 and lower_bound <= alpha5 <= 0; any zero
     among alpha1..alpha4 forces alpha5 = 0.
     """
-    fp.require_nonzero()
-    vals = _alphas(alpha)
-    a1, a2, a3, a4, a5 = vals
-    if any(v < 0 for v in (a1, a2, a3, a4)) or a5 > 0:
-        return False
-    if 0 in (a1, a2, a3, a4):
-        return a5 == 0
-    return a5 >= alpha5_lower_bound(vals[:4], fp)
+    return face_query(alpha, fp).member
 
 
 def kernel_vector(alpha: Sequence, fp: FaceParams) -> list[Fraction]:
@@ -206,15 +230,16 @@ def kernel_vector(alpha: Sequence, fp: FaceParams) -> list[Fraction]:
     a1, a2, a3, a4, a5 = vals
     if any(v <= 0 for v in (a1, a2, a3, a4)):
         raise ValueError("alpha1..alpha4 must be positive")
-    if a5 != alpha5_lower_bound(vals[:4], fp):
-        raise ValueError("alpha5 is not at the lower bound")
     a, b = fp.a, fp.b
+    den = _bound_denominator(vals, fp)
+    if a5 != -4 * a**2 * b**2 / den:
+        raise ValueError("alpha5 is not at the lower bound")
     return [
         2 * a * b**3 / a1,
         -2 * a**3 * b / a2,
         -2 * a * b**3 / a3,
         2 * a**3 * b / a4,
-        _bound_denominator(vals, fp),
+        den,
     ]
 
 

@@ -61,6 +61,19 @@ eigvalsh of its moment matrix against the same SCREEN_TOL, and a stalled
 search never claims "not SOS" unless verify_refutation accepts one on the
 same pruned basis. A target monomial that no product of two basis monomials
 reaches is refuted at once by the functional that is nonzero only there.
+
+A target whose terms all have bidegree (2, 2) at n_vars/2, every biquadratic
+target and the Hessian form of every quartic, is y^T A(x) y, and a point
+where it is negative refutes it too: the functional that evaluates there has
+a rank-1 moment matrix and pairs with the target to its value.
+check_sos runs witness_refutation once, after the first chunk whose gap does
+not refute: alternating eigen-steps in floats, integer rounding, an exact
+sign check on ints, and verify_refutation as the gate. For ternary quartics
+the route is complete: a convex ternary quartic is sos-convex (the paper's
+theorem), so when the Hessian form is not SOS there is an open set of points
+where it is negative, rational ones among them, though the float search can
+miss a thin one. Sextic Hessian forms, bidegree (4, 2), are left to the gap:
+for fixed y they are quartic in x, so their x step is no eigenproblem.
 """
 
 from __future__ import annotations
@@ -82,6 +95,7 @@ from .certificates import (
     SosVerification,
     SymRationalMatrix,
     _as_form,
+    _bidegree,
     is_even_power_sum,
     sos_basis,
     unit_multiplier,
@@ -660,6 +674,90 @@ def refutation_search(
     return None
 
 
+# Witness points: the random starts and alternating eigen-steps of the float
+# search, and the integer scales at which each negative point is rounded. A
+# start whose float value is not below -WITNESS_TOL * max|K| is not rounded.
+WITNESS_STARTS = 8
+WITNESS_STEPS = 12
+WITNESS_SCALES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+WITNESS_TOL = 1e-12
+_WITNESS = "the target is"
+
+
+def _integer_point(v: np.ndarray, scale: int) -> tuple[int, ...] | None:
+    """v scaled to max|v_i| = scale, rounded and divided by its gcd."""
+    ints = [round(t) for t in (scale / float(np.abs(v).max())) * v]
+    g = math.gcd(*ints)
+    return tuple(t // g for t in ints) if g else None
+
+
+def witness_refutation(target, pz: GramParameterization, cfg: SearchConfig) -> SearchOutcome | None:
+    """A Refuted outcome from a point (x, y) where the target is negative.
+
+    For a target whose terms all have bidegree (2, 2) at n = n_vars / 2, the
+    target is y^T A(x) y with A(x) quadratic in x: for fixed x a quadratic
+    form in y, and for fixed y one in x, x^T C(y) x. From WITNESS_STARTS
+    random unit x (seeded by cfg.seed), WITNESS_STEPS alternating steps take
+    y as the bottom eigenvector of A(x), then x as that of C(y), one eigh on
+    the stack of starts per half step; each step lowers the value. The most
+    negative points are rounded to integer vectors at each of WITNESS_SCALES
+    and the target's sign there is checked on ints over its common
+    denominator. At a point where it is negative, the point-evaluation
+    functional, with the integer moments x^a y^b on pz.monomials divided by
+    their gcd, has the rank-1 moment matrix v v^T, v the basis evaluated at
+    the point, and pairs with the target to its value there: it goes to
+    verify_refutation, the one gate. Both screens only skip candidates.
+    None for any other target, or when no candidate is accepted.
+    """
+    tf = _as_form(target)
+    if _bidegree(tf) != (2, 2):
+        return None
+    n = tf.n_vars // 2
+    # the monomial x_i x_j y_k y_l as (i, j, n + k, n + l)
+    quads = [tuple(i for i, e in enumerate(mono) for _ in range(e)) for mono in pz.monomials]
+    # target = sum of K[i, j, k, l] x_i x_j y_k y_l, K symmetric in i, j and in k, l
+    i, j, k, l = np.array(quads).T
+    kt = np.zeros((n, n, n, n))
+    kt[i, j, k - n, l - n] = pz._b
+    kt += kt.transpose(1, 0, 2, 3)
+    kt += kt.transpose(0, 1, 3, 2)
+    kmat = kt.reshape(n * n, n * n) / 4.0
+    x = np.random.default_rng(cfg.seed).standard_normal((WITNESS_STARTS, n))
+    for _ in range(WITNESS_STEPS):
+        a = ((x[:, :, None] * x[:, None, :]).reshape(WITNESS_STARTS, -1) @ kmat).reshape(-1, n, n)
+        y = np.linalg.eigh(a)[1][:, :, 0]
+        c = ((y[:, :, None] * y[:, None, :]).reshape(WITNESS_STARTS, -1) @ kmat.T).reshape(-1, n, n)
+        values, vecs = np.linalg.eigh(c)
+        x = vecs[:, :, 0]
+    values = values[:, 0]
+    floor = -WITNESS_TOL * float(np.abs(kmat).max())
+    seen = set()
+    for s in np.argsort(values):
+        if not values[s] < floor:
+            break
+        for scale in WITNESS_SCALES:
+            xi, yi = _integer_point(x[s], scale), _integer_point(y[s], scale)
+            if xi is None or yi is None or (xi, yi) in seen:
+                continue
+            seen.add((xi, yi))
+            p = xi + yi
+            moments = [p[q0] * p[q1] * p[q2] * p[q3] for q0, q1, q2, q3 in quads]
+            if sum(t * v for t, v in zip(pz._target_nums, moments)) >= 0:
+                continue
+            g = math.gcd(*moments)
+            dual = DualCertificate(pz.monomials, [v // g for v in moments])
+            refutation = verify_refutation(dual, tf)
+            if refutation:
+                value = refutation.pairing_value * g
+                return SearchOutcome(
+                    "Refuted",
+                    dual=dual,
+                    refutation=refutation,
+                    diagnostics=f"{_WITNESS} {value} < 0 at x = {xi}, y = {yi}",
+                )
+    return None
+
+
 # -- end-to-end checks -------------------------------------------------------------
 
 
@@ -695,6 +793,7 @@ def check_sos(
 
     last_reason = ""
     best = None
+    witness_tried = False
     for report in douglas_rachford(pz, cfg):
         if best is None or report.residual < best.residual:
             best = report
@@ -716,6 +815,13 @@ def check_sos(
             if found is not None:
                 dual, refutation = found
                 return SearchOutcome("Refuted", dual=dual, refutation=refutation)
+            # a point where the target is negative refutes it at any chunk,
+            # so the witness search runs once, after the first gap fails
+            if not witness_tried:
+                witness_tried = True
+                outcome = witness_refutation(tf, pz, cfg)
+                if outcome is not None:
+                    return outcome
     # every search yields at least one report, and a converged one is the last
     if report.converged:
         return SearchOutcome(
@@ -741,4 +847,9 @@ def check_sos_convexity(p: Form, cfg: SearchConfig | None = None) -> SearchOutco
     """
     if p.degree % 2 != 0:
         raise ValueError("sos-convexity requires even degree")
-    return check_sos(hessian_form(p), cfg)
+    outcome = check_sos(hessian_form(p), cfg)
+    # the target is y^T H_p(x) y, so a witness point shows p is not convex
+    if outcome.diagnostics.startswith(_WITNESS):
+        value_at_point = outcome.diagnostics[len(_WITNESS) :]
+        outcome.diagnostics = f"y^T H(x) y ={value_at_point}, so the form is not convex"
+    return outcome

@@ -236,6 +236,17 @@ class TestCheck:
         assert main(["check", str(target), "--sos-convex"]) == EXIT_FALSE
         assert negative_pairing(capsys.readouterr().out)
 
+    def test_face_form_below_the_bound_refuted_at_a_witness_point(self, capsys):
+        corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+        target = corpus / "refute" / "face_T11_below.form"
+        assert main(["check", str(target), "--sos-convex"]) == EXIT_FALSE
+        out = capsys.readouterr().out
+        assert negative_pairing(out)
+        line = next(ln for ln in out.splitlines() if ln.startswith("diagnostics:"))
+        value, _, point = line.removeprefix("diagnostics: y^T H(x) y = ").partition(" < 0 at x = (")
+        assert F(value) < 0
+        assert "), y = (" in point and point.endswith("), so the form is not convex")
+
     def test_choi_refuted_with_pairing(self, tmp_path, capsys):
         target = tmp_path / "choi.biq"
         assert main(["builtin", "choi_biquadratic", str(target)]) == EXIT_TRUE

@@ -80,8 +80,10 @@ def test_face_forms_at_the_bound_certify_in_tens_of_evaluations(chunks):
 
 @pytest.mark.parametrize("ident", ["face_T11_below", "face_T23_below"])
 def test_face_forms_below_the_bound_refuted_from_the_first_chunk(ident, chunks):
-    # plain DR needed 600 and 1,400 evaluations before the gap separated;
-    # the Anderson run separates within the first 200, at the third of the
-    # short chunks (from evaluation 51 and 76 on)
-    assert check_sos_convexity(load(BY_ID[ident]["target"])).status == "Refuted"
-    assert chunks == [25, 25, 50]
+    # the gap of the first chunk does not separate (the Anderson run's does
+    # from evaluation 51 and 76 on), but a witness point, where the Hessian
+    # form is negative, refutes right after it
+    outcome = check_sos_convexity(load(BY_ID[ident]["target"]))
+    assert outcome.status == "Refuted"
+    assert outcome.diagnostics.startswith("y^T H(x) y = -")
+    assert chunks == [25]

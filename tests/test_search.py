@@ -19,12 +19,13 @@ from sosconvex.certificates import (
     _prune_basis,
     bidegree_basis,
     gram_expand,
+    rank,
     sos_basis,
     sos_basis_for,
     verify_sos_certificate,
 )
 from sosconvex.cli import parse_poly_expression
-from sosconvex.dual import moment_matrix, builtin_dual, verify_refutation
+from sosconvex.dual import RefutationResult, moment_matrix, builtin_dual, verify_refutation
 from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
 from sosconvex.forms import Form, as_frac
 from sosconvex.search import (
@@ -34,6 +35,7 @@ from sosconvex.search import (
     douglas_rachford,
     parameterize,
     rationalize_and_certify,
+    witness_refutation,
 )
 
 
@@ -648,6 +650,98 @@ class TestRefutation:
         assert vals[0] > 0
         assert np.allclose(vecs @ vecs.T, np.eye(9), atol=1e-10)
         assert np.allclose((vecs * vals) @ vecs.T, floated, atol=1e-8)
+
+
+def witness_on(target):
+    tf = target.to_form() if isinstance(target, BiquadraticForm) else target
+    return witness_refutation(tf, parameterize(tf, sos_basis(tf)), SearchConfig())
+
+
+class TestWitness:
+    """Refutations at a rational point where the Hessian form is negative."""
+
+    # face forms just below the alpha5 bound whose DR gap never separated:
+    # each ended Stalled after 0.3-0.5 s
+    @pytest.mark.parametrize(
+        "a, b, alphas, delta",
+        [
+            (1, 1, [1, 2, 3, 4], F(1, 1000)),
+            (1, 1, [3, 1, 2, 1], F(1, 1000)),
+            (3, 1, [2, 1, 2, 1], F(1, 100)),
+        ],
+        ids=["T11-1234", "T11-3121", "T31-2121"],
+    )
+    def test_stalled_face_draw_refuted_at_a_point(self, a, b, alphas, delta):
+        fp = FaceParams(a, b)
+        p = face_form(alphas + [alpha5_lower_bound(alphas, fp) - delta], fp)
+        outcome = check_sos_convexity(p)
+        h = hessian_form(p)
+        assert_integer_refutation(outcome, h)
+        assert rank(moment_matrix(outcome.dual, sos_basis(h)).rows) == 1
+        value, _, point = outcome.diagnostics.removeprefix("y^T H(x) y = ").partition(" < 0 at ")
+        assert F(value) < 0 and point.startswith("x = (")
+        assert outcome.diagnostics.endswith(", so the form is not convex")
+
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=40,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.integers(-3, 3).filter(bool),
+        st.integers(-3, 3).filter(bool),
+        st.lists(st.fractions(F(1, 4), 4, max_denominator=4), min_size=4, max_size=4),
+        st.sampled_from([F(1), F(9, 10), F(1, 2), F(0)]),
+    )
+    def test_no_witness_on_face_members(self, a, b, alphas, t):
+        # T_{a,b} members are convex: the Hessian form is nowhere negative
+        fp = FaceParams(a, b)
+        p = face_form(alphas + [alpha5_lower_bound(alphas, fp) * t], fp)
+        assert witness_on(hessian_form(p)) is None
+
+    @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
+    def test_no_witness_on_nonnegative_forms(self, name):
+        assert witness_on(builtin(name)) is None
+
+    def test_no_witness_off_bidegree_two_two(self):
+        sextic = hessian_form(parse_poly_expression("x1^6+x2^6-4*x1^2*x2^4", 2))
+        assert witness_on(sextic) is None
+
+    def test_every_witness_passes_verify_refutation(self, monkeypatch):
+        # the exact sign check and the float search only skip candidates:
+        # with the gate refusing everything, no witness is returned
+        fp = FaceParams(1, 1)
+        h = hessian_form(face_form([1, 1, 1, 1, alpha5_lower_bound([1, 1, 1, 1], fp) - 1], fp))
+        assert witness_on(h) is not None
+        calls = []
+
+        def refuse(cert, target):
+            calls.append(cert)
+            return RefutationResult(False, F(0), None, "refused")
+
+        monkeypatch.setattr(search, "verify_refutation", refuse)
+        assert witness_on(h) is None and calls
+
+    def test_searched_once_and_not_with_a_multiplier(self, monkeypatch):
+        calls = []
+        found = search.witness_refutation
+
+        def counted(*args):
+            calls.append(args)
+            return found(*args)
+
+        monkeypatch.setattr(search, "witness_refutation", counted)
+        # a draw with no witness found, so every chunk could try one
+        fp = FaceParams(2, 3)
+        p = face_form([1, 1, 1, 1, alpha5_lower_bound([1, 1, 1, 1], fp) - F(1, 1000)], fp)
+        cfg = SearchConfig(max_iterations=400, restarts=2)
+        assert check_sos_convexity(p, cfg).status == "Stalled"
+        assert len(calls) == 1
+        calls.clear()
+        b = builtin("b_thm22")
+        check_sos(b, multiplier=parse_poly_expression("x1^2+x2^2", 6, block=3))
+        assert not calls
 
 
 class TestEndToEnd:

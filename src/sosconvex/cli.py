@@ -145,20 +145,22 @@ def cmd_dims(args) -> int:
 def cmd_verify(args) -> int:
     target = _load_target(_read(args.target))
     cert_text = _read(args.certificate)
-    if _head(cert_text).startswith("order:"):
-        result = verify_refutation(dual_from_text(cert_text), target)
-        print(result.reason)
-        return EXIT_FALSE if result.accepted else EXIT_UNKNOWN
-    cert = certificate_from_text(cert_text)
+    is_dual = _head(cert_text).startswith("order:")
+    witness = dual_from_text(cert_text) if is_dual else certificate_from_text(cert_text)
+    monomials = witness.monomials if is_dual else witness.z
     if (
         isinstance(target, Form)
-        and cert.z
-        and len(cert.z[0]) == 2 * target.n_vars
+        and monomials
+        and len(monomials[0]) == 2 * target.n_vars
         and target.degree % 2 == 0
     ):
-        # sos-convexity certificate: it attests y^T H_p(x) y over 2n variables
+        # an sos-convexity witness: it is about y^T H_p(x) y over 2n variables
         target = hessian_form(target)
-    result = verify_sos_certificate(target, cert)
+    if is_dual:
+        result = verify_refutation(witness, target)
+        print(result.reason)
+        return EXIT_FALSE if result.accepted else EXIT_UNKNOWN
+    result = verify_sos_certificate(target, witness)
     print(result.reason)
     return EXIT_TRUE if result.accepted else EXIT_FALSE
 

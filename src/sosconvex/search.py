@@ -23,15 +23,15 @@ and its fiber projection is the same combination of shadows, so no
 evaluation needs a second eigh or projection. A candidate whose residual
 norm exceeds that of the point it extrapolates from is rejected for the
 plain step T(x), and the history is cleared; a singular solve or a
-non-finite candidate counts as rejected. The history rides on the state a
-chunk hands on, so a chunked run takes the same steps as one run.
-douglas_rachford yields a DRReport per chunk of evaluations, and check_sos
-is one loop over them: it rounds a chunk that ends near the fiber or on a
-PSD shadow, and tries a refutation from every chunk it does not certify.
-A restart's chunks end after 25, 50, 100 and 200 evaluations and then
-after 600, 1,400, 3,000, ... (doubling chunks from 400), so a point that
-rounds to a certificate or a gap that separates early is tried early, and
-a long run still yields few reports.
+non-finite candidate counts as rejected. Each restart is one loop with one
+history, and douglas_rachford yields a DRReport at each chunk end of it,
+so chunk ends move no iterate; check_sos is one loop over the reports: it
+rounds a chunk that ends near the fiber or on a PSD shadow, and tries a
+refutation from every chunk it does not certify. A restart's chunks end
+after 25, 50, 100 and 200 evaluations and then after 600, 1,400, 3,000,
+... (doubling chunks from 400), so a point that rounds to a certificate or
+a gap that separates early is tried early, and a long run still yields few
+reports.
 Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
 entrywise, once to the grid 1/D and once to continued fractions with
 denominators at most D, for a ladder of bounds D, each rounding held as
@@ -78,7 +78,6 @@ for fixed y they are quartic in x, so their x step is no eigenproblem.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -254,8 +253,7 @@ class DRReport:
     iterations: int
     min_eigenvalue: float
     fiber_distance: float
-    fiber_point: np.ndarray  # the converged shadow, or P(state) for a stalled chunk
-    state: np.ndarray  # the next point, with its Anderson history: continue from it
+    fiber_point: np.ndarray  # the converged shadow, or P(x) of the next point x
     converged: bool = False
     stagnated: bool = False  # progress fell below 1% per window: geometry gap
 
@@ -331,8 +329,7 @@ class _Anderson:
     kept. gram[i, j] is the dot product of the g rows of hist[i] and
     hist[j], kept one row at a time. last is the stack at the last accepted
     point and gg its |g|^2; pending says that the point evaluated next is an
-    Anderson candidate, to be checked against last; px is the fiber
-    projection of that point.
+    Anderson candidate, to be checked against last.
     """
 
     def __init__(self, size: int):
@@ -342,13 +339,6 @@ class _Anderson:
         self.last = None
         self.gg = math.inf
         self.pending = False
-        self.px = None
-
-    def copy(self) -> _Anderson:
-        new = copy.copy(self)
-        new.hist = self.hist.copy()
-        new.gram = self.gram.copy()
-        return new
 
     def step(self, x: np.ndarray, g: np.ndarray, shadow: np.ndarray):
         """The next point and its fiber projection, after evaluating x.
@@ -400,110 +390,82 @@ class _Anderson:
         return now[1].reshape(x.shape), now[2].reshape(x.shape)
 
 
-class DRState(np.ndarray):
-    """A DR iterate that carries its restart's Anderson history, so that a
-    run continued from it takes the same steps as one longer run."""
-
-    def __array_finalize__(self, obj):
-        self.anderson = None
-
-
-def _projection_run(pz: GramParameterization, x0: np.ndarray, max_iterations: int, tol: float):
-    """One projection run from x0, reported as a DRReport.
-
-    Douglas-Rachford reflections between the PSD cone and the affine fiber,
-    with a safeguarded type-II Anderson step (_Anderson.step); the monitored
-    iterate is the shadow sequence P_fiber(P_psd(x)), which converges to a
-    feasible point when one exists and whose residual stagnates at the gap
-    when none does. Each evaluation of the DR map T makes one eigh and one
-    fiber residual: y = P_psd(x), r = residual(y), shadow = y + r. The fiber
-    projection P is affine, so P(2y - x) = 2 shadow - P(x), and
-    T(x) = x + P(2y - x) - y has P(T(x)) = shadow; P of the next point is
-    carried from one evaluation to the next and computed once per run. y is
-    PSD, so lambda_min(shadow) >= -d * max|r|: the shadow's spectrum is
-    needed only once the fiber distance max|r| is within tol, and for a
-    stalled run's report, which is on the fiber point P(state). iterations
-    counts evaluations, rejected Anderson candidates included, and every
-    evaluated shadow is checked for convergence.
-    """
-    anderson = getattr(x0, "anderson", None)
-    if anderson is None:
-        anderson = _Anderson(x0.size)
-        px = pz.project(x0)
-    else:
-        anderson = anderson.copy()
-        px = anderson.px
-    x = np.asarray(x0)
-    fiber_dist = math.inf
-    it = 0
-    best_progress = math.inf
-    window_best = math.inf
-    flat_windows = 0
-    stagnated = False
-    for it in range(max_iterations):
-        y = _project_psd(x)
-        r = pz.residual(y)
-        fiber_dist = float(np.abs(r).max())
-        shadow = y + r[pz.index]
-        if fiber_dist <= tol:
-            shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
-            if shadow_eig >= -tol:
-                return DRReport(it + 1, shadow_eig, fiber_dist, shadow, x, converged=True)
-        x, px = anderson.step(x, 2.0 * shadow - px - y, shadow)
-        # the iteration is non-monotone and plateaus before snapping to the
-        # answer, so stagnation needs both a running best and patience; the
-        # fiber distance bounds -lambda_min(shadow), so it alone is progress
-        best_progress = min(best_progress, fiber_dist)
-        if (it + 1) % 200 == 0:
-            if best_progress >= 0.99 * window_best:
-                flat_windows += 1
-                if flat_windows >= 5:
-                    stagnated = True
-                    break
-            else:
-                flat_windows = 0
-            window_best = best_progress
-    anderson.px = px
-    state = x.view(DRState)
-    state.anderson = anderson
-    shadow_eig = float(np.linalg.eigvalsh(px)[0])
-    return DRReport(it + 1, shadow_eig, fiber_dist, px, state, stagnated=stagnated)
+def _chunk_budgets(max_iterations: int) -> Iterator[int]:
+    """The evaluations of each chunk of a restart: 25, 25, 50 and 100, then
+    400, 800, 1,600, ..., each clipped to the budget that is left."""
+    left = max_iterations
+    for chunk in itertools.chain((25, 25, 50, 100), (400 << k for k in itertools.count())):
+        if left <= 0:
+            return
+        yield min(chunk, left)
+        left -= chunk
 
 
 def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DRReport]:
     """Restarted Douglas-Rachford search for a PSD point of the fiber,
-    yielding the DRReport of every chunk of evaluations.
+    yielding a DRReport at each chunk end (_chunk_budgets) of each restart.
 
     The first restart starts from project(0), the least-norm fiber point;
-    later ones from projections of random symmetric matrices. Each restart
-    runs in chunks of 25, 25, 50 and 100 evaluations, then of 400, 800,
-    1,600 and so on, each continuing from the last state and the Anderson
-    history it carries, until it converges, stagnates or spends the
-    iteration budget: a chunk ends after 25, 50, 100, 200, 600, 1,400, ...
-    evaluations of the restart, and the chunks take the same steps as one
-    run. A converged report is the last one yielded. The caller may stop
-    pulling at any report, and no further chunk runs.
+    later ones from projections of random symmetric matrices. A restart is
+    one loop of DR reflections between the PSD cone and the affine fiber,
+    with one safeguarded Anderson history (_Anderson.step); the monitored
+    iterate is the shadow P_fiber(P_psd(x)), which converges to a feasible
+    point when one exists and whose residual stagnates at the gap when none
+    does. Each evaluation of the DR map T makes one eigh and one fiber
+    residual: y = P_psd(x), r = residual(y), shadow = y + r. P is affine, so
+    P(2y - x) = 2 shadow - P(x), and T(x) = x + P(2y - x) - y has
+    P(T(x)) = shadow: P of the next point is carried, and computed once per
+    restart. y is PSD, so lambda_min(shadow) >= -d * max|r|: the shadow's
+    spectrum is needed only once the fiber distance max|r| is within tol,
+    and for the report of a chunk that ends unconverged, which is on the
+    fiber point P(x) of the next point x.
+
+    A chunk end only yields, so chunk ends move no iterate. The stagnation
+    counters start afresh with each chunk, and stagnation needs 1,200
+    evaluations inside one, so the short chunks move no stagnation stop.
+    iterations counts a chunk's evaluations, rejected Anderson candidates
+    included, and every evaluated shadow is checked for convergence. A
+    converged report is the last one; a stagnated one ends its restart. The
+    caller may stop pulling at any report, and no further evaluation runs.
     """
     rng = np.random.default_rng(cfg.seed)
     dim = len(pz.z)
+    tol = cfg.convergence_tol
     for restart in range(cfg.restarts):
         x = np.zeros((dim, dim)) if restart == 0 else rng.standard_normal((dim, dim))
         x = pz.project((x + x.T) / 2.0)
-        used = 0
-        # the first 200 evaluations in four short chunks, so that an early
-        # PSD shadow or separating gap is tried at once, then doubling ones;
-        # stagnation needs 1,200 evaluations inside one chunk, so the short
-        # chunks move no stagnation stop
-        for chunk in itertools.chain((25, 25, 50, 100), (400 << k for k in itertools.count())):
-            if used >= cfg.max_iterations:
-                break
-            report = _projection_run(pz, x, min(chunk, cfg.max_iterations - used), cfg.convergence_tol)
-            used += report.iterations
-            x = report.state
-            yield report
-            if report.converged:
-                return
-            if report.stagnated:
+        px = pz.project(x)
+        anderson = _Anderson(x.size)
+        for budget in _chunk_budgets(cfg.max_iterations):
+            best_progress = window_best = math.inf
+            flat_windows = 0
+            for it in range(budget):
+                y = _project_psd(x)
+                r = pz.residual(y)
+                fiber_dist = float(np.abs(r).max())
+                shadow = y + r[pz.index]
+                if fiber_dist <= tol:
+                    shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
+                    if shadow_eig >= -tol:
+                        yield DRReport(it + 1, shadow_eig, fiber_dist, shadow, converged=True)
+                        return
+                x, px = anderson.step(x, 2.0 * shadow - px - y, shadow)
+                # the iteration is non-monotone and plateaus before snapping to
+                # the answer, so stagnation needs both a running best and
+                # patience: five flat 200-evaluation windows in a row; the
+                # fiber distance bounds -lambda_min(shadow), so it alone is
+                # progress
+                best_progress = min(best_progress, fiber_dist)
+                if (it + 1) % 200 == 0:
+                    flat = best_progress >= 0.99 * window_best
+                    flat_windows = flat_windows + 1 if flat else 0
+                    window_best = best_progress
+                    if flat_windows >= 5:
+                        break
+            stagnated = flat_windows >= 5
+            shadow_eig = float(np.linalg.eigvalsh(px)[0])
+            yield DRReport(it + 1, shadow_eig, fiber_dist, px, stagnated=stagnated)
+            if stagnated:
                 break
 
 

@@ -159,6 +159,27 @@ class TestVerify:
         target.write_text(biquadratic_to_text(builtin("b_thm22").scale(F(-1))))
         assert main(["verify", str(target), str(dual)]) == EXIT_UNKNOWN
 
+    @pytest.mark.parametrize("kind", ["biq", "form"])
+    def test_hessian_form_dual_refutes_against_either_target(self, tmp_path, kind, capsys):
+        # a dual of y^T H_p(x) y, over 2n variables, refutes sos-convexity
+        # whether the target file holds the Hessian biquadratic or p itself
+        from sosconvex.biquadratic import biquadratic_to_text, hessian_biquadratic
+        from sosconvex.certificates import bidegree_basis
+        from sosconvex.search import check_sos_convexity
+
+        p = parse_poly_expression("x1^4-6*x1^2*x2^2+x2^4+x3^4", 3)
+        outcome = check_sos_convexity(p)
+        assert outcome.status == "Refuted"
+        values = dict(zip(outcome.dual.monomials, outcome.dual.c))
+        dual = tmp_path / "d.dcert"
+        lines = [str(values.get(m, 0)) for m in bidegree_basis(3, 2, 2)]
+        dual.write_text("\n".join(["ORDER: lex", "C:", *lines]) + "\n")
+        target = tmp_path / f"p.{kind}"
+        hessian = biquadratic_to_text(hessian_biquadratic(p))
+        target.write_text(hessian if kind == "biq" else form_to_text(p))
+        assert main(["verify", str(target), str(dual)]) == EXIT_FALSE
+        assert capsys.readouterr().out == "not SOS, pairing = -108\n"
+
     @pytest.mark.parametrize("token", ["nan", "1/0", "x"])
     def test_bad_rational_in_certificate_is_an_input_error(self, tmp_path, b_file, token,
                                                            capsys):

@@ -59,14 +59,14 @@ def test_corpus_verify_call(entry, capsys):
 def chunks(monkeypatch):
     """The DR evaluations of each chunk the search runs, in order."""
     evaluations = []
-    run = search._projection_run
+    run = search.douglas_rachford
 
     def counted(*args):
-        report = run(*args)
-        evaluations.append(report.iterations)
-        return report
+        for report in run(*args):
+            evaluations.append(report.iterations)
+            yield report
 
-    monkeypatch.setattr(search, "_projection_run", counted)
+    monkeypatch.setattr(search, "douglas_rachford", counted)
     return evaluations
 
 

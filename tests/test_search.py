@@ -227,36 +227,28 @@ class TestProjections:
     def test_stalled_iterations_skip_the_shadow_spectrum(self, monkeypatch):
         # one eigh per iteration for the PSD projection; the shadow's
         # eigvalsh only when the fiber distance is within tolerance, and
-        # once for the report
+        # once for each report
         pz = stalled_fiber()
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-        result = search._projection_run(pz, least_norm_point(pz), 200, 1e-8)
-        assert not result.converged and result.iterations == 200
-        assert len(calls) <= 1
+        reports = list(douglas_rachford(pz, SearchConfig(max_iterations=200, restarts=1)))
+        assert not any(r.converged for r in reports)
+        assert sum(r.iterations for r in reports) == 200
+        assert len(calls) <= len(reports)
 
-    def test_run_state_projects_to_its_fiber_point(self):
-        # P is affine, so the update x + P(2y - x) - y has P(x_next) equal
-        # to the shadow of x: the state a stalled chunk hands on projects
-        # to the fiber point it reports
+    def test_one_eigh_per_iteration_and_two_projections_per_restart(self, monkeypatch):
+        # the start point and its projection; P of every later point is
+        # carried, across chunk ends too
         pz = stalled_fiber()
-        report = search._projection_run(pz, least_norm_point(pz), 200, 1e-8)
-        assert not report.converged and report.iterations == 200
-        scale = np.abs(report.fiber_point).max()
-        assert np.abs(pz.project(report.state) - report.fiber_point).max() <= 1e-9 * scale
-
-    def test_one_eigh_per_iteration_and_one_projection_per_run(self, monkeypatch):
-        pz = stalled_fiber()
-        x0 = least_norm_point(pz)
         eighs, projections = [], []
         eigh, project = np.linalg.eigh, pz.project
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
         monkeypatch.setattr(pz, "project", lambda x: projections.append(1) or project(x))
-        report = search._projection_run(pz, x0, 200, 1e-8)
-        assert report.iterations == 200
+        reports = list(douglas_rachford(pz, SearchConfig(max_iterations=200, restarts=1)))
+        assert sum(r.iterations for r in reports) == 200
         assert len(eighs) == 200
-        assert len(projections) <= 1
+        assert len(projections) <= 2
 
     def test_random_start_on_a_stalled_fiber_stays_finite(self, monkeypatch):
         # no PSD point exists, so some Anderson candidates are rejected and
@@ -272,13 +264,13 @@ class TestProjections:
             return result
 
         monkeypatch.setattr(search._Anderson, "step", traced)
-        pz = stalled_fiber()
-        d = len(pz.z)
-        a = np.random.default_rng(5).standard_normal((d, d))
-        report = search._projection_run(pz, pz.project((a + a.T) / 2.0), 2000, 1e-8)
-        assert not report.converged
-        assert report.stagnated or report.iterations == 2000
-        assert np.isfinite(report.state).all() and np.isfinite(report.fiber_point).all()
+        # the second restart starts from a random symmetric matrix
+        cfg = SearchConfig(max_iterations=2000, restarts=2)
+        reports = list(douglas_rachford(stalled_fiber(), cfg))
+        assert not any(r.converged for r in reports)
+        assert sum(r.iterations for r in reports) == 4000 or any(r.stagnated for r in reports)
+        for r in reports:
+            assert np.isfinite(r.fiber_point).all() and math.isfinite(r.min_eigenvalue)
         assert any(accepted) and not all(accepted)
 
     def test_singular_anderson_solve_takes_the_plain_step(self):
@@ -303,16 +295,6 @@ class TestProjections:
         assert np.array_equal(nxt, x + g)
         assert anderson.count == 0 and not anderson.pending
 
-    def test_continued_chunks_match_one_run(self):
-        pz = stalled_fiber()
-        x0 = least_norm_point(pz)
-        first = search._projection_run(pz, x0, 100, 1e-8)
-        second = search._projection_run(pz, first.state, 100, 1e-8)
-        whole = search._projection_run(pz, x0, 200, 1e-8)
-        for a, b in [(second.state, whole.state), (second.fiber_point, whole.fiber_point)]:
-            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
-        assert second.fiber_distance == pytest.approx(whole.fiber_distance, rel=1e-9)
-
     def test_deterministic_given_seed(self):
         pz = parameterize(builtin("choi_biquadratic"), bilinears())
         cfg = SearchConfig(max_iterations=500, restarts=2, seed=42)
@@ -331,15 +313,15 @@ class TestSearchLoop:
 
     def test_one_pull_runs_one_chunk(self, monkeypatch):
         pz = stalled_fiber()
-        runs = []
-        run = search._projection_run
-        monkeypatch.setattr(search, "_projection_run", lambda *a: runs.append(a[2]) or run(*a))
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
         reports = douglas_rachford(pz, SearchConfig())
-        assert runs == []
+        assert eighs == []
         first = next(reports)
-        assert runs == [25] and first.iterations == 25 and not first.converged
+        assert len(eighs) == 25 and first.iterations == 25 and not first.converged
         next(reports)
-        assert runs == [25, 25]
+        assert len(eighs) == 50
 
     def test_chunk_ends_on_a_stalled_fiber(self):
         # the short chunks take the same steps as one run, so stagnation
@@ -350,16 +332,26 @@ class TestSearchLoop:
         assert ends == [25, 50, 100, 200, 600, 1400, 2600]
         assert reports[-1].stagnated and not any(r.stagnated for r in reports[:-1])
 
-    def test_chunk_ends_within_the_budget(self, monkeypatch):
+    def test_chunk_ends_within_the_budget(self):
         # a restart that never converges or stagnates spends its budget in
         # the four short chunks, then in doubling ones from 400
-        def never_stagnates(pz, x, budget, tol):
-            return search.DRReport(budget, -1.0, 1.0, x, x)
-
-        monkeypatch.setattr(search, "_projection_run", never_stagnates)
-        cfg = SearchConfig(max_iterations=10_000, restarts=1)
-        ends = list(itertools.accumulate(r.iterations for r in douglas_rachford(stalled_fiber(), cfg)))
+        ends = list(itertools.accumulate(search._chunk_budgets(10_000)))
         assert ends == [25, 50, 100, 200, 600, 1400, 3000, 6200, 10_000]
+
+    def test_chunk_ends_move_no_iterate(self, monkeypatch):
+        # the report at 200 evaluations is the same, bit for bit, whether
+        # the restart ran in chunks of 25, 25, 50 and 100 or in one chunk
+        cfg = SearchConfig(restarts=1)
+        fourth = list(itertools.islice(douglas_rachford(stalled_fiber(), cfg), 4))[-1]
+        monkeypatch.setattr(search, "_chunk_budgets", lambda budget: iter([200]))
+        (whole,) = douglas_rachford(stalled_fiber(), cfg)
+        assert whole.iterations == 200 and fourth.iterations == 100
+        assert whole.fiber_point.tobytes() == fourth.fiber_point.tobytes()
+        assert (whole.min_eigenvalue, whole.fiber_distance) == (
+            fourth.min_eigenvalue,
+            fourth.fiber_distance,
+        )
+        assert not (whole.converged or whole.stagnated or fourth.converged or fourth.stagnated)
 
     def test_rank_one_square_ends_numeric_feasible_on_the_converged_report(self):
         # (x1^3 - 2 x1^2 x2 + x1 x2^2 + x2^3)^2 has a rank-1 Gram matrix: DR
@@ -555,14 +547,14 @@ class TestRefutation:
         # every stalled chunk is offered to the gap rounding, so the first
         # 25-evaluation chunk already refutes
         iterations = []
-        run = search._projection_run
+        run = search.douglas_rachford
 
         def counted(*args):
-            result = run(*args)
-            iterations.append(result.iterations)
-            return result
+            for report in run(*args):
+                iterations.append(report.iterations)
+                yield report
 
-        monkeypatch.setattr(search, "_projection_run", counted)
+        monkeypatch.setattr(search, "douglas_rachford", counted)
         b = builtin(name)
         assert_integer_refutation(check_sos(b), b)
         assert sum(iterations) <= 25

@@ -266,18 +266,23 @@ def corpus_text(filename: str) -> str:
 
 
 def builtin(name: str):
-    """Load a corpus form or matrix by name.
+    """Load a corpus object by name, parsed by its file's extension.
 
     Names: choi_matrix (PolyMatrix), choi_biquadratic and b_thm22
-    (BiquadraticForm), f_lemma32 and q_reduction (Form). The shipped
-    certificates c_dual and q22_cert are loaded by dual.builtin_dual and
-    certificates.builtin_certificate.
+    (BiquadraticForm), f_lemma32 and q_reduction (Form), q22_cert
+    (SosCertificate, b_thm22 times x1^2 + x2^2) and c_dual (DualCertificate,
+    the shipped separating functional for b_thm22).
     """
+    from .certificates import certificate_from_text  # both import this module
+    from .dual import dual_from_text
+
     filename = BUILTIN_FILES.get(name, "")
     parse = {
         "polymat": polymatrix_from_text,
         "biq": biquadratic_from_text,
         "form": form_from_text,
+        "cert": certificate_from_text,
+        "dcert": dual_from_text,
     }.get(filename.rpartition(".")[2])
     if parse is None:
         raise ValueError(f"unknown builtin {name!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .biquadratic import BUILTIN_FILES, BiquadraticForm, _monomials, bidegree_basis, corpus_text
+from .biquadratic import BiquadraticForm, _monomials, bidegree_basis
 from .forms import (
     Form,
     FormatError,
@@ -508,8 +508,3 @@ def certificate_from_text(text: str) -> SosCertificate:
     if scale is None:
         scale = Fraction(1)
     return _build(SosCertificate, z, q, multiplier, scale)
-
-
-def builtin_certificate() -> SosCertificate:
-    """The shipped 15x15 certificate for (x1^2+x2^2) times the b_thm22 form."""
-    return certificate_from_text(corpus_text(BUILTIN_FILES["q22_cert"]))

@@ -135,9 +135,6 @@ def _parse_frac(text: str) -> Fraction:
 
 
 def cmd_dims(args) -> int:
-    if args.n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
     print(f"{dim_nary(args.n)} {dim_symmetric(args.n)} {dim_hessian(args.n)}")
     return EXIT_TRUE
 
@@ -212,9 +209,6 @@ def cmd_face(args) -> int:
     a = _parse_frac(args.a)
     b = _parse_frac(args.b)
     alphas = [_parse_frac(v) for v in args.alphas]
-    if len(alphas) != 5:
-        print("error: expected five alpha values", file=sys.stderr)
-        return EXIT_ERROR
     if a == 0 or b == 0:
         print("error: a and b must be nonzero for face queries", file=sys.stderr)
         return EXIT_ERROR
@@ -288,11 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sos", action="store_true")
     mode.add_argument("--sos-convex", action="store_true")
     mode.add_argument("--nonneg-mult", metavar="EXPR", help='e.g. "x1^2+x2^2"')
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--denominator-bound", type=int, default=2**16)
-    p.add_argument("--restarts", type=int, default=3)
+    defaults = SearchConfig()
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--max-iter", type=int, default=defaults.max_iterations)
+    p.add_argument("--tol", type=float, default=defaults.convergence_tol)
+    p.add_argument("--denominator-bound", type=int, default=defaults.denominator_bound)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
     p.add_argument("--out", help="certificate output path (default: TARGET.cert)")
     p.set_defaults(func=cmd_check)
 
@@ -325,10 +320,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

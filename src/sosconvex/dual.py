@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .biquadratic import BUILTIN_FILES, bidegree_basis, corpus_text, key_exponents
+from .biquadratic import bidegree_basis, key_exponents
 from .certificates import (
     LdltReport,
     Monomial,
@@ -134,8 +134,3 @@ def dual_from_text(text: str) -> DualCertificate:
     if len(values) != len(monomials):
         raise FormatError("vector length does not match the ordering")
     return DualCertificate(monomials, values)
-
-
-def builtin_dual() -> DualCertificate:
-    """The shipped separating functional for the b_thm22 form."""
-    return dual_from_text(corpus_text(BUILTIN_FILES["c_dual"]))

@@ -2,14 +2,15 @@
 
 The Gram fiber of a target over a monomial basis z is {Q symmetric :
 z^T Q z = target}. Every entry (r, s) of Q feeds exactly one monomial
-z_r z_s, so the fiber is held in closed form: an index map from entries to
-monomial ids, the number of ordered pairs reaching each monomial, and the
-exact target coefficients. All but the coefficients depend on the basis
-alone, so they are built once per basis (fiber_skeleton, a small bounded
-cache) and shared by every fiber, certificate and functional over it. The
-constraint map has A A^T diagonal, and the Frobenius projection onto the
-fiber is a per-monomial mean correction (Henrion-Malick): add to each entry
-its monomial's residual divided by its pair count.
+z_r z_s, so the fiber is held in closed form, one GramParameterization: an
+index map from entries to monomial ids, the number of ordered pairs reaching
+each monomial, and the exact target coefficients. All but the coefficients
+depend on the basis alone, so they are built once per basis, kept in a small
+bounded cache, and shared by every fiber, certificate and functional over
+it: a target binds to a shallow copy. The constraint map has A A^T
+diagonal, and the Frobenius projection onto the fiber is a per-monomial
+mean correction (Henrion-Malick): add to each entry its monomial's residual
+divided by its pair count.
 
 The pipeline runs Douglas-Rachford (DR) between the PSD cone and the fiber,
 one eigh and one fiber residual per evaluation of the DR map T: the fiber
@@ -57,18 +58,19 @@ monomial, that pairs negatively with every Gram matrix of the target: the
 moments of a separating functional on the fiber's monomials (Banjac et al.,
 the DR gap vector). After every chunk, refutation_search rounds them to
 primitive integer functionals on those monomials, screens each with one
-eigvalsh of its moment matrix against the same SCREEN_TOL, and a stalled
-search never claims "not SOS" unless verify_refutation accepts one on the
-same pruned basis. A target monomial that no product of two basis monomials
-reaches is refuted at once by the functional that is nonzero only there.
+eigvalsh of its moment matrix against the same SCREEN_TOL. A target
+monomial that no product of two basis monomials reaches is refuted at once
+by the functional that is nonzero only there. Every functional, these and
+the witness points below, passes one gate, _refuted: no search claims "not
+SOS" unless verify_refutation accepts it on the same pruned basis.
 
 A target whose terms all have bidegree (2, 2) at n_vars/2, every biquadratic
 target and the Hessian form of every quartic, is y^T A(x) y, and a point
 where it is negative refutes it too: the functional that evaluates there has
-a rank-1 moment matrix and pairs with the target to its value.
-check_sos runs witness_refutation once, after the first chunk whose gap does
-not refute: alternating eigen-steps in floats, integer rounding, an exact
-sign check on ints, and verify_refutation as the gate. For ternary quartics
+a rank-1 moment matrix and pairs with the target to its value, which the
+outcome's point holds. check_sos runs witness_refutation once, after the
+first chunk whose gap does not refute: alternating eigen-steps in floats,
+integer rounding, an exact sign check on ints, and the gate. For ternary quartics
 the route is complete: a convex ternary quartic is sos-convex (the paper's
 theorem), so when the Hessian form is not SOS there is an open set of points
 where it is negative, rational ones among them, though the float search can
@@ -78,6 +80,7 @@ for fixed y they are quartic in x, so their x step is no eigenproblem.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -104,79 +107,49 @@ from .dual import DualCertificate, RefutationResult, verify_refutation
 from .forms import Form, as_frac, shared_fraction
 
 
-@dataclass(frozen=True)
-class FiberSkeleton:
-    """The target-free part of the Gram fiber over a basis z, one per basis.
-
-    index[r, s] is the id of the monomial z_r z_s (read-only), monomials[m]
-    the monomial with id m and ids its inverse, counts[m] the number of
-    ordered pairs (r, s) reaching it; upper is the upper triangle, row by
-    row, as index arrays and as pairs, upper_ids its entries' monomial ids,
-    and count_den the lcm of the counts.
-    """
-
-    z: list[Monomial]
-    index: np.ndarray
-    monomials: list[Monomial]
-    ids: dict[Monomial, int]
-    counts: np.ndarray
-    upper: tuple[np.ndarray, np.ndarray]
-    pairs: list[tuple[int, int]]
-    upper_ids: list[int]
-    count_den: int
-
-
-@functools.lru_cache(maxsize=32)
-def fiber_skeleton(z: tuple[Monomial, ...]) -> FiberSkeleton:
-    """The FiberSkeleton of the basis z, shared by every fiber over it."""
-    ids: dict[Monomial, int] = {}
-    index = np.empty((len(z), len(z)), dtype=np.intp)
-    for r, zr in enumerate(z):
-        for s in range(r, len(z)):
-            mono = tuple(a + b for a, b in zip(zr, z[s]))
-            index[r, s] = index[s, r] = ids.setdefault(mono, len(ids))
-    counts = np.bincount(index.ravel())
-    upper = np.triu_indices(len(z))
-    for array in (index, counts, *upper):
-        array.flags.writeable = False
-    return FiberSkeleton(
-        z=list(z),
-        index=index,
-        monomials=list(ids),
-        ids=ids,
-        counts=counts,
-        upper=upper,
-        pairs=list(zip(*(ix.tolist() for ix in upper))),
-        upper_ids=index[upper].tolist(),
-        count_den=math.lcm(*counts.tolist()),
-    )
-
-
 class GramParameterization:
     """Closed-form Gram fiber {Q : sum of Q[r, s] over pairs reaching m = target[m]}.
 
-    index[r, s] is the id of the monomial z_r z_s, monomials[m] the monomial
-    with id m, counts[m] the number of ordered pairs (r, s) reaching it, and
-    target[m] its exact coefficient in the target. Everything but the target
-    comes from the basis's FiberSkeleton and is shared, not copied, by every
-    fiber over the same basis: the certificates and functionals of one basis
-    hold one z and one monomials list, and index cannot be written.
+    index[r, s] is the id of the monomial z_r z_s (read-only), monomials[m]
+    the monomial with id m and _ids its inverse, counts[m] the number of
+    ordered pairs (r, s) reaching it, and target[m] its exact coefficient;
+    _upper is the upper triangle, row by row, as index arrays (_pairs as
+    pairs), _upper_ids its monomial ids, _count_den the lcm of the counts.
+    All but the target is built once per basis (_basis_fiber) and shared:
+    with_target binds a target to a shallow copy.
     """
 
-    def __init__(self, skeleton: FiberSkeleton, target: list[Fraction]):
-        self.z = skeleton.z
-        self.index = skeleton.index
-        self.monomials = skeleton.monomials
-        self.counts = skeleton.counts
-        self.target = target
-        self._b = np.array([float(c) for c in target])
-        self._upper = skeleton.upper
-        self._pairs = skeleton.pairs
-        self._upper_ids = skeleton.upper_ids
-        self._count_den = skeleton.count_den
+    def __init__(self, z: tuple[Monomial, ...]):
+        ids: dict[Monomial, int] = {}
+        index = np.empty((len(z), len(z)), dtype=np.intp)
+        for r, zr in enumerate(z):
+            for s in range(r, len(z)):
+                mono = tuple(a + b for a, b in zip(zr, z[s]))
+                index[r, s] = index[s, r] = ids.setdefault(mono, len(ids))
+        counts = np.bincount(index.ravel())
+        upper = np.triu_indices(len(z))
+        for array in (index, counts, *upper):
+            array.flags.writeable = False
+        self.z = list(z)
+        self.index = index
+        self.monomials = list(ids)
+        self.counts = counts
+        self.target: list[Fraction] = []
+        self._ids = ids
+        self._upper = upper
+        self._pairs = list(zip(*(ix.tolist() for ix in upper)))
+        self._upper_ids = index[upper].tolist()
+        self._count_den = math.lcm(*counts.tolist())
+
+    def with_target(self, target: list[Fraction]) -> GramParameterization:
+        """A shallow copy of this fiber holding target, one value per monomial."""
+        pz = copy.copy(self)
+        pz.target = target
+        pz._b = np.array([float(c) for c in target])
         # the target over its common denominator, for the integer snap
-        self._target_den = math.lcm(*(t.denominator for t in target))
-        self._target_nums = [t.numerator * (self._target_den // t.denominator) for t in target]
+        pz._target_den = math.lcm(*(t.denominator for t in target))
+        pz._target_nums = [t.numerator * (pz._target_den // t.denominator) for t in target]
+        return pz
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Per monomial, the target coefficient minus x's sum over the pairs
@@ -270,6 +243,8 @@ class SearchOutcome:
     refutation: RefutationResult | None = None  # verify_refutation's verdict on dual
     residual: float | None = None
     diagnostics: str = ""
+    # a witness refutation's integer point (x, y) and the target's exact value there
+    point: tuple[tuple[int, ...], tuple[int, ...], Fraction] | None = None
 
     def is_certified(self) -> bool:
         return self.status == "ExactCertificate"
@@ -283,6 +258,10 @@ class UnrepresentableMonomial(ValueError):
         self.monomial = monomial
 
 
+# the target-free fibers of the last bases searched, shared by every fiber over each
+_basis_fiber = functools.lru_cache(maxsize=32)(GramParameterization)
+
+
 def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
     """The closed-form Gram fiber of the target over the basis z."""
     tf = _as_form(target)
@@ -291,12 +270,12 @@ def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
         raise ValueError("empty monomial basis")
     if any(len(m) != tf.n_vars for m in z):
         raise ValueError("basis and target variable counts disagree")
-    skeleton = fiber_skeleton(z)
+    fiber = _basis_fiber(z)
     for mono in tf.terms:
-        if mono not in skeleton.ids:
+        if mono not in fiber._ids:
             raise UnrepresentableMonomial(mono)
     zero = as_frac(0)
-    return GramParameterization(skeleton, [tf.terms.get(mono, zero) for mono in skeleton.monomials])
+    return fiber.with_target([tf.terms.get(mono, zero) for mono in fiber.monomials])
 
 
 # -- numeric search --------------------------------------------------------------
@@ -577,10 +556,19 @@ def rationalize_and_certify(
 # -- dual search -----------------------------------------------------------------
 
 
-def refutation_search(
-    target, pz: GramParameterization, f: np.ndarray
-) -> tuple[DualCertificate, RefutationResult] | None:
-    """An exactly verified dual refutation from the DR gap at a fiber point f.
+def _refuted(target, monomials, c, point=None) -> SearchOutcome | None:
+    """The Refuted outcome of the functional c on monomials, or None unless
+    verify_refutation, the one gate of every refutation, accepts it against
+    the target."""
+    dual = DualCertificate(monomials, c)
+    refutation = verify_refutation(dual, target)
+    if refutation:
+        return SearchOutcome("Refuted", dual=dual, refutation=refutation, point=point)
+    return None
+
+
+def refutation_search(target, pz: GramParameterization, f: np.ndarray) -> SearchOutcome | None:
+    """A Refuted outcome from the DR gap at a fiber point f.
 
     When the fiber and the PSD cone do not meet, Y = P_psd(f) - f tends to
     the DR gap vector (Banjac et al. 2019): Y is PSD, constant over the pairs
@@ -594,9 +582,9 @@ def refutation_search(
     Each is screened in floats like a primal rounding: skipped when its
     moment matrix has lambda_min below -SCREEN_TOL * max(1, max|M|), which an
     exactly PSD integer matrix never reads, so the screen only skips
-    candidates verify_refutation would reject. A candidate is returned, with
-    the RefutationResult that accepted it, only if verify_refutation accepts
-    it against the target; otherwise None.
+    candidates verify_refutation would reject. A candidate refutes only if
+    verify_refutation accepts it against the target (_refuted); otherwise
+    the result is None.
     """
     y = _project_psd(f) - f
     sums = np.bincount(pz.index.ravel(), weights=y.ravel(), minlength=len(pz.counts))
@@ -629,10 +617,9 @@ def refutation_search(
             moment = np.array(key, dtype=float)[pz.index]
             if np.linalg.eigvalsh(moment)[0] < -SCREEN_TOL * max(1.0, float(np.abs(moment).max())):
                 continue
-            cand = DualCertificate(pz.monomials, list(key))
-            result = verify_refutation(cand, target)
-            if result:
-                return cand, result
+            outcome = _refuted(target, pz.monomials, list(key))
+            if outcome is not None:
+                return outcome
     return None
 
 
@@ -643,7 +630,6 @@ WITNESS_STARTS = 8
 WITNESS_STEPS = 12
 WITNESS_SCALES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 WITNESS_TOL = 1e-12
-_WITNESS = "the target is"
 
 
 def _integer_point(v: np.ndarray, scale: int) -> tuple[int, ...] | None:
@@ -667,9 +653,10 @@ def witness_refutation(target, pz: GramParameterization, cfg: SearchConfig) -> S
     denominator. At a point where it is negative, the point-evaluation
     functional, with the integer moments x^a y^b on pz.monomials divided by
     their gcd, has the rank-1 moment matrix v v^T, v the basis evaluated at
-    the point, and pairs with the target to its value there: it goes to
-    verify_refutation, the one gate. Both screens only skip candidates.
-    None for any other target, or when no candidate is accepted.
+    the point, and pairs with the target to its value there, the exact sum
+    the sign check took: both go to _refuted, the one gate. Both screens
+    only skip candidates. None for any other target, or when no candidate
+    is accepted.
     """
     tf = _as_form(target)
     if _bidegree(tf) != (2, 2):
@@ -704,19 +691,15 @@ def witness_refutation(target, pz: GramParameterization, cfg: SearchConfig) -> S
             seen.add((xi, yi))
             p = xi + yi
             moments = [p[q0] * p[q1] * p[q2] * p[q3] for q0, q1, q2, q3 in quads]
-            if sum(t * v for t, v in zip(pz._target_nums, moments)) >= 0:
+            total = sum(t * v for t, v in zip(pz._target_nums, moments))
+            if total >= 0:
                 continue
             g = math.gcd(*moments)
-            dual = DualCertificate(pz.monomials, [v // g for v in moments])
-            refutation = verify_refutation(dual, tf)
-            if refutation:
-                value = refutation.pairing_value * g
-                return SearchOutcome(
-                    "Refuted",
-                    dual=dual,
-                    refutation=refutation,
-                    diagnostics=f"{_WITNESS} {value} < 0 at x = {xi}, y = {yi}",
-                )
+            value = Fraction(total, pz._target_den)
+            outcome = _refuted(tf, pz.monomials, [v // g for v in moments], (xi, yi, value))
+            if outcome is not None:
+                outcome.diagnostics = f"the target is {value} < 0 at x = {xi}, y = {yi}"
+                return outcome
     return None
 
 
@@ -747,10 +730,9 @@ def check_sos(
             # no z_r z_s reaches the monomial, so the functional that is
             # nonzero only there has a zero moment matrix
             sign = 1 if tf.terms[exc.monomial] < 0 else -1
-            dual = DualCertificate([exc.monomial], [sign])
-            refutation = verify_refutation(dual, tf)
-            if refutation:
-                return SearchOutcome("Refuted", dual=dual, refutation=refutation)
+            outcome = _refuted(tf, [exc.monomial], [sign])
+            if outcome is not None:
+                return outcome
         return SearchOutcome("Stalled", diagnostics=f"parameterization failed: {exc}")
 
     last_reason = ""
@@ -773,17 +755,14 @@ def check_sos(
         # a chunk that is not certified carries the DR gap, which may
         # separate the target from the SOS cone
         if multiplier is None:
-            found = refutation_search(tf, pz, report.fiber_point)
-            if found is not None:
-                dual, refutation = found
-                return SearchOutcome("Refuted", dual=dual, refutation=refutation)
+            outcome = refutation_search(tf, pz, report.fiber_point)
             # a point where the target is negative refutes it at any chunk,
             # so the witness search runs once, after the first gap fails
-            if not witness_tried:
+            if outcome is None and not witness_tried:
                 witness_tried = True
                 outcome = witness_refutation(tf, pz, cfg)
-                if outcome is not None:
-                    return outcome
+            if outcome is not None:
+                return outcome
     # every search yields at least one report, and a converged one is the last
     if report.converged:
         return SearchOutcome(
@@ -811,7 +790,9 @@ def check_sos_convexity(p: Form, cfg: SearchConfig | None = None) -> SearchOutco
         raise ValueError("sos-convexity requires even degree")
     outcome = check_sos(hessian_form(p), cfg)
     # the target is y^T H_p(x) y, so a witness point shows p is not convex
-    if outcome.diagnostics.startswith(_WITNESS):
-        value_at_point = outcome.diagnostics[len(_WITNESS) :]
-        outcome.diagnostics = f"y^T H(x) y ={value_at_point}, so the form is not convex"
+    if outcome.point is not None:
+        x, y, value = outcome.point
+        outcome.diagnostics = (
+            f"y^T H(x) y = {value} < 0 at x = {x}, y = {y}, so the form is not convex"
+        )
     return outcome

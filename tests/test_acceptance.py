@@ -26,13 +26,12 @@ from sosconvex.biquadratic import (
 from sosconvex.certificates import (
     Verdict,
     bidegree_basis,
-    builtin_certificate,
     ldlt_psd_check,
     sos_basis,
     verify_sos_certificate,
 )
 from sosconvex.cli import main
-from sosconvex.dual import builtin_dual, moment_matrix, pairing
+from sosconvex.dual import moment_matrix, pairing
 from sosconvex.face import (
     FaceParams,
     additional_zero_quadratic,
@@ -89,7 +88,7 @@ def random_params(rng):
 
 def test_criterion_01_gram_certificate_replication():
     with criterion(1, 1.0):
-        cert = builtin_certificate()
+        cert = builtin("q22_cert")
         b = builtin("b_thm22")
         assert cert.scale == F(1, 384)
         assert len(cert.z) == 15 and cert.q.dim == 15
@@ -110,7 +109,7 @@ def test_criterion_02_dual_certificate_replication():
         [34, 1, -23, 1, 12, -18, -23, -18, 37],
     ]
     with criterion(2, 1.0):
-        c = builtin_dual()
+        c = builtin("c_dual")
         assert pairing(c, builtin("b_thm22")) == -37
         mm = moment_matrix(c, sos_basis(builtin("b_thm22")))
         assert [[int(v) for v in row] for row in mm.rows] == reference

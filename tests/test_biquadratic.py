@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from sosconvex.biquadratic import (
+    BUILTIN_FILES,
     BiquadraticForm,
     _monomials,
     _quadratic_in_y,
@@ -26,8 +27,10 @@ from sosconvex.biquadratic import (
     is_symmetric,
     swap_xy,
 )
+from sosconvex.certificates import SosCertificate
 from sosconvex.cli import main
-from sosconvex.forms import Form, FormatError, hessian
+from sosconvex.dual import DualCertificate
+from sosconvex.forms import Form, FormatError, PolyMatrix, hessian
 
 
 def random_quartic(rng, n=3):
@@ -231,7 +234,16 @@ class TestCorpus:
         with pytest.raises(ValueError):
             builtin("nope")
 
-    @pytest.mark.parametrize("name", ["c_dual", "q22_cert"])
-    def test_certificates_are_not_parsed_as_forms(self, name):
-        with pytest.raises(ValueError):
-            builtin(name)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FILES))
+    def test_each_name_loads_to_its_type(self, name):
+        # parsed by extension, certificates included; a new name needs a kind
+        kinds = {
+            "b_thm22": BiquadraticForm,
+            "c_dual": DualCertificate,
+            "choi_biquadratic": BiquadraticForm,
+            "choi_matrix": PolyMatrix,
+            "f_lemma32": Form,
+            "q_reduction": Form,
+            "q22_cert": SosCertificate,
+        }
+        assert type(builtin(name)) is kinds[name]

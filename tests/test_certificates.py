@@ -14,7 +14,6 @@ from sosconvex.certificates import (
     SosVerification,
     SymRationalMatrix,
     Verdict,
-    builtin_certificate,
     certificate_from_text,
     certificate_to_text,
     det,
@@ -180,7 +179,7 @@ class TestLdltAgainstReference:
         assert_matches_reference(certificate_from_text(path.read_text()).q)
 
     def test_shipped_certificate(self):
-        assert_matches_reference(builtin_certificate().q)
+        assert_matches_reference(builtin("q22_cert").q)
 
     @pytest.mark.parametrize(
         "rows",
@@ -338,16 +337,16 @@ class TestGramExpand:
 class TestVerification:
     def test_builtin_certificate_accepted(self):
         b = builtin("b_thm22")
-        result = verify_sos_certificate(b, builtin_certificate())
+        result = verify_sos_certificate(b, builtin("q22_cert"))
         assert result.accepted
 
     def test_builtin_q_positive_definite(self):
-        report = ldlt_psd_check(builtin_certificate().q)
+        report = ldlt_psd_check(builtin("q22_cert").q)
         assert report.verdict is Verdict.POSITIVE_DEFINITE
 
     def test_builtin_identity_via_sympy(self):
         # independent oracle: 384 (x1^2 + x2^2) b == z^T Q z symbolically
-        cert = builtin_certificate()
+        cert = builtin("q22_cert")
         b = builtin("b_thm22")
         xs = sympy.symbols("v1:7")
         z = [sympy.prod(s**e for s, e in zip(xs, m)) for m in cert.z]
@@ -363,7 +362,7 @@ class TestVerification:
         assert sympy.simplify(lhs - rhs) == 0
 
     def test_tampered_entry_rejected_with_mismatch(self):
-        cert = builtin_certificate()
+        cert = builtin("q22_cert")
         rows = [list(r) for r in cert.q.rows]
         rows[0][0] += 1
         bad = SosCertificate(cert.z, SymRationalMatrix(rows), cert.multiplier, cert.scale)
@@ -401,7 +400,7 @@ class TestVerification:
 
 class TestSerialization:
     def test_roundtrip(self):
-        cert = builtin_certificate()
+        cert = builtin("q22_cert")
         text = certificate_to_text(cert, block=3)
         again = certificate_from_text(text)
         assert again.z == cert.z and again.q == cert.q

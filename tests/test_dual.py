@@ -10,7 +10,6 @@ from sosconvex.biquadratic import BiquadraticForm, _monomials, builtin, hessian_
 from sosconvex.certificates import Verdict, ldlt_psd_check, sos_basis
 from sosconvex.dual import (
     DualCertificate,
-    builtin_dual,
     dual_from_text,
     moment_matrix,
     pairing,
@@ -35,10 +34,10 @@ REFERENCE_MOMENT = [
 
 class TestPairing:
     def test_reference_pairing_value(self):
-        assert pairing(builtin_dual(), builtin("b_thm22")) == -37
+        assert pairing(builtin("c_dual"), builtin("b_thm22")) == -37
 
     def test_pairing_is_linear(self):
-        cert = builtin_dual()
+        cert = builtin("c_dual")
         b = builtin("b_thm22")
         assert pairing(cert, b.scale(F(3))) == -111
 
@@ -52,29 +51,29 @@ class TestPairing:
 class TestMomentMatrix:
     def test_matches_reference(self):
         z = sos_basis(builtin("b_thm22"))
-        mm = moment_matrix(builtin_dual(), z)
+        mm = moment_matrix(builtin("c_dual"), z)
         assert [[int(v) for v in row] for row in mm.rows] == REFERENCE_MOMENT
 
     def test_positive_definite(self):
         z = sos_basis(builtin("b_thm22"))
-        report = ldlt_psd_check(moment_matrix(builtin_dual(), z))
+        report = ldlt_psd_check(moment_matrix(builtin("c_dual"), z))
         assert report.verdict is Verdict.POSITIVE_DEFINITE
 
 
 class TestRefutation:
     def test_builtin_refutes_b(self):
-        result = verify_refutation(builtin_dual(), builtin("b_thm22"))
+        result = verify_refutation(builtin("c_dual"), builtin("b_thm22"))
         assert result.accepted
         assert result.pairing_value == -37
         assert "pairing = -37" in result.reason
 
     def test_nonnegative_pairing_rejected(self):
-        cert = builtin_dual()
+        cert = builtin("c_dual")
         result = verify_refutation(cert, builtin("b_thm22").scale(F(-1)))
         assert not result.accepted and result.pairing_value == 37
 
     def test_non_psd_moment_rejected(self):
-        cert = builtin_dual()
+        cert = builtin("c_dual")
         flipped = DualCertificate(cert.monomials, [-v for v in cert.c])
         result = verify_refutation(flipped, builtin("b_thm22"))
         assert not result.accepted
@@ -116,7 +115,7 @@ class TestRefutation:
 class TestSerialization:
     def test_parse_builtin36(self):
         # the builtin36 ordering starts at x3^2 y3^2, then x3^2 y2 y3
-        cert = builtin_dual()
+        cert = builtin("c_dual")
         assert len(cert.monomials) == len(cert.c) == 36
         assert cert.monomials[:2] == [(0, 0, 2, 0, 0, 2), (0, 0, 2, 0, 1, 1)]
         assert cert.monomials[-1] == (2, 0, 0, 2, 0, 0)
@@ -148,7 +147,7 @@ class TestSerialization:
         # block, x-block pairs outermost
         pairs = [(i, j) for i in range(1, 4) for j in range(i, 4)]
         lex = [key_exponents(3, (*p, *q)) for p in pairs for q in pairs]
-        shipped = builtin_dual()
+        shipped = builtin("c_dual")
         values = dict(zip(shipped.monomials, shipped.c))
         cert = dual_from_text("ORDER: lex\nC:\n" + "".join(f"{values[m]}\n" for m in lex))
         assert cert.monomials == lex

@@ -25,7 +25,7 @@ from sosconvex.certificates import (
     verify_sos_certificate,
 )
 from sosconvex.cli import parse_poly_expression
-from sosconvex.dual import RefutationResult, moment_matrix, builtin_dual, verify_refutation
+from sosconvex.dual import RefutationResult, moment_matrix, verify_refutation
 from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
 from sosconvex.forms import Form, as_frac
 from sosconvex.search import (
@@ -407,6 +407,7 @@ class TestSharedWitnessParts:
         p = face_at_bound(1, 1, [1, 2, 3, 4])
         first, second = check_sos_convexity(p), check_sos_convexity(p)
         assert first.is_certified() and second.is_certified()
+        assert first.point is None
         assert first.certificate.z is second.certificate.z
         entries = {}
         for cert in (first.certificate, second.certificate):
@@ -417,6 +418,20 @@ class TestSharedWitnessParts:
     def test_integer_fractions_are_shared(self):
         assert as_frac(7) is as_frac(7)
         assert as_frac(7) == F(7)
+
+    def test_binding_a_target_leaves_the_cache_alone(self):
+        z = bilinears()
+        b, choi = builtin("b_thm22"), builtin("choi_biquadratic")
+        first, second = parameterize(b, z), parameterize(choi, z)
+        assert first.z is second.z
+        assert first.index is second.index
+        assert first.monomials is second.monomials
+        # each keeps its own target, and snaps onto its own fiber
+        assert first.target != second.target
+        upper = [F(0)] * 45
+        assert gram_expand(z, snap_fractions(first, upper)) == b.to_form()
+        assert gram_expand(z, snap_fractions(second, upper)) == choi.to_form()
+        assert search._basis_fiber(tuple(z)).target == []
 
     def test_fiber_index_is_read_only(self):
         pz = stalled_fiber()
@@ -556,8 +571,20 @@ class TestRefutation:
 
         monkeypatch.setattr(search, "douglas_rachford", counted)
         b = builtin(name)
-        assert_integer_refutation(check_sos(b), b)
+        outcome = check_sos(b)
+        assert_integer_refutation(outcome, b)
         assert sum(iterations) <= 25
+        # nonnegative forms: the gap refutes, and no witness point exists
+        assert outcome.point is None and outcome.diagnostics == ""
+
+    def test_refutation_search_returns_a_refuted_outcome(self):
+        b = builtin("b_thm22")
+        pz = stalled_fiber()
+        first = next(douglas_rachford(pz, SearchConfig()))
+        outcome = search.refutation_search(b, pz, first.fiber_point)
+        assert_integer_refutation(outcome, b)
+        assert outcome.refutation == verify_refutation(outcome.dual, b)
+        assert outcome.point is None
 
     @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
     def test_plain_form_target_refuted(self, name):
@@ -636,7 +663,7 @@ class TestRefutation:
             assert (a.dual.monomials, a.dual.c) == (b.dual.monomials, b.dual.c)
 
     def test_moment_matrix_all_positive(self):
-        mm = moment_matrix(builtin_dual(), sos_basis(builtin("b_thm22")))
+        mm = moment_matrix(builtin("c_dual"), sos_basis(builtin("b_thm22")))
         floated = np.array([[float(v) for v in row] for row in mm.rows])
         vals, vecs = np.linalg.eigh(floated)
         assert vals[0] > 0
@@ -670,9 +697,13 @@ class TestWitness:
         h = hessian_form(p)
         assert_integer_refutation(outcome, h)
         assert rank(moment_matrix(outcome.dual, sos_basis(h)).rows) == 1
-        value, _, point = outcome.diagnostics.removeprefix("y^T H(x) y = ").partition(" < 0 at ")
-        assert F(value) < 0 and point.startswith("x = (")
-        assert outcome.diagnostics.endswith(", so the form is not convex")
+        # the point holds the integer (x, y) and the exact value there
+        x, y, value = outcome.point
+        assert all(isinstance(v, int) for v in x + y)
+        assert h.evaluate(x + y) == value < 0
+        assert outcome.diagnostics == (
+            f"y^T H(x) y = {value} < 0 at x = {x}, y = {y}, so the form is not convex"
+        )
 
     @settings(
         derandomize=True,
@@ -705,7 +736,9 @@ class TestWitness:
         # with the gate refusing everything, no witness is returned
         fp = FaceParams(1, 1)
         h = hessian_form(face_form([1, 1, 1, 1, alpha5_lower_bound([1, 1, 1, 1], fp) - 1], fp))
-        assert witness_on(h) is not None
+        found = witness_on(h)
+        x, y, value = found.point
+        assert found.diagnostics == f"the target is {value} < 0 at x = {x}, y = {y}"
         calls = []
 
         def refuse(cert, target):

@@ -265,28 +265,35 @@ def corpus_text(filename: str) -> str:
     return resources.files("sosconvex.data").joinpath(filename).read_text()
 
 
-def builtin(name: str):
-    """Load a corpus object by name, parsed by its file's extension.
-
-    Names: choi_matrix (PolyMatrix), choi_biquadratic and b_thm22
-    (BiquadraticForm), f_lemma32 and q_reduction (Form), q22_cert
-    (SosCertificate, b_thm22 times x1^2 + x2^2) and c_dual (DualCertificate,
-    the shipped separating functional for b_thm22).
-    """
+def from_text(text: str, kinds: Sequence[str] = ("form", "polymat", "biq", "dual", "certificate")):
+    """Parse a file by the first word of its first content line, in any case:
+    `form`, `polymat`, `biq` and `order:...` (a dual) name their kinds; any
+    other word, or a kind not among kinds, reads as a certificate, whose
+    sections may come in any order. If that is not among kinds either,
+    FormatError is raised before any parser runs. Parsers are looked up per
+    call, so a wrapped one sees each parse."""
     from .certificates import certificate_from_text  # both import this module
     from .dual import dual_from_text
 
-    filename = BUILTIN_FILES.get(name, "")
-    parse = {
-        "polymat": polymatrix_from_text,
-        "biq": biquadratic_from_text,
-        "form": form_from_text,
-        "cert": certificate_from_text,
-        "dcert": dual_from_text,
-    }.get(filename.rpartition(".")[2])
-    if parse is None:
+    words = next(filter(None, (raw.split("#", 1)[0].split() for raw in text.splitlines())), [""])
+    head = words[0].lower()
+    parsers = {"form": form_from_text, "polymat": polymatrix_from_text,
+               "biq": biquadratic_from_text, "dual": dual_from_text}
+    named = "dual" if head.startswith("order:") else head
+    kind = named if named in kinds and named in parsers else "certificate"
+    if kind not in kinds:
+        raise FormatError(f"unrecognized header {head!r} (expected {' or '.join(map(repr, kinds))})")
+    return parsers.get(kind, certificate_from_text)(text)
+
+
+def builtin(name: str):
+    """Load a corpus object by name with `from_text`: the PolyMatrix
+    choi_matrix, the biq forms choi_biquadratic and b_thm22, the forms
+    f_lemma32 and q_reduction, the SosCertificate q22_cert (b_thm22 times
+    x1^2 + x2^2) and the DualCertificate c_dual that refutes b_thm22."""
+    if name not in BUILTIN_FILES:
         raise ValueError(f"unknown builtin {name!r}")
-    return parse(corpus_text(filename))
+    return from_text(corpus_text(BUILTIN_FILES[name]))
 
 
 # -- brute-force dimension oracles (used by the verification suites) ----------

@@ -56,16 +56,6 @@ class SymRationalMatrix:
         self.dim = dim
         self.rows = grid
 
-    @staticmethod
-    def zero(dim: int) -> "SymRationalMatrix":
-        return SymRationalMatrix([[Fraction(0)] * dim for _ in range(dim)])
-
-    @staticmethod
-    def identity(dim: int) -> "SymRationalMatrix":
-        return SymRationalMatrix(
-            [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-        )
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.rows[i - 1][j - 1]
@@ -74,21 +64,6 @@ class SymRationalMatrix:
         if not isinstance(other, SymRationalMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __add__(self, other: "SymRationalMatrix") -> "SymRationalMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SymRationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def scale(self, t) -> "SymRationalMatrix":
-        t = as_frac(t)
-        return SymRationalMatrix([[t * v for v in r] for r in self.rows])
-
-    def mat_vec(self, v: Sequence) -> list[Fraction]:
-        v = [as_frac(x) for x in v]
-        return [sum(map(operator.mul, row, v), Fraction(0)) for row in self.rows]
 
     def det(self) -> Fraction:
         return det(self.rows)
@@ -309,24 +284,24 @@ def _prune_basis(z: list[Monomial], tf: Form) -> list[Monomial]:
 
     If the target coefficient of 2m is zero and no cross product z_r z_s
     (r != s) reaches 2m, then Q[m,m] = 0 in every Gram and PSD forces the
-    whole row to vanish; iterate to a fixed point.
+    whole row to vanish; iterate to a fixed point. A cross product reaches
+    2m exactly when some basis monomial w != m has its reflection through m,
+    2m - w, in the basis too: one pass over z per monomial, not over pairs.
     """
     z = list(z)
+    live = set(z)
     changed = True
     while changed:
         changed = False
         for m in list(z):
             sq = tuple(2 * e for e in m)
-            if tf.terms.get(sq, Fraction(0)) != 0:
+            if tf.terms.get(sq, 0) or any(
+                w != m and tuple(map(operator.sub, sq, w)) in live for w in z
+            ):
                 continue
-            reachable = any(
-                tuple(map(operator.add, z[r], z[s])) == sq
-                for r in range(len(z))
-                for s in range(r + 1, len(z))
-            )
-            if not reachable:
-                z.remove(m)
-                changed = True
+            z.remove(m)
+            live.remove(m)
+            changed = True
     return z
 
 

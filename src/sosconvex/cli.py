@@ -16,15 +16,15 @@ from fractions import Fraction
 from .biquadratic import (
     BUILTIN_FILES,
     BiquadraticForm,
-    biquadratic_from_text,
     corpus_text,
     dim_hessian,
     dim_nary,
     dim_symmetric,
+    from_text,
     hessian_form,
 )
-from .certificates import certificate_from_text, certificate_to_text, verify_sos_certificate
-from .dual import dual_from_text, verify_refutation
+from .certificates import certificate_to_text, verify_sos_certificate
+from .dual import DualCertificate, verify_refutation
 from .face import (
     DegenerateZeroSearch,
     FaceParams,
@@ -33,7 +33,7 @@ from .face import (
     gram_M,
     require_positive_tol,
 )
-from .forms import Form, FormatError, fmt_frac, form_from_text
+from .forms import Form, FormatError, fmt_frac
 from .search import SearchConfig, check_sos, check_sos_convexity
 
 EXIT_TRUE = 0
@@ -55,22 +55,6 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from exc
-
-
-def _head(text: str) -> str:
-    """First word of the first content line, lower-cased; '' for no content."""
-    line = next(filter(None, (raw.split("#", 1)[0].strip() for raw in text.splitlines())), "")
-    return line.split()[0].lower() if line else ""
-
-
-def _load_target(text: str):
-    """Returns a Form or a BiquadraticForm based on the file header."""
-    head = _head(text)
-    if head == "biq":
-        return biquadratic_from_text(text)
-    if head == "form":
-        return form_from_text(text)
-    raise FormatError(f"unrecognized target header {head!r} (expected 'form' or 'biq')")
 
 
 _TERM_RE = re.compile(
@@ -140,10 +124,9 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    target = _load_target(_read(args.target))
-    cert_text = _read(args.certificate)
-    is_dual = _head(cert_text).startswith("order:")
-    witness = dual_from_text(cert_text) if is_dual else certificate_from_text(cert_text)
+    target = from_text(_read(args.target), ("form", "biq"))
+    witness = from_text(_read(args.certificate), ("dual", "certificate"))
+    is_dual = isinstance(witness, DualCertificate)
     monomials = witness.monomials if is_dual else witness.z
     if (
         isinstance(target, Form)
@@ -163,7 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    target = _load_target(_read(args.target))
+    target = from_text(_read(args.target), ("form", "biq"))
     cfg = SearchConfig(
         max_iterations=args.max_iter,
         convergence_tol=args.tol,

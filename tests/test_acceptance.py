@@ -10,6 +10,7 @@ import random
 import sys
 import time
 from fractions import Fraction as F
+from operator import mul
 
 from sosconvex.biquadratic import (
     BiquadraticForm,
@@ -167,7 +168,8 @@ def test_criterion_07_gram_M_identity_and_determinant():
             at_bound = gram_M(alphas + [bound], fp)
             assert det_M_closed(alphas + [bound], fp) == 0
             assert ldlt_psd_check(at_bound).verdict is Verdict.POSITIVE_SEMIDEFINITE
-            assert at_bound.mat_vec(kernel_vector(alphas + [bound], fp)) == [0] * 5
+            v = kernel_vector(alphas + [bound], fp)
+            assert [sum(map(mul, row, v)) for row in at_bound.rows] == [0] * 5
             below = gram_M(alphas + [bound - F(1, 10)], fp)
             assert ldlt_psd_check(below).verdict is Verdict.NOT_PSD
 

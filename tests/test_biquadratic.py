@@ -236,7 +236,7 @@ class TestCorpus:
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_FILES))
     def test_each_name_loads_to_its_type(self, name):
-        # parsed by extension, certificates included; a new name needs a kind
+        # read by from_text, certificates included; a new name needs a kind
         kinds = {
             "b_thm22": BiquadraticForm,
             "c_dual": DualCertificate,

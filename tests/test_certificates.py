@@ -14,6 +14,7 @@ from sosconvex.certificates import (
     SosVerification,
     SymRationalMatrix,
     Verdict,
+    _basis,
     certificate_from_text,
     certificate_to_text,
     det,
@@ -21,6 +22,7 @@ from sosconvex.certificates import (
     is_even_power_sum,
     ldlt_psd_check,
     rank,
+    sos_basis,
     unit_multiplier,
     verify_sos_certificate,
 )
@@ -29,10 +31,12 @@ from sosconvex.forms import Form, FormatError, form_from_text
 
 class TestLdlt:
     def test_identity_positive_definite(self):
-        assert ldlt_psd_check(SymRationalMatrix.identity(4)).verdict is Verdict.POSITIVE_DEFINITE
+        identity = SymRationalMatrix([[int(i == j) for j in range(4)] for i in range(4)])
+        assert ldlt_psd_check(identity).verdict is Verdict.POSITIVE_DEFINITE
 
     def test_zero_positive_semidefinite(self):
-        assert ldlt_psd_check(SymRationalMatrix.zero(3)).verdict is Verdict.POSITIVE_SEMIDEFINITE
+        zero = SymRationalMatrix([[0] * 3 for _ in range(3)])
+        assert ldlt_psd_check(zero).verdict is Verdict.POSITIVE_SEMIDEFINITE
 
     def test_negative_pivot_rejected(self):
         m = SymRationalMatrix([[F(1), F(2)], [F(2), F(1)]])
@@ -331,7 +335,61 @@ class TestGramExpand:
 
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
-            gram_expand([(1, 0)], SymRationalMatrix.identity(2))
+            gram_expand([(1, 0)], SymRationalMatrix([[1, 0], [0, 1]]))
+
+
+def pair_loop_prune(z, tf, sweeps=None):
+    """Basis pruning with a double loop over the pairs z_r z_s (r < s) for
+    each monomial, swept to a fixed point or at most `sweeps` times."""
+    z = list(z)
+    changed = True
+    while changed and sweeps != 0:
+        changed = False
+        sweeps = None if sweeps is None else sweeps - 1
+        for m in list(z):
+            sq = tuple(2 * e for e in m)
+            if tf.terms.get(sq, F(0)) != 0:
+                continue
+            reachable = any(
+                tuple(a + b for a, b in zip(z[r], z[s_])) == sq
+                for r in range(len(z))
+                for s_ in range(r + 1, len(z))
+            )
+            if not reachable:
+                z.remove(m)
+                changed = True
+    return z
+
+
+@st.composite
+def pruning_targets(draw):
+    """A form in 1-4 variables of degree 2, 4 or 6 with up to eight small
+    integer terms, or its Hessian form y^T H(x) y."""
+    n = draw(st.integers(1, 4))
+    monos = _monomials(n, draw(st.sampled_from([2, 4, 6])))
+    support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=8, unique=True))
+    coeffs = draw(st.lists(st.sampled_from([-3, -1, 1, 2, 5]), min_size=len(support),
+                           max_size=len(support)))
+    p = Form(n, sum(monos[0]), dict(zip(support, map(F, coeffs))))
+    return hessian_form(p) if draw(st.booleans()) else p
+
+
+class TestSosBasis:
+    """sos_basis prunes by reflection as the pair loop over the basis does."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(pruning_targets())
+    def test_matches_the_pair_loop(self, target):
+        assert sos_basis(target) == pair_loop_prune(_basis(target), target)
+
+    def test_a_removal_can_need_a_second_sweep(self):
+        # x1^2 x2^2 is reached only by x1^2 * x2^2, and x2^2 goes later in the
+        # first sweep, since no x2^4 is in the target; x1 x2 goes in the second
+        target = Form(2, 4, {(4, 0): F(1), (3, 1): F(1)})
+        z = _basis(target)
+        assert z == [(2, 0), (1, 1), (0, 2)]
+        assert pair_loop_prune(z, target, sweeps=1) == [(2, 0), (1, 1)]
+        assert sos_basis(target) == pair_loop_prune(z, target) == [(2, 0)]
 
 
 class TestVerification:

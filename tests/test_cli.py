@@ -1,6 +1,9 @@
 """Tests for the command-line interface and its exit codes."""
 
 import argparse
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +11,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sosconvex.biquadratic import BUILTIN_FILES, corpus_text
 from sosconvex.cli import (
     EXIT_ERROR,
     EXIT_FALSE,
@@ -191,6 +196,112 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path, b_file):
         assert main(["verify", b_file, str(tmp_path / "absent")]) == EXIT_ERROR
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+# every shipped file and every file of the benchmark's verify corpus
+CORPUS_TEXTS = [corpus_text(name) for name in sorted(BUILTIN_FILES.values())] + [
+    path.read_text() for path in sorted((CORPUS / "verify").iterdir())
+]
+CORPUS_LINES = sorted({line for text in CORPUS_TEXTS for line in text.splitlines()})
+# the (target, witness) pairs of the benchmark's verify calls
+VERIFY_PAIRS = [
+    tuple((CORPUS / rel).read_text() for rel in entry["argv"][1:])
+    for entry in json.loads((CORPUS / "manifest.json").read_text())["workloads"]["verify"]
+    if entry["argv"][0] == "verify"
+]
+
+
+def mutate(draw, text):
+    """text after up to three line-level edits: a line deleted, repeated,
+    swapped with another, replaced by or inserted from any corpus file."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["delete", "repeat", "swap", "replace", "insert"]))
+        if op == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(CORPUS_LINES)))
+            continue
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if op == "delete":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = draw(st.sampled_from(CORPUS_LINES))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def mutated_verify_files(draw):
+    """A benchmark verify pair or any two corpus files, each mutated."""
+    files = st.sampled_from(CORPUS_TEXTS)
+    pair = draw(st.one_of(st.sampled_from(VERIFY_PAIRS), st.tuples(files, files)))
+    return tuple(mutate(draw, text) for text in pair)
+
+
+class TestMalformedInput:
+    """Any file pair gets an exit code; nothing escapes main."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_verify_files())
+    def test_mutated_files_get_an_exit_code(self, tmp_path, files):
+        for name, text in zip("tw", files):
+            (tmp_path / name).write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", str(tmp_path / "t"), str(tmp_path / "w")])
+        assert code in (EXIT_TRUE, EXIT_FALSE, EXIT_UNKNOWN, EXIT_ERROR)
+
+    def test_certificate_sections_in_any_order(self, tmp_path, b_file):
+        text = corpus_text("q22_cert.cert")
+        z, q = text.split("Q:")
+        assert z.startswith("Z:")
+        cert = tmp_path / "q_first.cert"
+        cert.write_text("Q:" + q.replace("MULTIPLIER:", z + "MULTIPLIER:"))
+        assert cert.read_text().startswith("Q:")
+        assert main(["verify", b_file, str(cert)]) == EXIT_TRUE
+
+    def test_certificate_as_target(self, tmp_path, capsys):
+        cert = tmp_path / "q22.cert"
+        main(["builtin", "q22_cert", str(cert)])
+        assert main(["verify", str(cert), str(cert)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: unrecognized header 'z:' (expected 'form' or 'biq')\n"
+
+    def test_misspelled_target_header(self, tmp_path, b_file, capsys):
+        target = tmp_path / "b.bq"
+        target.write_text(Path(b_file).read_text().replace("biq", "bq", 1))
+        assert main(["check", str(target), "--sos"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: unrecognized header 'bq' (expected 'form' or 'biq')\n"
+
+    def test_form_as_witness(self, b_file, b_form_file, capsys):
+        # a witness that is not a dual is read as a certificate
+        assert main(["verify", b_file, b_form_file]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: content outside any section: 'form ")
+
+    @pytest.mark.parametrize("argv", [["verify", "{big}", "{cert}"], ["verify", "{b}", "{big}"],
+                                      ["check", "{big}", "--sos"]])
+    def test_polymat_file_refused_before_parsing(self, tmp_path, b_file, argv, monkeypatch):
+        # its header alone would have the parser build a dim x dim grid
+        from sosconvex import biquadratic
+
+        def unwanted(text):
+            raise AssertionError("polymat parser ran")
+
+        monkeypatch.setattr(biquadratic, "polymatrix_from_text", unwanted)
+        big = tmp_path / "big.polymat"
+        big.write_text("polymat n=1 dim=100000 d=0\n")
+        cert = tmp_path / "q22.cert"
+        main(["builtin", "q22_cert", str(cert)])
+        files = {"big": big, "cert": cert, "b": b_file}
+        assert main([arg.format(**files) for arg in argv]) == EXIT_ERROR
+
+    def test_empty_witness(self, tmp_path, b_file, capsys):
+        empty = tmp_path / "empty.cert"
+        empty.write_text("# no content\n\n")
+        assert main(["verify", b_file, str(empty)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: missing section Z:\n"
 
 
 class TestCheck:

@@ -131,7 +131,8 @@ class TestParameterize:
             point = snap_fractions(pz, random_upper(pz, rng))
             assert gram_expand(pz.z, point) == tf
             # the difference of two fiber points is a kernel direction
-            assert gram_expand(pz.z, point + base.scale(-1)).is_zero()
+            diff = [[p - b for p, b in zip(*rows)] for rows in zip(point.rows, base.rows)]
+            assert gram_expand(pz.z, SymRationalMatrix(diff)).is_zero()
 
     @pytest.mark.parametrize(
         "target, z",

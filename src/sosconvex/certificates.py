@@ -433,6 +433,8 @@ def certificate_from_text(text: str) -> SosCertificate:
     for ln in _content_lines(text):
         upper = ln.upper()
         if upper.startswith("SCALE:"):
+            if scale is not None:
+                raise FormatError(f"duplicate scale: {ln!r}")
             try:
                 scale = tokens[ln.split(":", 1)[1].strip()]
             except (ValueError, ZeroDivisionError) as exc:
@@ -440,6 +442,8 @@ def certificate_from_text(text: str) -> SosCertificate:
             current = None
         elif upper in ("Z:", "Q:", "MULTIPLIER:"):
             current = upper[:-1]
+            if current in sections:
+                raise FormatError(f"duplicate section: {ln!r}")
             sections[current] = []
         elif current is not None:
             sections[current].append(ln)

@@ -149,8 +149,6 @@ def cmd_check(args) -> int:
     target = from_text(_read(args.target), ("form", "biq"))
     cfg = SearchConfig(
         max_iterations=args.max_iter,
-        convergence_tol=args.tol,
-        denominator_bound=args.denominator_bound,
         restarts=args.restarts,
         seed=args.seed,
     )
@@ -265,12 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sos", action="store_true")
     mode.add_argument("--sos-convex", action="store_true")
     mode.add_argument("--nonneg-mult", metavar="EXPR", help='e.g. "x1^2+x2^2"')
-    defaults = SearchConfig()
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--max-iter", type=int, default=defaults.max_iterations)
-    p.add_argument("--tol", type=float, default=defaults.convergence_tol)
-    p.add_argument("--denominator-bound", type=int, default=defaults.denominator_bound)
-    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p.add_argument("--max-iter", type=int, default=SearchConfig.max_iterations)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
     p.add_argument("--out", help="certificate output path (default: TARGET.cert)")
     p.set_defaults(func=cmd_check)
 

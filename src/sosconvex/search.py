@@ -24,26 +24,24 @@ and its fiber projection is the same combination of shadows, so no
 evaluation needs a second eigh or projection. A candidate whose residual
 norm exceeds that of the point it extrapolates from is rejected for the
 plain step T(x), and the history is cleared; a singular solve or a
-non-finite candidate counts as rejected. Each restart is one loop with one
-history, and douglas_rachford yields a DRReport at each chunk end of it,
-so chunk ends move no iterate; check_sos is one loop over the reports: it
-rounds a chunk that ends near the fiber or on a PSD shadow, and tries a
-refutation from every chunk it does not certify. A restart's chunks end
-after 25, 50, 100 and 200 evaluations and then after 600, 1,400, 3,000,
-... (doubling chunks from 400), so a point that rounds to a certificate or
-a gap that separates early is tried early, and a long run still yields few
-reports.
+non-finite candidate counts as rejected. A restart converges at a shadow
+within the target's own tolerance pz.tol of the fiber and the PSD cone.
+Each restart is one loop with one history, and douglas_rachford yields a
+DRReport at each chunk end of it, so chunk ends move no iterate; check_sos
+is one loop over the reports: it rounds a chunk that ends near the fiber or
+on a PSD shadow, and tries a refutation from every chunk it does not
+certify. Chunks start short and double (_chunk_budgets): early points are
+tried early, and a long run yields few reports.
 Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
 entrywise, once to the grid 1/D and once to continued fractions with
-denominators at most D, for a ladder of bounds D, each rounding held as
-integer numerators and denominators. Each rounding is first screened in
-floats: one eigvalsh of its float fiber projection, and a rounding clearly
-not PSD there is skipped. A rounding that passes is snapped onto the fiber
-by the same per-monomial correction in integer arithmetic over one common
-denominator, so it lies exactly on the fiber, and goes to
-verify_sos_certificate, the one exact gate: its LDL^T check runs first, and
-the first candidate it accepts is the certificate. The screen only skips;
-it never accepts.
+denominators at most D, for each D of the fixed DENOMINATOR_BOUNDS, each
+rounding held as integer numerators and denominators. Each rounding is
+first screened in floats (_relative_lambda_min of its fiber projection),
+and one clearly not PSD there is skipped. One that passes is snapped onto
+the fiber by the same per-monomial correction in integer arithmetic over
+one common denominator, and goes to verify_sos_certificate, the one exact
+gate, whose LDL^T check runs first; the first candidate it accepts is the
+certificate. The screen only skips; it never accepts.
 
 The basis comes from the target alone: when every term has the same even
 (x-degree, y-degree) split of the variables at n_vars/2, as the Hessian
@@ -107,6 +105,11 @@ from .dual import DualCertificate, RefutationResult, verify_refutation
 from .forms import Form, as_frac, shared_fraction
 
 
+# DR converges within DR_TOL * max(1, max|target coefficient|), near float
+# precision: rounding finds the exact Gram matrix only from close by (Peyrl-Parrilo)
+DR_TOL = 1e-15
+
+
 class GramParameterization:
     """Closed-form Gram fiber {Q : sum of Q[r, s] over pairs reaching m = target[m]}.
 
@@ -114,9 +117,10 @@ class GramParameterization:
     the monomial with id m and _ids its inverse, counts[m] the number of
     ordered pairs (r, s) reaching it, and target[m] its exact coefficient;
     _upper is the upper triangle, row by row, as index arrays (_pairs as
-    pairs), _upper_ids its monomial ids, _count_den the lcm of the counts.
-    All but the target is built once per basis (_basis_fiber) and shared:
-    with_target binds a target to a shallow copy.
+    pairs), _upper_ids its monomial ids, _count_den the lcm of the counts,
+    and tol the target's DR tolerance. All but the target and tol is built
+    once per basis (_basis_fiber) and shared: with_target binds a target to a
+    shallow copy.
     """
 
     def __init__(self, z: tuple[Monomial, ...]):
@@ -146,6 +150,7 @@ class GramParameterization:
         pz = copy.copy(self)
         pz.target = target
         pz._b = np.array([float(c) for c in target])
+        pz.tol = DR_TOL * max(1.0, float(np.abs(pz._b).max()))
         # the target over its common denominator, for the integer snap
         pz._target_den = math.lcm(*(t.denominator for t in target))
         pz._target_nums = [t.numerator * (pz._target_den // t.denominator) for t in target]
@@ -203,20 +208,14 @@ class GramParameterization:
 @dataclass
 class SearchConfig:
     max_iterations: int = 10_000
-    convergence_tol: float = 1e-8
-    denominator_bound: int = 2**16
     restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        bounds = {"max_iterations": 1, "denominator_bound": 1, "restarts": 1, "seed": 0}
-        for name, least in bounds.items():
+        for name, least in {"max_iterations": 1, "restarts": 1, "seed": 0}.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
-        tol = self.convergence_tol
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-            raise ValueError(f"convergence_tol must be a positive finite number, not {tol!r}")
 
 
 @dataclass
@@ -395,7 +394,7 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DR
     P(2y - x) = 2 shadow - P(x), and T(x) = x + P(2y - x) - y has
     P(T(x)) = shadow: P of the next point is carried, and computed once per
     restart. y is PSD, so lambda_min(shadow) >= -d * max|r|: the shadow's
-    spectrum is needed only once the fiber distance max|r| is within tol,
+    spectrum is needed only once the fiber distance max|r| is within pz.tol,
     and for the report of a chunk that ends unconverged, which is on the
     fiber point P(x) of the next point x.
 
@@ -409,7 +408,6 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DR
     """
     rng = np.random.default_rng(cfg.seed)
     dim = len(pz.z)
-    tol = cfg.convergence_tol
     for restart in range(cfg.restarts):
         x = np.zeros((dim, dim)) if restart == 0 else rng.standard_normal((dim, dim))
         x = pz.project((x + x.T) / 2.0)
@@ -423,9 +421,9 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DR
                 r = pz.residual(y)
                 fiber_dist = float(np.abs(r).max())
                 shadow = y + r[pz.index]
-                if fiber_dist <= tol:
+                if fiber_dist <= pz.tol:
                     shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
-                    if shadow_eig >= -tol:
+                    if shadow_eig >= -pz.tol:
                         yield DRReport(it + 1, shadow_eig, fiber_dist, shadow, converged=True)
                         return
                 x, px = anderson.step(x, 2.0 * shadow - px - y, shadow)
@@ -455,6 +453,8 @@ def douglas_rachford(pz: GramParameterization, cfg: SearchConfig) -> Iterator[DR
 # read -2.5e-12 to -2e-15 there; the rejected roundings read -4e-8 or lower.
 SCREEN_TOL = 1e-9
 
+DENOMINATOR_BOUNDS = (2, 16, 256, 4096) + tuple(2**k for k in range(16, 22))
+
 
 def _limit_denominator(v: float, bound: int) -> tuple[int, int]:
     """The closest rational to v with denominator at most bound, as a reduced
@@ -480,15 +480,16 @@ def _limit_denominator(v: float, bound: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
-def _roundings(values, cfg: SearchConfig) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _roundings(values) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Distinct rational roundings of values, simplest denominators first,
     each as reduced numerators and denominators.
 
-    For each bound D the grid 1/D comes first, then continued fractions with
-    denominators at most D: neither alone suffices, since the grid misses
-    rational points with small odd denominators and continued fractions pick
-    needlessly large denominators when the grid would do. The continued
-    fractions are computed only once the grid rounding is rejected.
+    For each bound D of DENOMINATOR_BOUNDS the grid 1/D comes first, then
+    continued fractions with denominators at most D: neither alone suffices,
+    since the grid misses rational points with small odd denominators and
+    continued fractions pick needlessly large denominators when the grid
+    would do. The continued fractions are computed only once the grid
+    rounding is rejected.
     """
     values = [float(v) for v in values]
 
@@ -499,29 +500,29 @@ def _roundings(values, cfg: SearchConfig) -> Iterator[tuple[tuple[int, ...], tup
         yield tuple(zip(*(_limit_denominator(v, bound) for v in values)))
 
     seen = set()
-    for bound in [2, 16, 256, 4096] + [cfg.denominator_bound * 2**k for k in range(6)]:
+    for bound in DENOMINATOR_BOUNDS:
         for rounded in per_bound(bound):
             if rounded not in seen:
                 seen.add(rounded)
                 yield rounded
 
 
+def _relative_lambda_min(m: np.ndarray) -> float:
+    """lambda_min(m) / max(1, max|m|): every float screen skips below -SCREEN_TOL."""
+    return float(np.linalg.eigvalsh(m)[0]) / max(1.0, float(np.abs(m).max()))
+
+
 def _screen(pz: GramParameterization, nums: Sequence[int], dens: Sequence[int]) -> float:
-    """lambda_min of the float fiber projection of a rounding, over max(1, max|Q|)."""
+    """The relative lambda_min of the float fiber projection of a rounding."""
     d = len(pz.z)
     x = np.zeros((d, d))
     x[pz._upper] = np.array(nums, dtype=float) / np.array(dens, dtype=float)
     x.T[pz._upper] = x[pz._upper]
-    q = pz.project(x)
-    return float(np.linalg.eigvalsh(q)[0]) / max(1.0, float(np.abs(q).max()))
+    return _relative_lambda_min(pz.project(x))
 
 
 def rationalize_and_certify(
-    g: np.ndarray,
-    pz: GramParameterization,
-    cfg: SearchConfig,
-    target,
-    multiplier: Form | None = None,
+    g: np.ndarray, pz: GramParameterization, target, multiplier: Form | None = None
 ):
     """Round a numeric fiber point to an exactly verified SOS certificate.
 
@@ -538,7 +539,7 @@ def rationalize_and_certify(
     if multiplier is None:
         multiplier = unit_multiplier(len(pz.z[0]))
     check = None
-    for nums, dens in _roundings(((g + g.T) / 2.0)[pz._upper], cfg):
+    for nums, dens in _roundings(((g + g.T) / 2.0)[pz._upper]):
         lam = _screen(pz, nums, dens)
         if lam < -SCREEN_TOL:
             check = SosVerification(
@@ -576,15 +577,15 @@ def refutation_search(target, pz: GramParameterization, f: np.ndarray) -> Search
     Q of the target, so its monomial means are the moments of a separating
     functional on pz.monomials, and m[pz.index] is its moment matrix over
     the pruned basis. Shifts on the moments of the z_r^2, within the margin
-    that keeps the pairing negative, buy strict positivity; each shift is
-    screened by one float eigvalsh of that matrix before any exact work. The
-    moments are rounded to the primitive integer vectors round(D m) / gcd.
-    Each is screened in floats like a primal rounding: skipped when its
-    moment matrix has lambda_min below -SCREEN_TOL * max(1, max|M|), which an
-    exactly PSD integer matrix never reads, so the screen only skips
-    candidates verify_refutation would reject. A candidate refutes only if
-    verify_refutation accepts it against the target (_refuted); otherwise
-    the result is None.
+    that keeps the pairing negative, move a moment matrix that is singular
+    or slightly indefinite into the PSD cone. Each shift, and each of its
+    roundings to the primitive integer vectors round(D m) / gcd, is screened
+    in floats like a primal rounding: skipped when its moment matrix has
+    lambda_min below -SCREEN_TOL * max(1, max|M|), which an exactly PSD
+    matrix never reads, so a singular PSD gap is rounded too and the screen
+    only skips candidates verify_refutation would reject. A candidate
+    refutes only if verify_refutation accepts it against the target
+    (_refuted); otherwise the result is None.
     """
     y = _project_psd(f) - f
     sums = np.bincount(pz.index.ravel(), weights=y.ravel(), minlength=len(pz.counts))
@@ -604,7 +605,7 @@ def refutation_search(target, pz: GramParameterization, f: np.ndarray) -> Search
     for shift in (0.0, room / 4, room / 2):
         m = moments.copy()
         m[squares] += shift
-        if np.linalg.eigvalsh(m[pz.index])[0] <= 0:
+        if _relative_lambda_min(m[pz.index]) < -SCREEN_TOL:
             continue
         values = m.tolist()
         for den in (4**k for k in range(1, 9)):
@@ -614,8 +615,7 @@ def refutation_search(target, pz: GramParameterization, f: np.ndarray) -> Search
             if key is None or key in seen:
                 continue
             seen.add(key)
-            moment = np.array(key, dtype=float)[pz.index]
-            if np.linalg.eigvalsh(moment)[0] < -SCREEN_TOL * max(1.0, float(np.abs(moment).max())):
+            if _relative_lambda_min(np.array(key, dtype=float)[pz.index]) < -SCREEN_TOL:
                 continue
             outcome = _refuted(target, pz.monomials, list(key))
             if outcome is not None:
@@ -745,8 +745,8 @@ def check_sos(
         # by construction; a converged chunk is one) is rounded; every
         # acceptance is gated by the exact verifier, so rounding a rough
         # numeric point is sound
-        if report.residual <= 1e-4 or report.min_eigenvalue >= -cfg.convergence_tol:
-            cert = rationalize_and_certify(report.fiber_point, pz, cfg, tf, multiplier)
+        if report.residual <= 1e-4 or report.min_eigenvalue >= -pz.tol:
+            cert = rationalize_and_certify(report.fiber_point, pz, tf, multiplier)
             if cert:
                 # the certified Gram matrix lies exactly on the fiber and is
                 # exactly PSD, so its residual is zero, not the search point's

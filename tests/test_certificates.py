@@ -468,6 +468,22 @@ class TestSerialization:
         with pytest.raises(FormatError):
             certificate_from_text("Z:\n1 0\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("Z:\n1\nQ:\n1\n1\nZ:\n1\n", "Z:"),
+            ("Z:\n1\nQ:\n1\n1\nQ:\n1\n2\n", "Q:"),
+            ("Z:\n1\nQ:\n1\n1\nMULTIPLIER:\nform n=1 d=0\n1 0\nmultiplier:\nform n=1 d=0\n1 0\n",
+             "multiplier:"),
+            ("Z:\n1\nQ:\n1\n1\nSCALE: 1\nSCALE: 2\n", "SCALE: 2"),
+        ],
+        ids=["Z", "Q", "MULTIPLIER", "SCALE"],
+    )
+    def test_repeated_section_rejected(self, text, line):
+        # the last of two Q: blocks would otherwise be the one verified
+        with pytest.raises(FormatError, match=f"^duplicate (section|scale): {line!r}$"):
+            certificate_from_text(text)
+
     def test_negative_exponent_in_basis_rejected(self):
         with pytest.raises(FormatError, match="nonnegative"):
             certificate_from_text("Z:\n-1 2\nQ:\n1\n1/1\n")

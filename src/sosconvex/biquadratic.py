@@ -13,6 +13,7 @@ is the coefficient of the written monomial, with no factor-of-2 folding.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
@@ -161,37 +162,40 @@ def hessian_biquadratic(p: Form) -> BiquadraticForm:
     return BiquadraticForm.from_form(hessian_form(p), p.n_vars)
 
 
+@functools.lru_cache(maxsize=1024)
+def _hessian_terms(e: tuple[int, ...]) -> tuple[tuple[tuple[int, int], tuple[int, ...], int], ...]:
+    """The terms of y^T H(x) y for x^e: for each pair i <= j in the support of
+    e, in pair order, ((i, j), the exponents of x^(e - e_i - e_j) y_i y_j, and
+    the multiplier e_i (e_j - [i = j]) (2 - [i = j])) when that is nonzero."""
+    support = [t for t, et in enumerate(e) if et]
+    out = []
+    for s, i in enumerate(support):
+        for j in support[s:]:
+            k = e[i] * (e[i] - 1) if i == j else 2 * e[i] * e[j]
+            if k:
+                x = [et - (t == i) - (t == j) for t, et in enumerate(e)]
+                out.append(((i, j), (*x, *((t == i) + (t == j) for t in range(len(e)))), k))
+    return tuple(out)
+
+
 def hessian_form(p: Form) -> Form:
     """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2.
 
-    The term c x^e gives c e_i (e_j - [i = j]) (2 - [i = j]) to
-    x^(e - e_i - e_j) y_i y_j for each pair i <= j in the support of e, in
-    the bucket of (i, j); for fixed (i, j) distinct terms reach distinct
-    monomials. Read in (i, j) order, the buckets give the term order of
-    _quadratic_in_y(hessian(p)), in which float evaluation sums them.
+    The term c x^e gives c k to each term of _hessian_terms(e), a table kept
+    per exponent vector. For fixed (i, j) distinct terms reach distinct
+    monomials, and a stable sort by (i, j) gives the term order of
+    _quadratic_in_y(hessian(p)), in which float evaluation sums them. The
+    table's exponents and nonzero products are a valid Form by construction,
+    so the Form is assembled without its per-term checks.
     """
     if p.degree < 2:
         raise ValueError("hessian requires degree >= 2")
-    n = p.n_vars
-    buckets = {(i, j): [] for i in range(n) for j in range(i, n)}
-    for e, c in p.terms.items():
-        support = [t for t, et in enumerate(e) if et]
-        num, den = c.numerator, c.denominator
-        for s, i in enumerate(support):
-            ei = e[i]
-            for j in support[s:]:
-                k = ei * (ei - 1) if i == j else 2 * ei * e[j]
-                if k:
-                    buckets[i, j].append((e, Fraction(num * k) if den == 1 else c * k))
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for (i, j), bucket in buckets.items():
-        y = tuple(int(t == i) + int(t == j) for t in range(n))
-        for e, c in bucket:
-            x = list(e)
-            x[i] -= 1
-            x[j] -= 1
-            terms[(*x, *y)] = c
-    return Form(2 * n, p.degree, terms)
+    found = [(pair, key, Fraction(c.numerator * k) if c.denominator == 1 else c * k)
+             for e, c in p.terms.items() for pair, key, k in _hessian_terms(e)]
+    found.sort(key=operator.itemgetter(0))
+    h = object.__new__(Form)
+    h.n_vars, h.degree, h.terms = 2 * p.n_vars, p.degree, {key: c for _, key, c in found}
+    return h
 
 
 class SymmetryVerdict:

@@ -6,11 +6,11 @@ multiplier is 1). All checks are exact; no floating point enters this module.
 The PSD decision is a fraction-free LDL^T: symmetric Bareiss elimination on
 the integer matrix S Q S, with S the diagonal of per-row denominator lcms,
 whose LDL^T pivots are ratios of consecutive Bareiss pivots. The expansion
-sums z^T (L Q) z per monomial on ints, with L the lcm of all of Q's
-denominators, and each sum S_m is matched against the coefficient a/b of
-multiplier * target by cross-multiplication, a v L == u S_m b for scale u/v;
-a Fraction is built only for a reported mismatch. Rank and determinant run
-one fraction-free echelon (Bareiss with row swaps) on the rows scaled to ints.
+sums z^T (L Q) z on ints, L the lcm of Q's denominators, by the monomial ids
+of gram_index(z), one bounded cache per basis shared with the search's fiber
+and the moment matrices; each sum S_m is matched against the coefficient a/b
+of multiplier * target as a v L == u S_m b for scale u/v, a Fraction built
+only for a reported mismatch. Rank and determinant: one fraction-free echelon.
 """
 
 from __future__ import annotations
@@ -176,35 +176,61 @@ def ldlt_psd_check(s: SymRationalMatrix) -> LdltReport:
 Monomial = tuple[int, ...]  # exponent vector over the ambient variables
 
 
-def _integer_grid(q: SymRationalMatrix) -> tuple[list[list[int]], int]:
-    """The upper triangle of L Q on ints, with L the lcm of all of Q's denominators.
+class GramIndex:
+    """The monomial bookkeeping of a basis z: monomials lists each product
+    z_r z_s once, in the order the upper triangle reaches it row by row, and
+    ids is its inverse; rows[r][s] is the id of z_r z_s, upper the ids of the
+    upper triangle in row order, diagonal the positions of the z_r^2 in
+    upper, off_degree those of the products whose degree differs from that
+    of z_0^2, counts[m] the number of ordered pairs reaching m, and fiber the
+    search's target-free fiber over z once it is built."""
 
-    Row i holds columns i.. of row i, so row i's diagonal entry is its first.
-    """
-    rows = q.rows
-    lcd = math.lcm(*{v.denominator for i, row in enumerate(rows) for v in row[i:]})
-    grid = [[v.numerator * (lcd // v.denominator) for v in row[i:]] for i, row in enumerate(rows)]
-    return grid, lcd
+    def __init__(self, z: tuple[Monomial, ...]):
+        products = [[tuple(map(operator.add, u, v)) for v in z] for u in z]
+        self.monomials = list(dict.fromkeys(m for r, row in enumerate(products) for m in row[r:]))
+        self.ids = {mono: m for m, mono in enumerate(self.monomials)}
+        self.rows = [[self.ids[mono] for mono in row] for row in products]
+        self.upper = [m for r, row in enumerate(self.rows) for m in row[r:]]
+        self.diagonal = [r * len(z) - r * (r - 1) // 2 for r in range(len(z))]
+        degree = 2 * sum(z[0]) if z else 0
+        self.off_degree = [p for p, m in enumerate(self.upper) if sum(self.monomials[m]) != degree]
+        self.counts = self.sums([1] * len(self.upper))
+        self.fiber = None
+
+    def sums(self, values: Sequence[int]) -> list[int]:
+        """Per monomial id, the sum over the ordered pairs reaching it of the
+        symmetric matrix with upper triangle values: twice upper, less diagonal."""
+        sums = [0] * len(self.monomials)
+        for m, v in zip(self.upper, values):
+            sums[m] += v
+        sums = [2 * v for v in sums]
+        for p in self.diagonal:
+            sums[self.upper[p]] -= values[p]
+        return sums
 
 
-def _gram_sums(z: Sequence[Monomial], grid: list[list[int]]) -> dict[Monomial, int]:
-    """The coefficients of z^T (L Q) z on ints, from the upper triangle of L Q.
+# the index of each of the last bases used, shared by the search's fiber and
+# by every Gram expansion and moment matrix over the basis
+gram_index = functools.lru_cache(maxsize=32)(GramIndex)
 
-    Raises ValueError, as Form does, when a nonzero entry reaches a monomial
-    whose degree differs from that of z[0]^2.
-    """
-    degrees = [sum(m) for m in z]
-    degree = 2 * degrees[0]
-    sums: dict[Monomial, int] = {}
-    for r, (zr, row) in enumerate(zip(z, grid)):
-        for s, c in enumerate(row, r):
-            if not c:
-                continue
-            mono = tuple(map(operator.add, zr, z[s]))
-            if degrees[r] + degrees[s] != degree:
-                raise ValueError(f"monomial {mono} is not of degree {degree}")
-            sums[mono] = sums.get(mono, 0) + (c if r == s else 2 * c)
-    return sums
+
+def _integer_grid(q: SymRationalMatrix) -> tuple[list[int], int]:
+    """The upper triangle of L Q, row by row, on ints, L the lcm of Q's denominators."""
+    upper = [v for i, row in enumerate(q.rows) for v in row[i:]]
+    lcd = math.lcm(*{v.denominator for v in upper})
+    return [v.numerator * (lcd // v.denominator) for v in upper], lcd
+
+
+def _gram_sums(z: Sequence[Monomial], upper: list[int]) -> dict[Monomial, int]:
+    """The coefficients of z^T (L Q) z on ints, summed by the ids of
+    gram_index(z) from the upper triangle of L Q, row by row. Raises
+    ValueError, as Form does, at the first nonzero entry in row order that
+    reaches a monomial whose degree differs from that of z[0]^2."""
+    gram = gram_index(tuple(map(tuple, z)))
+    wrong = [gram.monomials[gram.upper[p]] for p in gram.off_degree if upper[p]]
+    if wrong:
+        raise ValueError(f"monomial {wrong[0]} is not of degree {2 * sum(z[0])}")
+    return dict(zip(gram.monomials, gram.sums(upper)))
 
 
 def gram_expand(z: Sequence[Monomial], q: SymRationalMatrix) -> Form:
@@ -216,8 +242,8 @@ def gram_expand(z: Sequence[Monomial], q: SymRationalMatrix) -> Form:
     nv = len(z[0])
     if any(len(m) != nv for m in z):
         raise ValueError("monomials have mixed variable counts")
-    grid, lcd = _integer_grid(q)
-    sums = _gram_sums(z, grid)
+    upper, lcd = _integer_grid(q)
+    sums = _gram_sums(z, upper)
     return Form(nv, 2 * sum(z[0]), {m: Fraction(c, lcd) for m, c in sums.items()})
 
 
@@ -369,8 +395,8 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
             f"Gram matrix is not PSD (pivot {report.pivots[-1]} at step {report.failure_index})",
         )
     lhs = tf if cert.multiplier == unit_multiplier(tf.n_vars) else cert.multiplier * tf
-    grid, lcd = _integer_grid(cert.q)
-    sums = _gram_sums(cert.z, grid)
+    upper, lcd = _integer_grid(cert.q)
+    sums = _gram_sums(cert.z, upper)
     if tf.is_zero() and not any(sums.values()):
         return SosVerification(True, "certificate accepted")
     if not is_even_power_sum(cert.multiplier):

@@ -34,7 +34,6 @@ from .face import (
     require_positive_tol,
 )
 from .forms import Form, FormatError, fmt_frac
-from .search import SearchConfig, check_sos, check_sos_convexity
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -146,6 +145,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # the search is the only command that needs numpy, so only check loads it
+    from .search import SearchConfig, check_sos, check_sos_convexity
+
     target = from_text(_read(args.target), ("form", "biq"))
     cfg = SearchConfig(
         max_iterations=args.max_iter,
@@ -263,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sos", action="store_true")
     mode.add_argument("--sos-convex", action="store_true")
     mode.add_argument("--nonneg-mult", metavar="EXPR", help='e.g. "x1^2+x2^2"')
-    p.add_argument("--seed", type=int, default=SearchConfig.seed)
-    p.add_argument("--max-iter", type=int, default=SearchConfig.max_iterations)
-    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    # SearchConfig's defaults, written out so that no other command imports numpy
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--out", help="certificate output path (default: TARGET.cert)")
     p.set_defaults(func=cmd_check)
 

@@ -25,6 +25,7 @@ from .certificates import (
     SymRationalMatrix,
     Verdict,
     _as_form,
+    gram_index,
     ldlt_psd_check,
     sos_basis,
 )
@@ -56,11 +57,11 @@ def pairing(cert: DualCertificate, target) -> Fraction:
 
 
 def moment_matrix(cert: DualCertificate, z: Sequence[Monomial]) -> SymRationalMatrix:
-    """M[r, s] = c(z_r z_s) over the monomial basis z."""
+    """M[r, s] = c(z_r z_s) over the monomial basis z, by the ids of gram_index(z)."""
     values = dict(zip(cert.monomials, cert.c))
-    return SymRationalMatrix(
-        [[values.get(tuple(a + b for a, b in zip(u, v)), 0) for v in z] for u in z]
-    )
+    gram = gram_index(tuple(map(tuple, z)))
+    by_id = [values.get(m, 0) for m in gram.monomials]
+    return SymRationalMatrix([[by_id[m] for m in row] for row in gram.rows])
 
 
 @dataclass

@@ -5,12 +5,12 @@ z^T Q z = target}. Every entry (r, s) of Q feeds exactly one monomial
 z_r z_s, so the fiber is held in closed form, one GramParameterization: an
 index map from entries to monomial ids, the number of ordered pairs reaching
 each monomial, and the exact target coefficients. All but the coefficients
-depend on the basis alone, so they are built once per basis, kept in a small
-bounded cache, and shared by every fiber, certificate and functional over
-it: a target binds to a shallow copy. The constraint map has A A^T
-diagonal, and the Frobenius projection onto the fiber is a per-monomial
-mean correction (Henrion-Malick): add to each entry its monomial's residual
-divided by its pair count.
+depend on the basis alone: they are the numpy views of its gram_index, kept
+on it in the bounded cache the exact verifiers read too, and shared by every
+fiber, certificate and functional over it: a target binds to a shallow copy.
+The constraint map has A A^T diagonal, and the Frobenius projection onto
+the fiber is a per-monomial mean correction (Henrion-Malick): add to each
+entry its monomial's residual divided by its pair count.
 
 The pipeline runs Douglas-Rachford (DR) between the PSD cone and the fiber,
 one eigh and one fiber residual per evaluation of the DR map T: the fiber
@@ -46,7 +46,8 @@ certificate. The screen only skips; it never accepts.
 The basis comes from the target alone: when every term has the same even
 (x-degree, y-degree) split of the variables at n_vars/2, as the Hessian
 form y^T H_p(x) y does, the bidegree basis suffices; otherwise all
-half-degree monomials are used.
+half-degree monomials are used. When pruning leaves none, only the zero
+form is z^T Q z: it certifies with Q = [0] over one monomial of its degree.
 
 The same run also answers "not SOS" for any target searched without a
 multiplier. When the fiber and the PSD cone do not meet, no chunk of DR
@@ -57,10 +58,11 @@ moments of a separating functional on the fiber's monomials (Banjac et al.,
 the DR gap vector). After every chunk, refutation_search rounds them to
 primitive integer functionals on those monomials, screens each with one
 eigvalsh of its moment matrix against the same SCREEN_TOL. A target
-monomial that no product of two basis monomials reaches is refuted at once
-by the functional that is nonzero only there. Every functional, these and
-the witness points below, passes one gate, _refuted: no search claims "not
-SOS" unless verify_refutation accepts it on the same pruned basis.
+monomial that no product of two basis monomials reaches, any one over an
+empty basis, is refuted before any search by the functional that is
+nonzero only there. Every functional, these and the witness points below,
+passes one gate, _refuted: no search claims "not SOS" unless
+verify_refutation accepts it on the same pruned basis.
 
 A target whose terms all have bidegree (2, 2) at n_vars/2, every biquadratic
 target and the Hessian form of every quartic, is y^T A(x) y, and a point
@@ -79,7 +81,6 @@ for fixed y they are quartic in x, so their x step is no eigenproblem.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,7 +96,9 @@ from .certificates import (
     SosVerification,
     SymRationalMatrix,
     _as_form,
+    _basis,
     _bidegree,
+    gram_index,
     is_even_power_sum,
     sos_basis,
     unit_multiplier,
@@ -113,37 +116,26 @@ DR_TOL = 1e-15
 class GramParameterization:
     """Closed-form Gram fiber {Q : sum of Q[r, s] over pairs reaching m = target[m]}.
 
-    index[r, s] is the id of the monomial z_r z_s (read-only), monomials[m]
-    the monomial with id m and _ids its inverse, counts[m] the number of
-    ordered pairs (r, s) reaching it, and target[m] its exact coefficient;
-    _upper is the upper triangle, row by row, as index arrays (_pairs as
-    pairs), _upper_ids its monomial ids, _count_den the lcm of the counts,
-    and tol the target's DR tolerance. All but the target and tol is built
-    once per basis (_basis_fiber) and shared: with_target binds a target to a
-    shallow copy.
+    The numpy views of the basis's gram_index (_gram): index[r, s] is the id
+    of the monomial z_r z_s (read-only), monomials[m] the monomial with id m,
+    counts[m] the number of ordered pairs reaching it; target[m] is its exact
+    coefficient, _upper the upper triangle as index arrays, _count_den the
+    lcm of the counts, and tol the target's DR tolerance. All but the target
+    and tol is built once per basis (_basis_fiber) and shared: with_target
+    binds a target to a shallow copy.
     """
 
     def __init__(self, z: tuple[Monomial, ...]):
-        ids: dict[Monomial, int] = {}
-        index = np.empty((len(z), len(z)), dtype=np.intp)
-        for r, zr in enumerate(z):
-            for s in range(r, len(z)):
-                mono = tuple(a + b for a, b in zip(zr, z[s]))
-                index[r, s] = index[s, r] = ids.setdefault(mono, len(ids))
-        counts = np.bincount(index.ravel())
-        upper = np.triu_indices(len(z))
-        for array in (index, counts, *upper):
+        gram = self._gram = gram_index(z)
+        self.index = np.array(gram.rows, dtype=np.intp)
+        self.counts = np.array(gram.counts)
+        self._upper = np.triu_indices(len(z))
+        for array in (self.index, self.counts, *self._upper):
             array.flags.writeable = False
         self.z = list(z)
-        self.index = index
-        self.monomials = list(ids)
-        self.counts = counts
+        self.monomials = gram.monomials
         self.target: list[Fraction] = []
-        self._ids = ids
-        self._upper = upper
-        self._pairs = list(zip(*(ix.tolist() for ix in upper)))
-        self._upper_ids = index[upper].tolist()
-        self._count_den = math.lcm(*counts.tolist())
+        self._count_den = math.lcm(*gram.counts)
 
     def with_target(self, target: list[Fraction]) -> GramParameterization:
         """A shallow copy of this fiber holding target, one value per monomial."""
@@ -183,25 +175,21 @@ class GramParameterization:
         """
         lcd = math.lcm(*dens)
         scaled = [n * (lcd // q) for n, q in zip(nums, dens)]
-        sums = [0] * len(self.target)
-        for (r, s), m, a in zip(self._pairs, self._upper_ids, scaled):
-            sums[m] += a if r == s else 2 * a
         t_den, c_den = self._target_den, self._count_den
         corrections = [
             (t * lcd - t_den * total) * (c_den // c)
-            for t, total, c in zip(self._target_nums, sums, self.counts.tolist())
+            for t, total, c in zip(self._target_nums, self._gram.sums(scaled), self._gram.counts)
         ]
         lifted = t_den * c_den
-        entries = [a * lifted + corrections[m] for a, m in zip(scaled, self._upper_ids)]
+        entries = [a * lifted + corrections[m] for a, m in zip(scaled, self._gram.upper)]
         den = lcd * lifted
         values = {}
         for n in set(entries):
             g = math.gcd(n, den)
             values[n] = shared_fraction(n // g, den // g)
-        d = len(self.z)
-        rows = [[None] * d for _ in range(d)]
-        for (r, s), n in zip(self._pairs, entries):
-            rows[r][s] = rows[s][r] = values[n]
+        upper, rows = [values[n] for n in entries], []
+        for r, p in enumerate(self._gram.diagonal):
+            rows.append([row[r] for row in rows] + upper[p : p + len(self.z) - r])
         return SymRationalMatrix(rows)
 
 
@@ -249,16 +237,12 @@ class SearchOutcome:
         return self.status == "ExactCertificate"
 
 
-class UnrepresentableMonomial(ValueError):
-    """A target monomial that is no product z_r z_s of two basis monomials."""
-
-    def __init__(self, monomial: Monomial):
-        super().__init__(f"target monomial {monomial} is not representable over the basis")
-        self.monomial = monomial
-
-
-# the target-free fibers of the last bases searched, shared by every fiber over each
-_basis_fiber = functools.lru_cache(maxsize=32)(GramParameterization)
+def _basis_fiber(z: tuple[Monomial, ...]) -> GramParameterization:
+    """The target-free fiber of a basis, kept on its gram_index, so that one
+    bounded cache holds both and the fiber and the verifiers see one index."""
+    gram = gram_index(z)
+    gram.fiber = gram.fiber or GramParameterization(z)
+    return gram.fiber
 
 
 def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
@@ -271,8 +255,8 @@ def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
         raise ValueError("basis and target variable counts disagree")
     fiber = _basis_fiber(z)
     for mono in tf.terms:
-        if mono not in fiber._ids:
-            raise UnrepresentableMonomial(mono)
+        if mono not in fiber._gram.ids:
+            raise ValueError(f"target monomial {mono} is not representable over the basis")
     zero = as_frac(0)
     return fiber.with_target([tf.terms.get(mono, zero) for mono in fiber.monomials])
 
@@ -721,19 +705,20 @@ def check_sos(
     tf = _as_form(target)
     search_form = tf if multiplier is None else multiplier * tf
     z = sos_basis(search_form)
+    # a target monomial that no z_r z_s reaches; over an empty basis, any one
+    unreached = next((m for m in search_form.terms if m not in gram_index(tuple(z)).ids), None)
+    if unreached is not None:
+        # the functional nonzero only there has a zero moment matrix, so it refutes
+        sign = 1 if search_form.terms[unreached] < 0 else -1
+        outcome = multiplier is None and _refuted(tf, [unreached], [sign])
+        return outcome or SearchOutcome("Stalled", diagnostics=f"no z_r z_s reaches {unreached}")
     if not z:
-        return SearchOutcome("Stalled", diagnostics="empty basis after pruning")
-    try:
-        pz = parameterize(search_form, z)
-    except UnrepresentableMonomial as exc:
-        if multiplier is None:
-            # no z_r z_s reaches the monomial, so the functional that is
-            # nonzero only there has a zero moment matrix
-            sign = 1 if tf.terms[exc.monomial] < 0 else -1
-            outcome = _refuted(tf, [exc.monomial], [sign])
-            if outcome is not None:
-                return outcome
-        return SearchOutcome("Stalled", diagnostics=f"parameterization failed: {exc}")
+        # the zero form is left, and it is z^T [0] z over one monomial of its degree
+        mult = multiplier or unit_multiplier(tf.n_vars)
+        cert = SosCertificate(_basis(search_form)[:1], SymRationalMatrix([[0]]), mult, as_frac(1))
+        if verify_sos_certificate(tf, cert):
+            return SearchOutcome("ExactCertificate", certificate=cert, residual=0.0)
+    pz = parameterize(search_form, z)
 
     last_reason = ""
     best = None

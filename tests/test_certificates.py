@@ -1,6 +1,7 @@
 """Tests for exact LDL^T, Gram expansion, and SOS certificate verification."""
 
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,10 +16,12 @@ from sosconvex.certificates import (
     SymRationalMatrix,
     Verdict,
     _basis,
+    _gram_sums,
     certificate_from_text,
     certificate_to_text,
     det,
     gram_expand,
+    gram_index,
     is_even_power_sum,
     ldlt_psd_check,
     rank,
@@ -336,6 +339,72 @@ class TestGramExpand:
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
             gram_expand([(1, 0)], SymRationalMatrix([[1, 0], [0, 1]]))
+
+
+def per_entry_gram_sums(z, upper):
+    """The textbook expansion: each upper-triangle entry, in row order, adds
+    itself (on the diagonal) or twice itself to the monomial z_r z_s, and the
+    first nonzero entry whose monomial has the wrong degree raises."""
+    degree = 2 * sum(z[0])
+    values = iter(upper)
+    sums = {}
+    for r in range(len(z)):
+        for s in range(r, len(z)):
+            c = next(values)
+            if not c:
+                continue
+            mono = tuple(a + b for a, b in zip(z[r], z[s]))
+            if sum(mono) != degree:
+                raise ValueError(f"monomial {mono} is not of degree {degree}")
+            sums[mono] = sums.get(mono, 0) + (c if r == s else 2 * c)
+    return sums
+
+
+@st.composite
+def bases_and_grids(draw):
+    """A basis of 1-8 distinct monomials in 1-3 variables, drawn from one
+    degree or from two (mixed), and an integer upper triangle over it with
+    zeros among its entries."""
+    n = draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True))
+    pool = [m for d in degrees for m in _monomials(n, d)]
+    z = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    size = len(z) * (len(z) + 1) // 2
+    return z, draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+
+
+class TestGramIndex:
+    """Gram sums by monomial id equal the per-entry expansion."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(bases_and_grids())
+    def test_sums_match_the_per_entry_expansion(self, case):
+        z, upper = case
+        try:
+            expected = per_entry_gram_sums(z, upper)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _gram_sums(z, upper)
+            return
+        sums = _gram_sums(z, upper)
+        assert {m: v for m, v in sums.items() if v} == {m: v for m, v in expected.items() if v}
+
+    def test_mixed_degrees_raise_at_the_first_nonzero_entry_in_row_order(self):
+        z = [(1, 0), (0, 1), (2, 0)]
+        # entries (1,1) x1^2, (1,2) x1x2, (1,3) x1^3, (2,2) x2^2, (2,3) x1^2x2, (3,3) x1^4
+        with pytest.raises(ValueError, match=re.escape("monomial (2, 1) is not of degree 2")):
+            _gram_sums(z, [1, 0, 0, 1, 5, 7])
+        assert _gram_sums(z, [1, 3, 0, 1, 0, 0]) == {
+            (2, 0): 1, (1, 1): 6, (3, 0): 0, (0, 2): 1, (2, 1): 0, (4, 0): 0
+        }
+
+    def test_one_index_per_basis(self):
+        z = tuple(_monomials(3, 2))
+        gram = gram_index(z)
+        assert gram_index(tuple(list(z))) is gram
+        assert len(gram.monomials) == len(set(gram.monomials)) == 15
+        assert sum(gram.counts) == len(z) ** 2
+        assert [gram.upper[p] for p in gram.diagonal] == [gram.rows[r][r] for r in range(6)]
 
 
 def pair_loop_prune(z, tf, sweeps=None):

@@ -19,6 +19,7 @@ from sosconvex.cli import (
     EXIT_FALSE,
     EXIT_TRUE,
     EXIT_UNKNOWN,
+    build_parser,
     main,
     parse_poly_expression,
 )
@@ -80,6 +81,13 @@ class TestParser:
         assert capsys.readouterr() == first
         assert built == []
 
+    def test_check_defaults_are_the_search_defaults(self):
+        from sosconvex.search import SearchConfig
+
+        args = build_parser().parse_args(["check", "t.form", "--sos"])
+        parsed = SearchConfig(max_iterations=args.max_iter, restarts=args.restarts, seed=args.seed)
+        assert parsed == SearchConfig()
+
 
 class TestModuleEntry:
     def test_python_dash_m_runs_main(self):
@@ -110,6 +118,28 @@ class TestModuleEntry:
         )
         assert run.returncode == EXIT_TRUE, run.stderr
         assert "zero_x:" in run.stdout and "residual:" in run.stdout
+
+    def test_numpy_is_imported_by_the_search_alone(self, tmp_path):
+        # verify, face, dims and builtin run on exact arithmetic; only check
+        # searches numerically
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        b, c = str(tmp_path / "b.biq"), str(tmp_path / "q.cert")
+        face = ["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "1", "-1", "--zero"]
+        exact = [["builtin", "b_thm22", b], ["builtin", "q22_cert", c], ["verify", b, c],
+                 ["dims", "3"], face]
+        script = (
+            "import sys\n"
+            "from sosconvex.cli import main\n"
+            f"assert [main(argv) for argv in {exact!r}] == [0] * 5\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"assert main({['check', b, '--sos']!r}) == 1\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
 
 
 class TestBuiltin:
@@ -339,7 +369,7 @@ class TestCheck:
         calls = []
         searched = []  # (outcome, verify_refutation calls so far) per search
         verify = search.verify_refutation
-        check = cli.check_sos
+        check = search.check_sos
 
         def counted(*args):
             calls.append(1)
@@ -352,13 +382,36 @@ class TestCheck:
 
         monkeypatch.setattr(search, "verify_refutation", counted)
         monkeypatch.setattr(cli, "verify_refutation", counted)
-        monkeypatch.setattr(cli, "check_sos", checked)
+        monkeypatch.setattr(search, "check_sos", checked)
         assert main(["check", b_file, "--sos"]) == EXIT_FALSE
         [(outcome, by_search)] = searched
         assert by_search >= 1 and len(calls) == by_search
         line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("refuted:"))
         value = verify(outcome.dual, builtin("b_thm22")).pairing_value
         assert line == f"refuted: not SOS, pairing = {value}"
+
+    @pytest.mark.parametrize(
+        "lines, mode",
+        [
+            (["form n=2 d=2", "1 1 1"], "--sos"),
+            (["form n=2 d=4", "1 3 1"], "--sos"),
+            (["form n=3 d=4", "1 2 1 1"], "--sos-convex"),
+        ],
+        ids=["x1x2", "x1^3x2", "x1^2x2x3"],
+    )
+    def test_empty_pruned_basis_refuted(self, tmp_path, capsys, lines, mode):
+        path = tmp_path / "t.form"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(path), mode]) == EXIT_FALSE
+        assert negative_pairing(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("mode", ["--sos", "--sos-convex"])
+    def test_zero_form_certified_and_verified(self, tmp_path, capsys, mode):
+        path, cert = tmp_path / "zero.form", tmp_path / "zero.cert"
+        path.write_text("form n=3 d=4\n")
+        assert main(["check", str(path), mode, "--out", str(cert)]) == EXIT_TRUE
+        assert "status: ExactCertificate" in capsys.readouterr().out
+        assert main(["verify", str(path), str(cert)]) == EXIT_TRUE
 
     def test_form_file_of_b_refuted_with_pairing(self, b_form_file, capsys):
         assert main(["check", b_form_file, "--sos"]) == EXIT_FALSE

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sosconvex.biquadratic import BiquadraticForm, _monomials, builtin, hessian_form, key_exponents
 from sosconvex.certificates import Verdict, ldlt_psd_check, sos_basis
@@ -48,6 +49,21 @@ class TestPairing:
             pairing(cert, builtin("b_thm22"))
 
 
+@st.composite
+def bases_and_functionals(draw):
+    """A basis of 1-7 distinct monomials of one degree in 1-3 variables, and a
+    functional with small rational values on some of its products and on
+    monomials no product reaches."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    z = draw(st.lists(st.sampled_from(_monomials(n, d)), min_size=1, max_size=7, unique=True))
+    pool = _monomials(n, 2 * d)
+    monomials = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    c = draw(st.lists(values, min_size=len(monomials), max_size=len(monomials)))
+    return z, DualCertificate(monomials, c)
+
+
 class TestMomentMatrix:
     def test_matches_reference(self):
         z = sos_basis(builtin("b_thm22"))
@@ -58,6 +74,14 @@ class TestMomentMatrix:
         z = sos_basis(builtin("b_thm22"))
         report = ldlt_psd_check(moment_matrix(builtin("c_dual"), z))
         assert report.verdict is Verdict.POSITIVE_DEFINITE
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(bases_and_functionals())
+    def test_equals_the_textbook_moment_matrix(self, case):
+        z, cert = case
+        values = dict(zip(cert.monomials, cert.c))
+        textbook = [[values.get(tuple(a + b for a, b in zip(u, v)), 0) for v in z] for u in z]
+        assert moment_matrix(cert, z).rows == textbook
 
 
 class TestRefutation:

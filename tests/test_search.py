@@ -19,6 +19,7 @@ from sosconvex.certificates import (
     _prune_basis,
     bidegree_basis,
     gram_expand,
+    gram_index,
     rank,
     sos_basis,
     sos_basis_for,
@@ -433,6 +434,25 @@ class TestSharedWitnessParts:
         assert gram_expand(z, snap_fractions(first, upper)) == b.to_form()
         assert gram_expand(z, snap_fractions(second, upper)) == choi.to_form()
         assert search._basis_fiber(tuple(z)).target == []
+
+    def test_one_index_per_basis_for_the_search_and_both_verifiers(self):
+        for target in (hessian_form(face_at_bound(1, 1, [1, 2, 3, 4])), builtin("b_thm22")):
+            z = tuple(sos_basis(target))
+            # a fiber outlives no index: once the index is dropped, the fiber
+            # built over it is dropped too
+            parameterize(target, z)
+            gram_index.cache_clear()
+            outcome = check_sos(target)
+            gram = gram_index(z)
+            assert parameterize(target, z).monomials is gram.monomials
+            before = gram_index.cache_info()
+            if outcome.is_certified():
+                assert verify_sos_certificate(target, outcome.certificate)
+            else:
+                assert verify_refutation(outcome.dual, target)
+            after = gram_index.cache_info()
+            # the verifier found the search's index: one hit, no new index
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_fiber_index_is_read_only(self):
         pz = stalled_fiber()
@@ -958,6 +978,53 @@ class TestBelowBoundProperty:
         assert outcome.status != "ExactCertificate"
         if outcome.status == "Refuted":
             assert verify_refutation(outcome.dual, hessian_form(p))
+
+
+class TestEmptyBasis:
+    """A target whose pruned basis is empty is decided without a search: only
+    the zero form is z^T Q z over no monomial."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            Form(2, 2, {(1, 1): F(1)}),
+            Form(2, 4, {(3, 1): F(1)}),
+            hessian_form(Form(3, 4, {(2, 1, 1): F(1)})),
+        ],
+        ids=["x1x2", "x1^3x2", "hessian of x1^2x2x3"],
+    )
+    def test_nonzero_target_refuted(self, target):
+        assert sos_basis(target) == []
+        outcome = check_sos(target)
+        assert outcome.status == "Refuted"
+        assert outcome.refutation.pairing_value < 0
+        assert verify_refutation(outcome.dual, target)
+
+    def test_not_convex_form_refuted(self):
+        outcome = check_sos_convexity(Form(3, 4, {(2, 1, 1): F(1)}))
+        assert outcome.status == "Refuted"
+
+    def test_with_a_multiplier_it_stalls(self):
+        # (x1^2 + x2^2) x1 x2 has an empty pruned basis, but the target x1 x2
+        # is not refuted by a multiplier search
+        multiplier = parse_poly_expression("x1^2+x2^2", 2)
+        outcome = check_sos(Form(2, 2, {(1, 1): F(1)}), multiplier=multiplier)
+        assert outcome.status == "Stalled"
+
+    @pytest.mark.parametrize("n, degree", [(2, 2), (3, 4), (2, 6)])
+    def test_zero_form_certified(self, n, degree):
+        zero = Form.zero(n, degree)
+        outcome = check_sos(zero)
+        assert outcome.is_certified()
+        cert = outcome.certificate
+        assert cert.z == sos_basis_for(zero)[:1]
+        assert cert.q.rows == [[0]]
+        assert verify_sos_certificate(zero, cert)
+
+    def test_zero_quartic_sos_convex(self):
+        outcome = check_sos_convexity(Form.zero(3, 4))
+        assert outcome.is_certified()
+        assert verify_sos_certificate(hessian_form(Form.zero(3, 4)), outcome.certificate)
 
 
 class TestConfig:

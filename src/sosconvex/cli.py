@@ -31,7 +31,6 @@ from .face import (
     face_query,
     find_additional_zero,
     gram_M,
-    require_positive_tol,
 )
 from .forms import Form, FormatError, fmt_frac
 
@@ -146,19 +145,14 @@ def cmd_verify(args) -> int:
 
 def cmd_check(args) -> int:
     # the search is the only command that needs numpy, so only check loads it
-    from .search import SearchConfig, check_sos, check_sos_convexity
+    from .search import check_sos, check_sos_convexity
 
     target = from_text(_read(args.target), ("form", "biq"))
-    cfg = SearchConfig(
-        max_iterations=args.max_iter,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
     if args.sos_convex:
         if not isinstance(target, Form):
             print("error: --sos-convex needs a plain form", file=sys.stderr)
             return EXIT_ERROR
-        outcome = check_sos_convexity(target, cfg)
+        outcome = check_sos_convexity(target)
     else:
         multiplier = None
         if args.nonneg_mult is not None:
@@ -168,7 +162,7 @@ def cmd_check(args) -> int:
                 )
             else:
                 multiplier = parse_poly_expression(args.nonneg_mult, target.n_vars)
-        outcome = check_sos(target, cfg, multiplier=multiplier)
+        outcome = check_sos(target, multiplier=multiplier)
     print(f"status: {outcome.status}")
     if outcome.residual is not None:
         print(f"residual: {outcome.residual:.3e}")
@@ -195,9 +189,6 @@ def cmd_face(args) -> int:
     if a == 0 or b == 0:
         print("error: a and b must be nonzero for face queries", file=sys.stderr)
         return EXIT_ERROR
-    if args.dps < 1:
-        print("error: --dps must be a positive number of digits", file=sys.stderr)
-        return EXIT_ERROR
     fp = FaceParams(a, b)
     # every precondition is checked before the first line is printed
     if (args.bound or args.zero) and any(v <= 0 for v in alphas[:4]):
@@ -208,7 +199,6 @@ def cmd_face(args) -> int:
         if alphas[4] != query.bound:
             print("error: --zero needs alpha5 at the lower bound", file=sys.stderr)
             return EXIT_ERROR
-        require_positive_tol(args.zero_tol)
     print("alphas: " + " ".join(fmt_frac(v) for v in alphas))
     print(f"a: {fmt_frac(a)}")
     print(f"b: {fmt_frac(b)}")
@@ -220,7 +210,7 @@ def cmd_face(args) -> int:
     print(f"det_brute: {fmt_frac(gram_M(alphas, fp).det())}")
     if args.zero:
         try:
-            pt = find_additional_zero(alphas, fp, tol=args.zero_tol, dps=args.dps)
+            pt = find_additional_zero(alphas, fp)
         except (DegenerateZeroSearch, RuntimeError) as exc:
             print(f"zero search failed: {exc}", file=sys.stderr)
             return EXIT_UNKNOWN
@@ -265,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sos", action="store_true")
     mode.add_argument("--sos-convex", action="store_true")
     mode.add_argument("--nonneg-mult", metavar="EXPR", help='e.g. "x1^2+x2^2"')
-    # SearchConfig's defaults, written out so that no other command imports numpy
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=10_000)
-    p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--out", help="certificate output path (default: TARGET.cert)")
     p.set_defaults(func=cmd_check)
 
@@ -278,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", nargs=5, required=True, metavar="AI")
     p.add_argument("--bound", action="store_true")
     p.add_argument("--zero", action="store_true")
-    p.add_argument("--zero-tol", type=float, default=1e-9)
-    p.add_argument("--dps", type=int, default=30)
     p.set_defaults(func=cmd_face)
     # argparse takes only -N and -N.M for values, so an alpha such as -4/7
     # would read as an unknown option

@@ -299,21 +299,17 @@ def _solve_point(consts, x1, x2):
     return (x1, x2, x3), (y1, y2, y3)
 
 
-def require_positive_tol(tol) -> None:
-    """Reject a zero-search tolerance that is not a positive finite number."""
-    if isinstance(tol, bool) or not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, not {tol!r}")
+# the zero search's largest residual |h_p|, and its mpmath precision in digits
+ZERO_TOL = 1e-9
+ZERO_DPS = 30
 
 
-def find_additional_zero(
-    alpha: Sequence, fp: FaceParams, tol: float = 1e-9, dps: int = 30
-) -> BiquadPoint:
+def find_additional_zero(alpha: Sequence, fp: FaceParams) -> BiquadPoint:
     """Additional zero of h_p (alpha5 at the bound) with x1, x2, y1, y2 != 0.
 
     The quadratic's discriminant is checked positive exactly; the returned
-    point is floating (precision dps), normalized so x and y have unit length,
-    with |h_p| at that point as the residual. tol must be a positive finite
-    number: against NaN every residual would pass.
+    point is floating (ZERO_DPS digits), normalized so x and y have unit
+    length, with |h_p| at that point as the residual, at most ZERO_TOL.
 
     The kernel vector and k are computed once; the residual is h_p.evaluate's
     sum, with each coefficient converted once by mpmathify, as mpmath
@@ -321,13 +317,12 @@ def find_additional_zero(
     """
     import mpmath  # not at module level: only the zero search needs it
 
-    require_positive_tol(tol)
     v, k, (aa, bb, cc) = _zero_system(alpha, fp)
     exact = (fp.a, fp.b, v[0], v[1], v[4], k)
     hp = hessian_biquadratic(face_form(alpha, fp)).to_form()
 
     candidates = []
-    with mpmath.workdps(dps):
+    with mpmath.workdps(ZERO_DPS):
         if aa == 0 and bb == 0 and cc == 0:
             # The quadratic degenerates to the whole line: any generic x1
             # gives an exact rational zero.
@@ -387,8 +382,8 @@ def find_additional_zero(
         point = BiquadPoint(
             tuple(float(v) for v in xf), tuple(float(v) for v in yf), float(res)
         )
-    if point.residual > tol:
-        raise RuntimeError(f"residual {point.residual} exceeds tolerance {tol}")
+    if point.residual > ZERO_TOL:
+        raise RuntimeError(f"residual {point.residual} exceeds tolerance {ZERO_TOL}")
     if 0.0 in (point.x[0], point.x[1], point.y[0], point.y[1]):
         raise RuntimeError("zero has a vanishing x1, x2, y1 or y2 coordinate")
     return point

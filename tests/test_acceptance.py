@@ -50,7 +50,6 @@ from sosconvex.face import (
 )
 from sosconvex.forms import Form, euler_recover, hessian, is_valid_hessian
 from sosconvex.search import (
-    SearchConfig,
     check_sos_convexity,
     douglas_rachford,
     parameterize,
@@ -186,7 +185,7 @@ def test_criterion_08_additional_zero_reproduction():
             aa, bb, cc = additional_zero_quadratic(alphas + [bound], fp)
             if (aa, bb, cc) != (0, 0, 0):
                 assert bb * bb - 4 * aa * cc > 0
-            pt = find_additional_zero(alphas + [bound], fp, tol=1e-9)
+            pt = find_additional_zero(alphas + [bound], fp)
             assert pt.residual <= 1e-9
             assert pt.x[0] * pt.x[1] * pt.y[0] * pt.y[1] != 0
             done += 1
@@ -220,7 +219,7 @@ def test_criterion_10_non_sos_search_behavior(tmp_path):
     with criterion(10, 60.0):
         b = builtin("b_thm22")
         pz = parameterize(b, bidegree_basis(3, 1, 1))
-        reports = list(douglas_rachford(pz, SearchConfig(max_iterations=10_000)))
+        reports = list(douglas_rachford(pz))
         assert reports and not any(r.converged for r in reports)  # soundness: no false certificate
         target = tmp_path / "b.biq"
         assert main(["builtin", "b_thm22", str(target)]) == 0
@@ -262,9 +261,7 @@ def test_criterion_11_tangent_ingredients():
         found = None
         eps = F(1)
         for _ in range(6):
-            outcome = check_sos_convexity(
-                f + g.scale(eps), SearchConfig(max_iterations=3000, restarts=1)
-            )
+            outcome = check_sos_convexity(f + g.scale(eps))
             if outcome.is_certified():
                 found = eps
                 break

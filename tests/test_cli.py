@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -19,7 +20,6 @@ from sosconvex.cli import (
     EXIT_FALSE,
     EXIT_TRUE,
     EXIT_UNKNOWN,
-    build_parser,
     main,
     parse_poly_expression,
 )
@@ -47,6 +47,10 @@ def write_x4_sum(tmp_path):
     path = tmp_path / "x4sum.form"
     path.write_text(form_to_text(p))
     return str(path)
+
+
+# a face query at the alpha5 bound that runs the zero search
+FACE_ZERO = ["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "1", "-1", "--bound", "--zero"]
 
 
 def negative_pairing(out):
@@ -81,12 +85,23 @@ class TestParser:
         assert capsys.readouterr() == first
         assert built == []
 
-    def test_check_defaults_are_the_search_defaults(self):
-        from sosconvex.search import SearchConfig
-
-        args = build_parser().parse_args(["check", "t.form", "--sos"])
-        parsed = SearchConfig(max_iterations=args.max_iter, restarts=args.restarts, seed=args.seed)
-        assert parsed == SearchConfig()
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{b}", "--sos", "--seed", "1"],
+            ["check", "{b}", "--sos", "--max-iter", "2000"],
+            ["check", "{b}", "--sos", "--restarts", "1"],
+            FACE_ZERO + ["--zero-tol", "1e-6"],
+            FACE_ZERO + ["--dps", "40"],
+        ],
+        ids=["seed", "max-iter", "restarts", "zero-tol", "dps"],
+    )
+    def test_removed_setting_is_unrecognized(self, b_file, argv, capsys):
+        # the search and the zero search run with fixed constants
+        assert main([arg.format(b=b_file) for arg in argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 class TestModuleEntry:
@@ -263,6 +278,29 @@ def mutate(draw, text):
     return "".join(line + "\n" for line in lines)
 
 
+CHECK_MODES = [["--sos"], ["--sos-convex"], ["--nonneg-mult", "x1^2"]]
+# coefficients of generated check targets; 10^400 is beyond float range
+COEFFICIENTS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3), F(10**400)]
+
+
+@st.composite
+def check_targets(draw):
+    """A form (n <= 3 variables, degree 0, 2 or 4) or a biq (n <= 3) file
+    text, with up to six terms whose coefficients come from COEFFICIENTS."""
+    n = draw(st.integers(1, 3))
+    coefficient = st.sampled_from(COEFFICIENTS)
+    if draw(st.booleans()):
+        r = range(1, n + 1)
+        keys = [(i, j, k, l) for i in r for j in r for k in r for l in r if i <= j and k <= l]
+        header, terms = f"biq n={n}", [" ".join(map(str, key)) for key in keys]
+    else:
+        d = draw(st.sampled_from([0, 2, 4]))
+        monomials = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+        header, terms = f"form n={n} d={d}", [" ".join(map(str, e)) for e in monomials]
+    chosen = draw(st.lists(st.sampled_from(terms), max_size=6, unique=True))
+    return "".join(f"{line}\n" for line in [header] + [f"{draw(coefficient)} {t}" for t in chosen])
+
+
 @st.composite
 def mutated_verify_files(draw):
     """A benchmark verify pair or any two corpus files, each mutated."""
@@ -283,6 +321,21 @@ class TestMalformedInput:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["verify", str(tmp_path / "t"), str(tmp_path / "w")])
         assert code in (EXIT_TRUE, EXIT_FALSE, EXIT_UNKNOWN, EXIT_ERROR)
+
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(check_targets())
+    def test_checked_targets_get_an_exit_code(self, tmp_path, text):
+        # every certificate check writes verifies
+        target, cert = tmp_path / "t", tmp_path / "t.cert"
+        target.write_text(text)
+        for mode in CHECK_MODES:
+            cert.unlink(missing_ok=True)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["check", str(target), *mode, "--out", str(cert)])
+                assert code in (EXIT_TRUE, EXIT_FALSE, EXIT_UNKNOWN, EXIT_ERROR)
+                if code == EXIT_TRUE:
+                    assert main(["verify", str(target), str(cert)]) == EXIT_TRUE
 
     def test_certificate_sections_in_any_order(self, tmp_path, b_file):
         text = corpus_text("q22_cert.cert")
@@ -477,18 +530,22 @@ class TestCheck:
         assert main(["check", b_file, "--sos", "--tol", tol]) == EXIT_ERROR
         assert "unrecognized arguments: --tol nan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag, value, field",
-        [
-            ("--max-iter", "0", "max_iterations"),
-            ("--restarts", "0", "restarts"),
-            ("--seed", "-1", "seed"),
-            ("--max-iter", "2.5", "--max-iter"),
-        ],
-    )
-    def test_invalid_search_setting_rejected(self, b_file, flag, value, field, capsys):
-        assert main(["check", b_file, "--sos", flag, value]) == EXIT_ERROR
-        assert field in capsys.readouterr().err
+    @pytest.mark.parametrize("mode", CHECK_MODES, ids=["sos", "sos-convex", "nonneg-mult"])
+    def test_coefficient_beyond_float_range_is_an_input_error(self, tmp_path, mode, capsys):
+        target = tmp_path / "big.form"
+        target.write_text(f"form n=2 d=2\n{10**400} 2 0\n1 0 2\n")
+        assert main(["check", str(target), *mode]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the coefficient of ")
+        assert captured.err.endswith(" is beyond float range\n") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", CHECK_MODES, ids=["sos", "sos-convex", "nonneg-mult"])
+    def test_coefficient_within_float_range_certifies(self, tmp_path, mode):
+        target, cert = tmp_path / "big.form", tmp_path / "big.cert"
+        target.write_text(f"form n=2 d=2\n{10**300} 2 0\n1 0 2\n")
+        assert main(["check", str(target), *mode, "--out", str(cert)]) == EXIT_TRUE
+        assert main(["verify", str(target), str(cert)]) == EXIT_TRUE
 
     def test_zero_denominator_multiplier_rejected(self, b_file, capsys):
         assert main(["check", b_file, "--nonneg-mult", "1/0*x1^2"]) == EXIT_ERROR
@@ -529,25 +586,6 @@ class TestFace:
         assert code == EXIT_TRUE
         assert "alphas: 1/1 1/1 1/1 1/1 -4/7" in out
         assert "bound: -1/1" in out
-
-    def test_zero_dps_rejected(self, capsys):
-        code = main(
-            ["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "1", "-1",
-             "--zero", "--dps", "0"]
-        )
-        assert code == EXIT_ERROR
-        assert "--dps" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
-    def test_bad_zero_tol_rejected(self, tol, capsys):
-        code = main(
-            ["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "1", "-1",
-             "--bound", "--zero", "--zero-tol", tol]
-        )
-        captured = capsys.readouterr()
-        assert code == EXIT_ERROR
-        assert captured.err.startswith("error:") and "tol" in captured.err
-        assert "zero_x:" not in captured.out
 
     def test_degenerate_params(self):
         code = main(["face", "--a", "0", "--b", "1", "--alphas", "1", "1", "1", "1", "0"])
@@ -617,11 +655,8 @@ class TestFaceOutput:
 
     @pytest.mark.parametrize(
         "args",
-        [
-            ["--alphas", "1", "1", "1", "1", "-1/2", "--zero"],
-            ["--alphas", "1", "1", "1", "1", "-1", "--zero", "--zero-tol", "nan"],
-        ],
-        ids=["alpha5-off-the-bound", "nan-tolerance"],
+        [["--alphas", "1", "1", "1", "1", "-1/2", "--zero"]],
+        ids=["alpha5-off-the-bound"],
     )
     def test_zero_preconditions_fail_before_any_output(self, args, capsys):
         assert main(["face", "--a", "1", "--b", "1", *args]) == EXIT_ERROR

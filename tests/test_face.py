@@ -7,6 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sosconvex import face
 from sosconvex.biquadratic import builtin, hessian_biquadratic
 from sosconvex.certificates import Verdict, ldlt_psd_check, rank
 from sosconvex.face import (
@@ -200,8 +201,8 @@ class TestAdditionalZero:
             fp = FaceParams(abs(fp.a), abs(fp.b))
             alphas = [abs(v) for v in alphas]
             bound = alpha5_lower_bound(alphas, fp)
-            pt = find_additional_zero(alphas + [bound], fp, tol=1e-9)
-            assert pt.residual <= 1e-9
+            pt = find_additional_zero(alphas + [bound], fp)
+            assert pt.residual <= face.ZERO_TOL
             assert pt.x[0] * pt.x[1] * pt.y[0] * pt.y[1] != 0
 
     def test_degenerate_symmetric_case_is_exact(self):
@@ -210,28 +211,14 @@ class TestAdditionalZero:
         # the point is exact; only the unit normalization is floating
         assert pt.residual <= 1e-25
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_bad_tolerance_rejected(self, tol):
-        # against NaN every residual would pass, and a tolerance <= 0 none
-        with pytest.raises(ValueError, match="tol"):
-            find_additional_zero([1, 1, 1, 1, -1], FaceParams(1, 1), tol=tol)
-
-    def test_rational_tolerance_accepted(self):
-        # tol need only compare with the float residual; a Fraction does
-        fp = FaceParams(F(3, 2), F(2))
-        alphas = [F(1), F(2), F(1), F(3)]
-        point = alphas + [alpha5_lower_bound(alphas, fp)]
-        pt = find_additional_zero(point, fp, tol=F(1, 10**9))
-        assert pt.residual <= F(1, 10**9)
-        with pytest.raises(ValueError, match="tol"):
-            find_additional_zero(point, fp, tol=F(0))
-
-    def test_residual_shrinks_with_precision(self):
+    def test_residual_shrinks_with_precision(self, monkeypatch):
         fp = FaceParams(F(3, 2), F(2))
         alphas = [F(1), F(2), F(1), F(3)]
         bound = alpha5_lower_bound(alphas, fp)
-        lo = find_additional_zero(alphas + [bound], fp, dps=16)
-        hi = find_additional_zero(alphas + [bound], fp, dps=40)
+        monkeypatch.setattr(face, "ZERO_DPS", 16)
+        lo = find_additional_zero(alphas + [bound], fp)
+        monkeypatch.setattr(face, "ZERO_DPS", 40)
+        hi = find_additional_zero(alphas + [bound], fp)
         assert lo.residual == 0 or hi.residual <= lo.residual / 100
 
 

@@ -30,7 +30,6 @@ from sosconvex.dual import RefutationResult, moment_matrix, verify_refutation
 from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
 from sosconvex.forms import Form, as_frac
 from sosconvex.search import (
-    SearchConfig,
     check_sos,
     check_sos_convexity,
     douglas_rachford,
@@ -203,13 +202,19 @@ class TestParameterize:
         with pytest.raises(ValueError):
             parameterize(Form(2, 2, {(2, 0): F(1)}), [])
 
+    def test_basis_helpers(self):
+        assert len(sos_basis_for(Form(3, 4, {(4, 0, 0): F(1)}))) == 6
+        assert len(bidegree_basis(3, 1, 1)) == 9
+        with pytest.raises(ValueError):
+            sos_basis_for(Form(2, 3, {(3, 0): F(1)}))
+
 
 class TestProjections:
     def test_diagonal_target_feasible_quickly(self):
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
         h = hessian_biquadratic(p)
         pz = parameterize(h, bilinears())
-        *earlier, last = douglas_rachford(pz, SearchConfig())
+        *earlier, last = douglas_rachford(pz)
         assert last.converged and not any(r.converged for r in earlier)
         assert last.min_eigenvalue >= -1e-8
         assert last.fiber_distance <= 1e-8
@@ -223,7 +228,7 @@ class TestProjections:
 
     def test_builtin_b_stalls_on_bilinears(self):
         pz = parameterize(builtin("b_thm22"), bilinears())
-        reports = list(douglas_rachford(pz, SearchConfig(max_iterations=10_000)))
+        reports = list(douglas_rachford(pz))
         assert reports and not any(r.converged for r in reports)
 
     def test_stalled_iterations_skip_the_shadow_spectrum(self, monkeypatch):
@@ -234,7 +239,7 @@ class TestProjections:
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-        reports = list(douglas_rachford(pz, SearchConfig(max_iterations=200, restarts=1)))
+        reports = list(itertools.islice(douglas_rachford(pz), 4))
         assert not any(r.converged for r in reports)
         assert sum(r.iterations for r in reports) == 200
         assert len(calls) <= len(reports)
@@ -247,7 +252,7 @@ class TestProjections:
         eigh, project = np.linalg.eigh, pz.project
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
         monkeypatch.setattr(pz, "project", lambda x: projections.append(1) or project(x))
-        reports = list(douglas_rachford(pz, SearchConfig(max_iterations=200, restarts=1)))
+        reports = list(itertools.islice(douglas_rachford(pz), 4))
         assert sum(r.iterations for r in reports) == 200
         assert len(eighs) == 200
         assert len(projections) <= 2
@@ -267,8 +272,9 @@ class TestProjections:
 
         monkeypatch.setattr(search._Anderson, "step", traced)
         # the second restart starts from a random symmetric matrix
-        cfg = SearchConfig(max_iterations=2000, restarts=2)
-        reports = list(douglas_rachford(stalled_fiber(), cfg))
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 2000)
+        monkeypatch.setattr(search, "RESTARTS", 2)
+        reports = list(douglas_rachford(stalled_fiber()))
         assert not any(r.converged for r in reports)
         assert sum(r.iterations for r in reports) == 4000 or any(r.stagnated for r in reports)
         for r in reports:
@@ -297,15 +303,18 @@ class TestProjections:
         assert np.array_equal(nxt, x + g)
         assert anderson.count == 0 and not anderson.pending
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, monkeypatch):
+        # the random restart draws from the fixed seed 0: two runs yield
+        # identical reports
         pz = parameterize(builtin("choi_biquadratic"), bilinears())
-        cfg = SearchConfig(max_iterations=500, restarts=2, seed=42)
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 500)
+        monkeypatch.setattr(search, "RESTARTS", 2)
 
         def summary(r):
             return r.iterations, r.min_eigenvalue, r.fiber_distance, r.converged, r.stagnated
 
-        r1 = list(douglas_rachford(pz, cfg))
-        r2 = list(douglas_rachford(pz, cfg))
+        r1 = list(douglas_rachford(pz))
+        r2 = list(douglas_rachford(pz))
         assert r1 and not any(r.converged for r in r1)
         assert [summary(r) for r in r1] == [summary(r) for r in r2]
 
@@ -318,35 +327,37 @@ class TestSearchLoop:
         eighs = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
-        reports = douglas_rachford(pz, SearchConfig())
+        reports = douglas_rachford(pz)
         assert eighs == []
         first = next(reports)
         assert len(eighs) == 25 and first.iterations == 25 and not first.converged
         next(reports)
         assert len(eighs) == 50
 
-    def test_chunk_ends_on_a_stalled_fiber(self):
+    def test_chunk_ends_on_a_stalled_fiber(self, monkeypatch):
         # the short chunks take the same steps as one run, so stagnation
         # stops the restart after 2,600 evaluations, as chunks from 200 did
         # ([200, 600, 1400, 2600])
-        reports = list(douglas_rachford(stalled_fiber(), SearchConfig(restarts=1)))
+        monkeypatch.setattr(search, "RESTARTS", 1)
+        reports = list(douglas_rachford(stalled_fiber()))
         ends = list(itertools.accumulate(r.iterations for r in reports))
         assert ends == [25, 50, 100, 200, 600, 1400, 2600]
         assert reports[-1].stagnated and not any(r.stagnated for r in reports[:-1])
 
-    def test_chunk_ends_within_the_budget(self):
+    def test_chunk_ends_within_the_budget(self, monkeypatch):
         # a restart that never converges or stagnates spends its budget in
         # the four short chunks, then in doubling ones from 400
-        ends = list(itertools.accumulate(search._chunk_budgets(10_000)))
+        ends = list(itertools.accumulate(search._chunk_budgets()))
         assert ends == [25, 50, 100, 200, 600, 1400, 3000, 6200, 10_000]
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 700)
+        assert list(itertools.accumulate(search._chunk_budgets())) == [25, 50, 100, 200, 600, 700]
 
     def test_chunk_ends_move_no_iterate(self, monkeypatch):
         # the report at 200 evaluations is the same, bit for bit, whether
         # the restart ran in chunks of 25, 25, 50 and 100 or in one chunk
-        cfg = SearchConfig(restarts=1)
-        fourth = list(itertools.islice(douglas_rachford(stalled_fiber(), cfg), 4))[-1]
-        monkeypatch.setattr(search, "_chunk_budgets", lambda budget: iter([200]))
-        (whole,) = douglas_rachford(stalled_fiber(), cfg)
+        fourth = list(itertools.islice(douglas_rachford(stalled_fiber()), 4))[-1]
+        monkeypatch.setattr(search, "_chunk_budgets", lambda: iter([200]))
+        whole = next(douglas_rachford(stalled_fiber()))
         assert whole.iterations == 200 and fourth.iterations == 100
         assert whole.fiber_point.tobytes() == fourth.fiber_point.tobytes()
         assert (whole.min_eigenvalue, whole.fiber_distance) == (
@@ -363,17 +374,18 @@ class TestSearchLoop:
         outcome = check_sos(target)
         assert outcome.status == "NumericFeasible"
         assert outcome.diagnostics.startswith("feasible numerically but rounding failed: ")
-        reports = list(douglas_rachford(parameterize(target, sos_basis(target)), SearchConfig()))
+        reports = list(douglas_rachford(parameterize(target, sos_basis(target))))
         assert reports[-1].converged
         assert outcome.residual == reports[-1].residual
 
-    def test_stalled_outcome_reports_the_smallest_residual(self):
+    def test_stalled_outcome_reports_the_smallest_residual(self, monkeypatch):
         square_sum = Form(2, 2, {(2, 0): F(1), (0, 2): F(1)})
-        cfg = SearchConfig(max_iterations=600, restarts=2)
-        outcome = check_sos(-square_sum, cfg, multiplier=square_sum)
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 600)
+        monkeypatch.setattr(search, "RESTARTS", 2)
+        outcome = check_sos(-square_sum, multiplier=square_sum)
         assert outcome.status == "Stalled"
         search_form = square_sum * -square_sum
-        reports = list(douglas_rachford(parameterize(search_form, sos_basis(search_form)), cfg))
+        reports = list(douglas_rachford(parameterize(search_form, sos_basis(search_form))))
         assert not any(r.converged for r in reports)
         best = min(reports, key=lambda r: r.residual)
         assert outcome.residual == best.residual
@@ -601,7 +613,7 @@ class TestRefutation:
     def test_refutation_search_returns_a_refuted_outcome(self):
         b = builtin("b_thm22")
         pz = stalled_fiber()
-        first = next(douglas_rachford(pz, SearchConfig()))
+        first = next(douglas_rachford(pz))
         outcome = search.refutation_search(b, pz, first.fiber_point)
         assert_integer_refutation(outcome, b)
         assert outcome.refutation == verify_refutation(outcome.dual, b)
@@ -702,7 +714,7 @@ class TestRefutation:
 
 def witness_on(target):
     tf = target.to_form() if isinstance(target, BiquadraticForm) else target
-    return witness_refutation(tf, parameterize(tf, sos_basis(tf)), SearchConfig())
+    return witness_refutation(tf, parameterize(tf, sos_basis(tf)))
 
 
 class TestWitness:
@@ -789,8 +801,9 @@ class TestWitness:
         # a draw with no witness found, so every chunk could try one
         fp = FaceParams(2, 3)
         p = face_form([1, 1, 1, 1, alpha5_lower_bound([1, 1, 1, 1], fp) - F(1, 1000)], fp)
-        cfg = SearchConfig(max_iterations=400, restarts=2)
-        assert check_sos_convexity(p, cfg).status == "Stalled"
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 400)
+        monkeypatch.setattr(search, "RESTARTS", 2)
+        assert check_sos_convexity(p).status == "Stalled"
         assert len(calls) == 1
         calls.clear()
         b = builtin("b_thm22")
@@ -817,7 +830,7 @@ class TestEndToEnd:
             assert outcome.is_certified()
 
     def test_builtin_b_is_refuted_not_certified(self):
-        outcome = check_sos(builtin("b_thm22"), SearchConfig(max_iterations=10_000))
+        outcome = check_sos(builtin("b_thm22"))
         assert outcome.status == "Refuted"
         assert verify_refutation(outcome.dual, builtin("b_thm22"))
 
@@ -826,7 +839,7 @@ class TestEndToEnd:
         fp = FaceParams(1, 1)
         bound = alpha5_lower_bound([1, 1, 1, 1], fp)
         p = face_form([1, 1, 1, 1, bound - F(1, 10)], fp)
-        outcome = check_sos_convexity(p, SearchConfig(max_iterations=2000, restarts=1))
+        outcome = check_sos_convexity(p)
         assert outcome.status in ("Stalled", "Refuted")
 
     def test_odd_degree_rejected(self):
@@ -974,7 +987,7 @@ class TestBelowBoundProperty:
         # the bound is negative, so bound * (1 + delta) lies below it
         alpha5 = alpha5_lower_bound(alphas, fp) * (1 + delta)
         p = face_form(alphas + [alpha5], fp)
-        outcome = check_sos_convexity(p, SearchConfig(max_iterations=2000, restarts=1))
+        outcome = check_sos_convexity(p)
         assert outcome.status != "ExactCertificate"
         if outcome.status == "Refuted":
             assert verify_refutation(outcome.dual, hessian_form(p))
@@ -1025,38 +1038,3 @@ class TestEmptyBasis:
         outcome = check_sos_convexity(Form.zero(3, 4))
         assert outcome.is_certified()
         assert verify_sos_certificate(hessian_form(Form.zero(3, 4)), outcome.certificate)
-
-
-class TestConfig:
-    def test_nonpositive_values_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SearchConfig(restarts=-1)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("max_iterations", math.nan),
-            ("max_iterations", 2.5),
-            ("max_iterations", True),
-            ("max_iterations", 0),
-            ("restarts", 1.0),
-            ("restarts", False),
-            ("seed", -1),
-            ("seed", 0.5),
-            ("seed", True),
-        ],
-    )
-    def test_invalid_value_rejected_by_name(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SearchConfig(**{field: value})
-
-    def test_least_valid_values_accepted(self):
-        SearchConfig(max_iterations=1, restarts=1, seed=0)
-
-    def test_basis_helpers(self):
-        assert len(sos_basis_for(Form(3, 4, {(4, 0, 0): F(1)}))) == 6
-        assert len(bidegree_basis(3, 1, 1)) == 9
-        with pytest.raises(ValueError):
-            sos_basis_for(Form(2, 3, {(3, 0): F(1)}))

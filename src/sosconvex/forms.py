@@ -153,7 +153,8 @@ class Form:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                    c = c1 * c2
+                    terms[e] = terms[e] + c if e in terms else c
             return Form(self.n_vars, self.degree + other.degree, terms)
         return self.scale(other)
 

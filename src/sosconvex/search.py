@@ -27,11 +27,13 @@ plain step T(x), and the history is cleared; a singular solve or a
 non-finite candidate counts as rejected. A restart converges at a shadow
 within the target's own tolerance pz.tol of the fiber and the PSD cone.
 Each restart is one loop with one history, and douglas_rachford yields a
-DRReport at each chunk end of it, so chunk ends move no iterate; check_sos
-is one loop over the reports: it rounds a chunk that ends near the fiber or
-on a PSD shadow, and tries a refutation from every chunk it does not
-certify. Chunks start short and double (_chunk_budgets): early points are
-tried early, and a long run yields few reports.
+DRReport at each chunk end of it, so chunk ends move no iterate, and one
+before its first evaluation, on its start point; check_sos is one loop over
+the reports: it rounds a report that ends near the fiber or on a PSD shadow,
+and tries a refutation from every report it does not certify, so an easy
+target is decided at the start point, with no evaluation. Chunks start short
+and double (_chunk_budgets): early points are tried early, and a long run
+yields few reports.
 Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
 entrywise, once to the grid 1/D and once to continued fractions with
 denominators at most D, for each D of the fixed DENOMINATOR_BOUNDS, each
@@ -60,8 +62,11 @@ primitive integer functionals on those monomials, screens each with one
 eigvalsh of its moment matrix against the same SCREEN_TOL. A target
 monomial that no product of two basis monomials reaches, any one over an
 empty basis, is refuted before any search by the functional that is
-nonzero only there. Every functional, these and the witness points below,
-passes one gate, _refuted: no search claims "not SOS" unless
+nonzero only there, and so is a square z_r^2 with a negative coefficient
+that only the pair (r, r) reaches, by the functional that is 1 there: its
+moment matrix is e_r e_r^T. Under a multiplier both end Stalled at once,
+since only a Gram matrix is sought. Every functional, these and the witness
+points below, passes one gate, _refuted: no search claims "not SOS" unless
 verify_refutation accepts it on the same pruned basis.
 
 A target whose terms all have bidegree (2, 2) at n_vars/2, every biquadratic
@@ -69,13 +74,15 @@ target and the Hessian form of every quartic, is y^T A(x) y, and a point
 where it is negative refutes it too: the functional that evaluates there has
 a rank-1 moment matrix and pairs with the target to its value, which the
 outcome's point holds. check_sos runs witness_refutation once, after the
-first chunk whose gap does not refute: alternating eigen-steps in floats,
-integer rounding, an exact sign check on ints, and the gate. For ternary quartics
-the route is complete: a convex ternary quartic is sos-convex (the paper's
-theorem), so when the Hessian form is not SOS there is an open set of points
-where it is negative, rational ones among them, though the float search can
-miss a thin one. Sextic Hessian forms, bidegree (4, 2), are left to the gap:
-for fixed y they are quartic in x, so their x step is no eigenproblem.
+first chunk of evaluations whose gap does not refute: alternating
+eigen-steps in floats, and after each step integer rounding, an exact sign
+check on ints and the gate, so it stops at the first step that yields a
+refuting point. For ternary quartics the route is complete: a convex
+ternary quartic is sos-convex (the paper's theorem), so when the Hessian
+form is not SOS there is an open set of points where it is negative,
+rational ones among them, though the float search can miss a thin one.
+Sextic Hessian forms, bidegree (4, 2), are left to the gap: for fixed y
+they are quartic in x, so their x step is no eigenproblem.
 """
 
 from __future__ import annotations
@@ -368,7 +375,8 @@ def _chunk_budgets() -> Iterator[int]:
 
 def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
     """Restarted Douglas-Rachford search for a PSD point of the fiber,
-    yielding a DRReport at each chunk end (_chunk_budgets) of each restart.
+    yielding a DRReport at the start and at each chunk end (_chunk_budgets)
+    of each restart.
 
     The first of RESTARTS restarts starts from project(0), the least-norm
     fiber point; later ones from projections of random symmetric matrices.
@@ -383,7 +391,9 @@ def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
     restart. y is PSD, so lambda_min(shadow) >= -d * max|r|: the shadow's
     spectrum is needed only once the fiber distance max|r| is within pz.tol,
     and for the report of a chunk that ends unconverged, which is on the
-    fiber point P(x) of the next point x.
+    fiber point P(x) of the next point x. The start report, with 0
+    iterations, is on P(x) of the start point x, so the caller's exact
+    gates see it before any evaluation.
 
     A chunk end only yields, so chunk ends move no iterate. The stagnation
     counters start afresh with each chunk, and stagnation needs 1,200
@@ -399,6 +409,9 @@ def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
         x = np.zeros((dim, dim)) if restart == 0 else rng.standard_normal((dim, dim))
         x = pz.project((x + x.T) / 2.0)
         px = pz.project(x)
+        # the start point goes to the exact gates before any evaluation
+        start_distance = float(np.abs(pz.residual(px)).max())
+        yield DRReport(0, float(np.linalg.eigvalsh(px)[0]), start_distance, px)
         anderson = _Anderson(x.size)
         for budget in _chunk_budgets():
             best_progress = window_best = math.inf
@@ -476,12 +489,16 @@ def _roundings(values) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     since the grid misses rational points with small odd denominators and
     continued fractions pick needlessly large denominators when the grid
     would do. The continued fractions are computed only once the grid
-    rounding is rejected.
+    rounding is rejected. A ValueError says that a value times a bound
+    overflows, as one within a few powers of two of the largest float does.
     """
     values = [float(v) for v in values]
 
     def per_bound(bound):
-        grid = [round(v * bound) for v in values]
+        try:
+            grid = [round(v * bound) for v in values]
+        except OverflowError:
+            raise ValueError(f"a Gram entry times {bound} is beyond float range") from None
         gcds = [math.gcd(n, bound) for n in grid]
         yield tuple(n // g for n, g in zip(grid, gcds)), tuple(bound // g for g in gcds)
         yield tuple(zip(*(_limit_denominator(v, bound) for v in values)))
@@ -526,7 +543,8 @@ def rationalize_and_certify(
     if multiplier is None:
         multiplier = unit_multiplier(len(pz.z[0]))
     check = None
-    for nums, dens in _roundings(((g + g.T) / 2.0)[pz._upper]):
+    # halved before the sum, so that no entry near the largest float overflows
+    for nums, dens in _roundings((g / 2.0 + g.T / 2.0)[pz._upper]):
         lam = _screen(pz, nums, dens)
         if lam < -SCREEN_TOL:
             check = SosVerification(
@@ -634,16 +652,17 @@ def witness_refutation(target, pz: GramParameterization) -> SearchOutcome | None
     form in y, and for fixed y one in x, x^T C(y) x. From WITNESS_STARTS
     random x (seed 0), WITNESS_STEPS alternating steps take y as the bottom
     eigenvector of A(x), then x as that of C(y), one eigh on the stack of
-    starts per half step; each step lowers the value. The most
-    negative points are rounded to integer vectors at each of WITNESS_SCALES
-    and the target's sign there is checked on ints over its common
-    denominator. At a point where it is negative, the point-evaluation
-    functional, with the integer moments x^a y^b on pz.monomials divided by
-    their gcd, has the rank-1 moment matrix v v^T, v the basis evaluated at
-    the point, and pairs with the target to its value there, the exact sum
-    the sign check took: both go to _refuted, the one gate. Both screens
-    only skip candidates. None for any other target, or when no candidate
-    is accepted.
+    starts per half step; each step lowers the value. After every step the
+    negative points, most negative first, are rounded to integer vectors at
+    each of WITNESS_SCALES, each integer point once over all steps, and the
+    target's sign there is checked on ints over its common denominator; the
+    first point the gate accepts is returned. At a point where it is
+    negative, the point-evaluation functional, with the integer moments
+    x^a y^b on pz.monomials divided by their gcd, has the rank-1 moment
+    matrix v v^T, v the basis evaluated at the point, and pairs with the
+    target to its value there, the exact sum the sign check took: both go
+    to _refuted, the one gate. Both screens only skip candidates. None for
+    any other target, or when no candidate is accepted.
     """
     tf = _as_form(target)
     if _bidegree(tf) != (2, 2):
@@ -659,34 +678,33 @@ def witness_refutation(target, pz: GramParameterization) -> SearchOutcome | None
     kt += kt.transpose(0, 1, 3, 2)
     kmat = kt.reshape(n * n, n * n) / 4.0
     x = np.random.default_rng(0).standard_normal((WITNESS_STARTS, n))
+    floor = -WITNESS_TOL * float(np.abs(kmat).max())
+    seen = set()
     for _ in range(WITNESS_STEPS):
         a = ((x[:, :, None] * x[:, None, :]).reshape(WITNESS_STARTS, -1) @ kmat).reshape(-1, n, n)
         y = np.linalg.eigh(a)[1][:, :, 0]
         c = ((y[:, :, None] * y[:, None, :]).reshape(WITNESS_STARTS, -1) @ kmat.T).reshape(-1, n, n)
         values, vecs = np.linalg.eigh(c)
         x = vecs[:, :, 0]
-    values = values[:, 0]
-    floor = -WITNESS_TOL * float(np.abs(kmat).max())
-    seen = set()
-    for s in np.argsort(values):
-        if not values[s] < floor:
-            break
-        for scale in WITNESS_SCALES:
-            xi, yi = _integer_point(x[s], scale), _integer_point(y[s], scale)
-            if xi is None or yi is None or (xi, yi) in seen:
-                continue
-            seen.add((xi, yi))
-            p = xi + yi
-            moments = [p[q0] * p[q1] * p[q2] * p[q3] for q0, q1, q2, q3 in quads]
-            total = sum(t * v for t, v in zip(pz._target_nums, moments))
-            if total >= 0:
-                continue
-            g = math.gcd(*moments)
-            value = Fraction(total, pz._target_den)
-            outcome = _refuted(tf, pz.monomials, [v // g for v in moments], (xi, yi, value))
-            if outcome is not None:
-                outcome.diagnostics = f"the target is {value} < 0 at x = {xi}, y = {yi}"
-                return outcome
+        for s in np.argsort(values[:, 0]):
+            if not values[s, 0] < floor:
+                break
+            for scale in WITNESS_SCALES:
+                xi, yi = _integer_point(x[s], scale), _integer_point(y[s], scale)
+                if xi is None or yi is None or (xi, yi) in seen:
+                    continue
+                seen.add((xi, yi))
+                p = xi + yi
+                moments = [p[q0] * p[q1] * p[q2] * p[q3] for q0, q1, q2, q3 in quads]
+                total = sum(t * v for t, v in zip(pz._target_nums, moments))
+                if total >= 0:
+                    continue
+                g = math.gcd(*moments)
+                value = Fraction(total, pz._target_den)
+                outcome = _refuted(tf, pz.monomials, [v // g for v in moments], (xi, yi, value))
+                if outcome is not None:
+                    outcome.diagnostics = f"the target is {value} < 0 at x = {xi}, y = {yi}"
+                    return outcome
     return None
 
 
@@ -705,13 +723,23 @@ def check_sos(target, multiplier: Form | None = None) -> SearchOutcome:
     tf = _as_form(target)
     search_form = tf if multiplier is None else multiplier * tf
     z = sos_basis(search_form)
+    gram = gram_index(tuple(z))
     # a target monomial that no z_r z_s reaches; over an empty basis, any one
-    unreached = next((m for m in search_form.terms if m not in gram_index(tuple(z)).ids), None)
+    unreached = next((m for m in search_form.terms if m not in gram.ids), None)
     if unreached is not None:
         # the functional nonzero only there has a zero moment matrix, so it refutes
         sign = 1 if search_form.terms[unreached] < 0 else -1
         outcome = multiplier is None and _refuted(tf, [unreached], [sign])
         return outcome or SearchOutcome("Stalled", diagnostics=f"no z_r z_s reaches {unreached}")
+    # a square z_r^2 that only the pair (r, r) reaches, with a negative
+    # coefficient: Q[r, r] is that coefficient in every Gram matrix, so none is
+    # PSD, and the functional that is 1 there has the moment matrix e_r e_r^T
+    for r, row in enumerate(gram.rows):
+        square = gram.monomials[row[r]]
+        if gram.counts[row[r]] == 1 and search_form.terms.get(square, 0) < 0:
+            outcome = multiplier is None and _refuted(tf, [square], [1])
+            reason = f"only z_r^2 reaches {square}, and its coefficient is negative"
+            return outcome or SearchOutcome("Stalled", diagnostics=reason)
     if not z:
         # the zero form is left, and it is z^T [0] z over one monomial of its degree
         mult = multiplier or unit_multiplier(tf.n_vars)
@@ -742,8 +770,9 @@ def check_sos(target, multiplier: Form | None = None) -> SearchOutcome:
         if multiplier is None:
             outcome = refutation_search(tf, pz, report.fiber_point)
             # a point where the target is negative refutes it at any chunk,
-            # so the witness search runs once, after the first gap fails
-            if outcome is None and not witness_tried:
+            # so the witness search runs once, after the gap of the first
+            # chunk of evaluations fails
+            if outcome is None and not witness_tried and report.iterations > 0:
                 witness_tried = True
                 outcome = witness_refutation(tf, pz)
             if outcome is not None:

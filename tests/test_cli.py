@@ -228,7 +228,9 @@ class TestVerify:
         hessian = biquadratic_to_text(hessian_biquadratic(p))
         target.write_text(hessian if kind == "biq" else form_to_text(p))
         assert main(["verify", str(target), str(dual)]) == EXIT_FALSE
-        assert capsys.readouterr().out == "not SOS, pairing = -120\n"
+        pairing = outcome.refutation.pairing_value
+        assert pairing < 0
+        assert capsys.readouterr().out == f"not SOS, pairing = {pairing}\n"
 
     @pytest.mark.parametrize("token", ["nan", "1/0", "x"])
     def test_bad_rational_in_certificate_is_an_input_error(self, tmp_path, b_file, token,
@@ -546,6 +548,39 @@ class TestCheck:
         target.write_text(f"form n=2 d=2\n{10**300} 2 0\n1 0 2\n")
         assert main(["check", str(target), *mode, "--out", str(cert)]) == EXIT_TRUE
         assert main(["verify", str(target), str(cert)]) == EXIT_TRUE
+
+    @pytest.mark.parametrize("mode", CHECK_MODES, ids=["sos", "sos-convex", "nonneg-mult"])
+    def test_rounding_beyond_float_range_is_an_input_error(self, tmp_path, mode, capsys):
+        # 10^308 is a float, but a Gram entry near it times a denominator is not
+        target = tmp_path / "big.form"
+        target.write_text(f"form n=2 d=2\n{10**308} 2 0\n1 0 2\n")
+        assert main(["check", str(target), *mode]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(" is beyond float range\n") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", CHECK_MODES, ids=["sos", "sos-convex", "nonneg-mult"])
+    def test_coefficient_near_the_float_maximum_certifies(self, tmp_path, mode):
+        target, cert = tmp_path / "big.form", tmp_path / "big.cert"
+        target.write_text(f"form n=2 d=2\n{17 * 10**306} 2 0\n1 0 2\n")
+        assert main(["check", str(target), *mode, "--out", str(cert)]) == EXIT_TRUE
+        assert main(["verify", str(target), str(cert)]) == EXIT_TRUE
+
+    @pytest.mark.parametrize("body", ["form n=1 d=0\n-3 0\n", "form n=1 d=2\n-1 2\n"],
+                             ids=["-3", "-x1^2"])
+    def test_negative_square_under_a_multiplier_stalls_without_a_search(
+        self, tmp_path, body, capsys, monkeypatch
+    ):
+        # only (x1, x1) reaches the square x1^2 of the product, whose
+        # coefficient is negative: no Gram matrix is PSD
+        from sosconvex import search
+
+        monkeypatch.setattr(search, "douglas_rachford", lambda pz: pytest.fail("searched"))
+        target = tmp_path / "neg.form"
+        target.write_text(body)
+        assert main(["check", str(target), "--nonneg-mult", "x1^2"]) == EXIT_UNKNOWN
+        assert capsys.readouterr().out.startswith("status: Stalled\n")
 
     def test_zero_denominator_multiplier_rejected(self, b_file, capsys):
         assert main(["check", b_file, "--nonneg-mult", "1/0*x1^2"]) == EXIT_ERROR

@@ -9,9 +9,11 @@ suite and not only the benchmark.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sosconvex.biquadratic import biquadratic_from_text
+from sosconvex.biquadratic import biquadratic_from_text, hessian_form
+from sosconvex.certificates import sos_basis
 from sosconvex.cli import main
 from sosconvex.forms import form_from_text
 from sosconvex import search
@@ -80,10 +82,37 @@ def test_face_forms_at_the_bound_certify_in_tens_of_evaluations(chunks):
 
 @pytest.mark.parametrize("ident", ["face_T11_below", "face_T23_below"])
 def test_face_forms_below_the_bound_refuted_from_the_first_chunk(ident, chunks):
-    # the gap of the first chunk does not separate (the Anderson run's does
-    # from evaluation 51 and 76 on), but a witness point, where the Hessian
-    # form is negative, refutes right after it
+    # the gaps of the start point and of the first chunk do not separate (the
+    # Anderson run's does from evaluation 51 and 76 on), but a witness point,
+    # where the Hessian form is negative, refutes right after the first chunk
     outcome = check_sos_convexity(load(BY_ID[ident]["target"]))
     assert outcome.status == "Refuted"
     assert outcome.diagnostics.startswith("y^T H(x) y = -")
-    assert chunks == [25]
+    assert chunks == [0, 25]
+
+
+def test_choi_refuted_at_the_start_point(chunks):
+    # the gap at the least-norm fiber point already separates Choi's form
+    outcome = check_sos(load(BY_ID["choi_sos"]["target"]))
+    assert outcome.status == "Refuted"
+    assert chunks == [0]
+
+
+def test_power_sum_certified_from_the_start_report(chunks):
+    # the least-norm fiber point of pow4_n4's Hessian form rounds to a
+    # certificate, so no DR evaluation runs
+    assert check_sos_convexity(load(BY_ID["pow4_n4"]["target"])).is_certified()
+    assert chunks == [0]
+
+
+def test_witness_search_stops_at_its_first_step(monkeypatch):
+    # face_T23_below is refuted at a point of the first alternating step:
+    # one eigh for y and one for x, not the 2 * WITNESS_STEPS of a full run
+    hessian = hessian_form(load(BY_ID["face_T23_below"]["target"]))
+    pz = search.parameterize(hessian, sos_basis(hessian))
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
+    outcome = search.witness_refutation(hessian, pz)
+    assert outcome.status == "Refuted" and outcome.point is not None
+    assert len(eighs) == 2

@@ -234,25 +234,25 @@ class TestProjections:
     def test_stalled_iterations_skip_the_shadow_spectrum(self, monkeypatch):
         # one eigh per iteration for the PSD projection; the shadow's
         # eigvalsh only when the fiber distance is within tolerance, and
-        # once for each report
+        # once for each report, the start report included
         pz = stalled_fiber()
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-        reports = list(itertools.islice(douglas_rachford(pz), 4))
+        reports = list(itertools.islice(douglas_rachford(pz), 5))
         assert not any(r.converged for r in reports)
-        assert sum(r.iterations for r in reports) == 200
+        assert [r.iterations for r in reports] == [0, 25, 25, 50, 100]
         assert len(calls) <= len(reports)
 
     def test_one_eigh_per_iteration_and_two_projections_per_restart(self, monkeypatch):
         # the start point and its projection; P of every later point is
-        # carried, across chunk ends too
+        # carried, across chunk ends too, and the start report evaluates nothing
         pz = stalled_fiber()
         eighs, projections = [], []
         eigh, project = np.linalg.eigh, pz.project
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
         monkeypatch.setattr(pz, "project", lambda x: projections.append(1) or project(x))
-        reports = list(itertools.islice(douglas_rachford(pz), 4))
+        reports = list(itertools.islice(douglas_rachford(pz), 5))
         assert sum(r.iterations for r in reports) == 200
         assert len(eighs) == 200
         assert len(projections) <= 2
@@ -329,6 +329,8 @@ class TestSearchLoop:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
         reports = douglas_rachford(pz)
         assert eighs == []
+        start = next(reports)
+        assert eighs == [] and start.iterations == 0 and not start.converged
         first = next(reports)
         assert len(eighs) == 25 and first.iterations == 25 and not first.converged
         next(reports)
@@ -337,11 +339,11 @@ class TestSearchLoop:
     def test_chunk_ends_on_a_stalled_fiber(self, monkeypatch):
         # the short chunks take the same steps as one run, so stagnation
         # stops the restart after 2,600 evaluations, as chunks from 200 did
-        # ([200, 600, 1400, 2600])
+        # ([200, 600, 1400, 2600]); the start report evaluates nothing
         monkeypatch.setattr(search, "RESTARTS", 1)
         reports = list(douglas_rachford(stalled_fiber()))
         ends = list(itertools.accumulate(r.iterations for r in reports))
-        assert ends == [25, 50, 100, 200, 600, 1400, 2600]
+        assert ends == [0, 25, 50, 100, 200, 600, 1400, 2600]
         assert reports[-1].stagnated and not any(r.stagnated for r in reports[:-1])
 
     def test_chunk_ends_within_the_budget(self, monkeypatch):
@@ -354,10 +356,11 @@ class TestSearchLoop:
 
     def test_chunk_ends_move_no_iterate(self, monkeypatch):
         # the report at 200 evaluations is the same, bit for bit, whether
-        # the restart ran in chunks of 25, 25, 50 and 100 or in one chunk
-        fourth = list(itertools.islice(douglas_rachford(stalled_fiber()), 4))[-1]
+        # the restart ran in chunks of 25, 25, 50 and 100 or in one chunk,
+        # each after the start report
+        fourth = list(itertools.islice(douglas_rachford(stalled_fiber()), 5))[-1]
         monkeypatch.setattr(search, "_chunk_budgets", lambda: iter([200]))
-        whole = next(douglas_rachford(stalled_fiber()))
+        whole = list(itertools.islice(douglas_rachford(stalled_fiber()), 2))[-1]
         assert whole.iterations == 200 and fourth.iterations == 100
         assert whole.fiber_point.tobytes() == fourth.fiber_point.tobytes()
         assert (whole.min_eigenvalue, whole.fiber_distance) == (
@@ -379,12 +382,15 @@ class TestSearchLoop:
         assert outcome.residual == reports[-1].residual
 
     def test_stalled_outcome_reports_the_smallest_residual(self, monkeypatch):
+        # an indefinite target under a multiplier: every square of the product
+        # has a positive coefficient or a second pair, so the search runs
         square_sum = Form(2, 2, {(2, 0): F(1), (0, 2): F(1)})
+        indefinite = Form(2, 2, {(2, 0): F(1), (1, 1): F(-3), (0, 2): F(1)})
         monkeypatch.setattr(search, "MAX_ITERATIONS", 600)
         monkeypatch.setattr(search, "RESTARTS", 2)
-        outcome = check_sos(-square_sum, multiplier=square_sum)
+        outcome = check_sos(indefinite, multiplier=square_sum)
         assert outcome.status == "Stalled"
-        search_form = square_sum * -square_sum
+        search_form = square_sum * indefinite
         reports = list(douglas_rachford(parameterize(search_form, sos_basis(search_form))))
         assert not any(r.converged for r in reports)
         best = min(reports, key=lambda r: r.residual)
@@ -611,9 +617,11 @@ class TestRefutation:
         assert outcome.point is None and outcome.diagnostics == ""
 
     def test_refutation_search_returns_a_refuted_outcome(self):
+        # b_thm22's start point is not separated; its first chunk's end is
         b = builtin("b_thm22")
         pz = stalled_fiber()
-        first = next(douglas_rachford(pz))
+        first = next(r for r in douglas_rachford(pz) if r.iterations)
+        assert first.iterations == 25
         outcome = search.refutation_search(b, pz, first.fiber_point)
         assert_integer_refutation(outcome, b)
         assert outcome.refutation == verify_refutation(outcome.dual, b)
@@ -621,9 +629,12 @@ class TestRefutation:
 
     def test_singular_psd_gap_refuted(self):
         # the gap of -(x1^6 + x2^6 + x3^6) has a singular PSD moment matrix;
-        # the shift screen takes it unshifted, and it pairs to -3
+        # the shift screen takes it unshifted, and it pairs to -3 (check_sos
+        # refutes it before any search, by one of its negative squares)
         target = parse_poly_expression("-x1^6-x2^6-x3^6", 3)
-        outcome = check_sos(target)
+        pz = parameterize(target, sos_basis(target))
+        start = next(douglas_rachford(pz))
+        outcome = search.refutation_search(target, pz, start.fiber_point)
         assert_integer_refutation(outcome, target)
         assert outcome.refutation.pairing_value == -3
 
@@ -991,6 +1002,41 @@ class TestBelowBoundProperty:
         assert outcome.status != "ExactCertificate"
         if outcome.status == "Refuted":
             assert verify_refutation(outcome.dual, hessian_form(p))
+
+
+class TestNegativeSquare:
+    """A square z_r^2 that only the pair (r, r) reaches, with a negative
+    coefficient, is decided without a search: Q[r, r] is that coefficient in
+    every Gram matrix, so none is PSD."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        monkeypatch.setattr(search, "douglas_rachford", lambda pz: pytest.fail("searched"))
+
+    def test_refuted_by_the_functional_on_that_square(self, no_search):
+        target = parse_poly_expression("-x1^2+x2^2", 2)
+        outcome = check_sos(target)
+        assert_integer_refutation(outcome, target)
+        assert (outcome.dual.monomials, outcome.dual.c) == ([(2, 0)], [1])
+        assert outcome.refutation.pairing_value == -1
+        # its moment matrix is e_r e_r^T
+        assert moment_matrix(outcome.dual, sos_basis(target)).rows == [[1, 0], [0, 0]]
+
+    @pytest.mark.parametrize(
+        "target",
+        [Form(1, 0, {(0,): F(-3)}), Form(1, 2, {(2,): F(-1)})],
+        ids=["-3", "-x1^2"],
+    )
+    def test_with_a_multiplier_it_stalls_at_once(self, target, no_search):
+        outcome = check_sos(target, multiplier=parse_poly_expression("x1^2", 1))
+        assert outcome.status == "Stalled" and outcome.residual is None
+        assert outcome.diagnostics.startswith("only z_r^2 reaches ")
+
+    def test_a_square_with_a_second_pair_is_searched(self):
+        # x1^2 x2^2 is reached by (x1 x2, x1 x2) and by (x1^2, x2^2), so a
+        # negative coefficient there leaves a PSD Gram matrix possible
+        target = parse_poly_expression("x1^4-x1^2*x2^2+x2^4", 2)
+        assert check_sos(target).is_certified()
 
 
 class TestEmptyBasis:

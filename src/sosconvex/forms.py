@@ -335,33 +335,6 @@ def is_valid_hessian(a: PolyMatrix) -> HessianVerdict:
     return HessianVerdict(True)
 
 
-def substitute_linear(f: Form, b: Sequence[Sequence]) -> Form:
-    """Substitute x_i <- sum_j b[i][j] * t_j; b is n_vars x m."""
-    n = f.n_vars
-    if len(b) != n:
-        raise ValueError(f"substitution matrix must have {n} rows")
-    m = len(b[0])
-    if any(len(row) != m for row in b):
-        raise ValueError("substitution matrix is ragged")
-    lin = [Form.linear([as_frac(c) for c in row]) for row in b]
-    acc = Form.zero(m, f.degree)
-    for exps, coeff in f.terms.items():
-        term = Form(m, 0, {(0,) * m: coeff})
-        for lf, e in zip(lin, exps):
-            if e:
-                term = term * lf**e
-        acc = acc + term
-    return acc
-
-
-def linear_change(f: Form, t: Sequence[Sequence]) -> Form:
-    """Return f(T x) for a square rational matrix T."""
-    n = f.n_vars
-    if len(t) != n or any(len(row) != n for row in t):
-        raise ValueError(f"change-of-variables matrix must be {n}x{n}")
-    return substitute_linear(f, t)
-
-
 def complement_basis(c: Sequence) -> list[list[Fraction]]:
     """Rational basis of the hyperplane {v : v.c = 0}.
 
@@ -381,17 +354,6 @@ def complement_basis(c: Sequence) -> list[list[Fraction]]:
             v[pivot] = -cs[j] / cs[pivot]
             basis.append(v)
     return basis
-
-
-def restrict_to_complement(p: Form, c: Sequence) -> Form:
-    """Restrict p to the hyperplane {v : v.c = 0}, as a form in n-1 variables:
-    t_r is the coordinate along the r-th vector of complement_basis(c)."""
-    if len(c) != p.n_vars:
-        raise ValueError("vector has wrong length")
-    basis = complement_basis(c)
-    if not basis:
-        raise ValueError("need at least two variables to restrict")
-    return substitute_linear(p, [list(col) for col in zip(*basis)])
 
 
 # -- text format --------------------------------------------------------------

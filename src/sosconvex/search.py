@@ -26,14 +26,15 @@ norm exceeds that of the point it extrapolates from is rejected for the
 plain step T(x), and the history is cleared; a singular solve or a
 non-finite candidate counts as rejected. A restart converges at a shadow
 within the target's own tolerance pz.tol of the fiber and the PSD cone.
-Each restart is one loop with one history, and douglas_rachford yields a
-DRReport at each chunk end of it, so chunk ends move no iterate, and one
-before its first evaluation, on its start point; check_sos is one loop over
-the reports: it rounds a report that ends near the fiber or on a PSD shadow,
-and tries a refutation from every report it does not certify, so an easy
-target is decided at the start point, with no evaluation. Chunks start short
-and double (_chunk_budgets): early points are tried early, and a long run
-yields few reports.
+Each restart is one loop with one history that runs the fixed chunks of
+CHUNKS, 3,000 evaluations, and ends only when it converges or the chunks
+do; douglas_rachford yields a DRReport at each chunk end, so chunk ends move
+no iterate, and one before the first evaluation, on the start point.
+check_sos is one loop over the reports: it rounds a report that ends near
+the fiber or on a PSD shadow, and tries a refutation from every report it
+does not certify, so an easy target is decided at the start point, with no
+evaluation. Chunks start short and double: early points are tried early,
+and a long run yields few reports.
 Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
 entrywise, once to the grid 1/D and once to continued fractions with
 denominators at most D, for each D of the fixed DENOMINATOR_BOUNDS, each
@@ -88,7 +89,6 @@ they are quartic in x, so their x step is no eigenproblem.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,13 +119,13 @@ from .forms import Form, as_frac, shared_fraction
 # precision: rounding finds the exact Gram matrix only from close by (Peyrl-Parrilo)
 DR_TOL = 1e-15
 
-# DR evaluations per restart, and restarts: the first from the least-norm fiber
-# point, the others from random points (seed 0). Over the T_{a,b}, below-bound
-# and sextic draws of the tests' recipes and the benchmark corpus, converged
-# restarts take at most 598 evaluations and decisions come within 3,000; only
-# stalled sextics spend the budget, and one sextic is decided after the first
-# restart, certified on its third
-MAX_ITERATIONS = 10_000
+# The DR evaluations of each chunk of a restart, 3,000 in all, and the
+# restarts: the first from the least-norm fiber point, the others from random
+# points (seed 0). Over the T_{a,b}, below-bound and sextic draws of the tests'
+# recipes and the benchmark corpus, converged restarts take at most 598
+# evaluations and decisions come within a restart's 3,000; one sextic is
+# decided after the first restart, certified on its third
+CHUNKS = (25, 25, 50, 100, 400, 800, 1600)
 RESTARTS = 3
 
 
@@ -225,7 +225,6 @@ class DRReport:
     fiber_distance: float
     fiber_point: np.ndarray  # the converged shadow, or P(x) of the next point x
     converged: bool = False
-    stagnated: bool = False  # progress fell below 1% per window: geometry gap
 
     @property
     def residual(self) -> float:
@@ -362,28 +361,17 @@ class _Anderson:
         return now[1].reshape(x.shape), now[2].reshape(x.shape)
 
 
-def _chunk_budgets() -> Iterator[int]:
-    """The evaluations of each chunk of a restart: 25, 25, 50 and 100, then
-    400, 800, 1,600, ..., each clipped to the MAX_ITERATIONS that are left."""
-    left = MAX_ITERATIONS
-    for chunk in itertools.chain((25, 25, 50, 100), (400 << k for k in itertools.count())):
-        if left <= 0:
-            return
-        yield min(chunk, left)
-        left -= chunk
-
-
 def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
     """Restarted Douglas-Rachford search for a PSD point of the fiber,
-    yielding a DRReport at the start and at each chunk end (_chunk_budgets)
-    of each restart.
+    yielding a DRReport at the start and at each chunk end (CHUNKS) of each
+    restart.
 
     The first of RESTARTS restarts starts from project(0), the least-norm
     fiber point; later ones from projections of random symmetric matrices.
     A restart is one loop of DR reflections between the PSD cone and the
     affine fiber, with one safeguarded Anderson history (_Anderson.step); the
     monitored iterate is the shadow P_fiber(P_psd(x)), which converges to a
-    feasible point when one exists and whose residual stagnates at the gap
+    feasible point when one exists and whose residual settles at the gap
     when none does. Each evaluation of the DR map T makes one eigh and one fiber
     residual: y = P_psd(x), r = residual(y), shadow = y + r. P is affine, so
     P(2y - x) = 2 shadow - P(x), and T(x) = x + P(2y - x) - y has
@@ -395,13 +383,11 @@ def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
     iterations, is on P(x) of the start point x, so the caller's exact
     gates see it before any evaluation.
 
-    A chunk end only yields, so chunk ends move no iterate. The stagnation
-    counters start afresh with each chunk, and stagnation needs 1,200
-    evaluations inside one, so the short chunks move no stagnation stop.
-    iterations counts a chunk's evaluations, rejected Anderson candidates
-    included, and every evaluated shadow is checked for convergence. A
-    converged report is the last one; a stagnated one ends its restart. The
-    caller may stop pulling at any report, and no further evaluation runs.
+    A chunk end only yields, so chunk ends move no iterate. iterations
+    counts a chunk's evaluations, rejected Anderson candidates included, and
+    every evaluated shadow is checked for convergence. A converged report is
+    the last one; otherwise a restart ends with its last chunk. The caller
+    may stop pulling at any report, and no further evaluation runs.
     """
     rng = np.random.default_rng(0)
     dim = len(pz.z)
@@ -413,9 +399,7 @@ def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
         start_distance = float(np.abs(pz.residual(px)).max())
         yield DRReport(0, float(np.linalg.eigvalsh(px)[0]), start_distance, px)
         anderson = _Anderson(x.size)
-        for budget in _chunk_budgets():
-            best_progress = window_best = math.inf
-            flat_windows = 0
+        for budget in CHUNKS:
             for it in range(budget):
                 y = _project_psd(x)
                 r = pz.residual(y)
@@ -427,23 +411,7 @@ def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
                         yield DRReport(it + 1, shadow_eig, fiber_dist, shadow, converged=True)
                         return
                 x, px = anderson.step(x, 2.0 * shadow - px - y, shadow)
-                # the iteration is non-monotone and plateaus before snapping to
-                # the answer, so stagnation needs both a running best and
-                # patience: five flat 200-evaluation windows in a row; the
-                # fiber distance bounds -lambda_min(shadow), so it alone is
-                # progress
-                best_progress = min(best_progress, fiber_dist)
-                if (it + 1) % 200 == 0:
-                    flat = best_progress >= 0.99 * window_best
-                    flat_windows = flat_windows + 1 if flat else 0
-                    window_best = best_progress
-                    if flat_windows >= 5:
-                        break
-            stagnated = flat_windows >= 5
-            shadow_eig = float(np.linalg.eigvalsh(px)[0])
-            yield DRReport(it + 1, shadow_eig, fiber_dist, px, stagnated=stagnated)
-            if stagnated:
-                break
+            yield DRReport(budget, float(np.linalg.eigvalsh(px)[0]), fiber_dist, px)
 
 
 # -- exact rounding --------------------------------------------------------------

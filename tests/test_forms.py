@@ -22,11 +22,8 @@ from sosconvex.forms import (
     form_to_text,
     hessian,
     is_valid_hessian,
-    linear_change,
     polymatrix_from_text,
     polymatrix_to_text,
-    restrict_to_complement,
-    substitute_linear,
 )
 
 
@@ -108,26 +105,6 @@ class TestCalculus:
 
 
 class TestSubstitution:
-    def test_substitute_identity(self):
-        p = random_form(random.Random(3))
-        ident = [[F(i == j) for j in range(3)] for i in range(3)]
-        assert substitute_linear(p, ident) == p
-
-    def test_linear_change_composition(self):
-        p = x(1) ** 2
-        # x1 -> x1 + x2
-        b = [[F(1), F(1)], [F(0), F(1)]]
-        q = substitute_linear(Form.variable(2, 1) ** 2, b)
-        assert q == (Form.variable(2, 1) + Form.variable(2, 2)) ** 2
-        assert linear_change(Form.variable(2, 1) ** 2, b) == q
-
-    def test_restrict_to_complement_kills_pivot(self):
-        # restricting x1^2 to the complement of x1 + x2 eliminates x1
-        f = Form.variable(2, 1) ** 2
-        g = restrict_to_complement(f, [F(1), F(1)])
-        assert g.n_vars == 1
-        assert g == Form.variable(1, 1) ** 2  # x1 = -x2 on the hyperplane
-
     def test_complement_basis_solves_for_the_largest_coordinate(self):
         c = [F(1, 2), F(-3), F(2)]
         basis = complement_basis(c)

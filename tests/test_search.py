@@ -346,6 +346,18 @@ class TestSearchLoop:
         assert ends == [0, 25, 50, 100, 200, 600, 1400, 3000]
         assert not any(r.converged for r in reports)
 
+    def test_chunk_ends_within_the_budget(self, monkeypatch):
+        # a restart that never converges spends its budget in the four short
+        # chunks, then in doubling ones from 400; a shorter schedule is
+        # honoured to the evaluation, restart after restart
+        ends = list(itertools.accumulate(search.CHUNKS))
+        assert ends == [25, 50, 100, 200, 600, 1400, 3000]
+        monkeypatch.setattr(search, "CHUNKS", (25, 25, 50, 100, 400, 100))
+        monkeypatch.setattr(search, "RESTARTS", 2)
+        reports = list(douglas_rachford(stalled_fiber()))
+        assert [r.iterations for r in reports] == [0, 25, 25, 50, 100, 400, 100] * 2
+        assert not any(r.converged for r in reports)
+
     def test_chunk_ends_move_no_iterate(self, monkeypatch):
         # the report at 200 evaluations is the same, bit for bit, whether
         # the restart ran in chunks of 25, 25, 50 and 100 or in one chunk,

@@ -1,13 +1,16 @@
 """Biquadratic forms in two blocks of n variables.
 
 A biquadratic form is quartic overall and quadratic in each block:
-b(x, y) = sum over i<=j, k<=l of alpha_{ijkl} x_i x_j y_k y_l. A
-BiquadraticForm is a bidegree-(2, 2) view of one quartic Form over 2n
-variables, x-block first: the Form holds the coefficients, and the block size
-n is the only other state. The key (i, j, k, l) with i<=j, k<=l names the
-monomial x_i x_j y_k y_l at the boundaries only (the constructor,
-`coefficient`, the text format and the symmetry witness); the stored value
-is the coefficient of the written monomial, with no factor-of-2 folding.
+b(x, y) = sum over i<=j, k<=l of alpha_{ijkl} x_i x_j y_k y_l. The package
+computes on it as one quartic Form over 2n variables, x-block first, as it
+does on the Hessian form y^T H_p(x) y of any p (hessian_form). A
+BiquadraticForm is the bidegree-(2, 2) view of such a Form at block size n:
+what the `biq` text format reads and writes, where the CLI takes the block at
+which certificates split x from y, and what the benchmark harness imports.
+The key (i, j, k, l) with i<=j, k<=l names the monomial x_i x_j y_k y_l at
+the boundaries only (the constructor, the text format and the symmetry
+witness); the stored value is the coefficient of the written monomial, with
+no factor-of-2 folding.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Mapping, Sequence
 from .forms import (
     Form,
     FormatError,
-    PolyMatrix,
     RationalTokens,
     _add_term,
     _build,
@@ -69,8 +71,11 @@ def _swap_exponents(n: int, exps: tuple[int, ...]) -> tuple[int, ...]:
 class BiquadraticForm:
     """A bidegree-(2, 2) view of one quartic Form in 2n variables.
 
-    Deliberately not a Form subclass: callers tell the two target kinds
-    apart with isinstance.
+    The package computes on Forms. This view stays for the `biq` text
+    format, which names terms by key; for the block size n, at which the
+    CLI splits x from y in a certificate; and for the benchmark harness,
+    which imports the class and tells a biq target from a Form with
+    isinstance, so the view is no Form subclass.
     """
 
     __slots__ = ("n", "_form")
@@ -100,59 +105,8 @@ class BiquadraticForm:
         """The stored quartic Form in 2n variables (x-block then y-block)."""
         return self._form
 
-    def coefficient(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return self._form.coefficient(key_exponents(self.n, (i, j, k, l)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiquadraticForm):
-            return NotImplemented
-        return self.n == other.n and self._form == other._form
-
-    def __add__(self, other: "BiquadraticForm") -> "BiquadraticForm":
-        if self.n != other.n:
-            raise ValueError("block size mismatch")
-        return BiquadraticForm.from_form(self._form + other._form, self.n)
-
-    def scale(self, t) -> "BiquadraticForm":
-        return BiquadraticForm.from_form(self._form.scale(t), self.n)
-
-    def is_zero(self) -> bool:
-        return self._form.is_zero()
-
-    def evaluate(self, x: Sequence, y: Sequence):
-        if len(x) != self.n or len(y) != self.n:
-            raise ValueError(f"points must have length {self.n}")
-        return self._form.evaluate([*x, *y])
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return f"BiquadraticForm(0; n={self.n})"
-        return " + ".join(f"{c}*x{i}x{j}y{k}y{l}" for (i, j, k, l), c in _keyed_terms(self))
-
 
 # -- operations ---------------------------------------------------------------
-
-
-def _quadratic_in_y(a: PolyMatrix) -> Form:
-    """y^T A(x) y as a Form over the x-variables of A's entries, then y."""
-    n, m = a.n_vars, a.dim
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(m):
-        for j in range(i, m):
-            # A is symmetric: entries (i, j) and (j, i) both feed y_i y_j
-            y = [0] * m
-            y[i] += 1
-            y[j] += 1
-            y = tuple(y)
-            weight = 1 if i == j else 2
-            for exps, c in a[i + 1, j + 1].terms.items():
-                terms[exps + y] = weight * c
-    return Form(n + m, a.entry_degree + 2, terms)
-
-
-def biquadratic_from_polymatrix(a: PolyMatrix) -> BiquadraticForm:
-    """y^T A(x) y for a symmetric n x n matrix of quadratic forms in n variables."""
-    return BiquadraticForm.from_form(_quadratic_in_y(a), a.dim)
 
 
 def hessian_biquadratic(p: Form) -> BiquadraticForm:
@@ -183,10 +137,11 @@ def hessian_form(p: Form) -> Form:
 
     The term c x^e gives c k to each term of _hessian_terms(e), a table kept
     per exponent vector. For fixed (i, j) distinct terms reach distinct
-    monomials, and a stable sort by (i, j) gives the term order of
-    _quadratic_in_y(hessian(p)), in which float evaluation sums them. The
-    table's exponents and nonzero products are a valid Form by construction,
-    so the Form is assembled without its per-term checks.
+    monomials, and a stable sort by (i, j) gives the term order of y^T H y
+    summed entry by entry over the pairs i <= j of hessian(p), in which float
+    evaluation sums them. The table's exponents and nonzero products are a
+    valid Form by construction, so the Form is assembled without its
+    per-term checks.
     """
     if p.degree < 2:
         raise ValueError("hessian requires degree >= 2")
@@ -212,21 +167,25 @@ class SymmetryVerdict:
         return self.symmetric
 
 
-def swap_xy(b: BiquadraticForm) -> BiquadraticForm:
-    f = b.to_form()
-    swapped = {_swap_exponents(b.n, e): c for e, c in f.terms.items()}
-    return BiquadraticForm.from_form(Form(f.n_vars, 4, swapped), b.n)
+def swap_xy(f: Form) -> Form:
+    """f(y, x) for a form f(x, y) in 2n variables, x-block first."""
+    n = f.n_vars // 2
+    return Form(f.n_vars, f.degree, {_swap_exponents(n, e): c for e, c in f.terms.items()})
 
 
-def is_symmetric(b: BiquadraticForm) -> SymmetryVerdict:
-    f = b.to_form()
-    monos = set(f.terms) | {_swap_exponents(b.n, e) for e in f.terms}
-    for key, exps in sorted((exponent_key(b.n, e), e) for e in monos):
-        swapped = _swap_exponents(b.n, exps)
-        c1, c2 = f.coefficient(exps), f.coefficient(swapped)
-        if c1 != c2:
-            return SymmetryVerdict(False, (key, c1, exponent_key(b.n, swapped), c2))
-    return SymmetryVerdict(True)
+def is_symmetric(f: Form) -> SymmetryVerdict:
+    """Whether a bidegree-(2, 2) form f in 2n variables has f(x, y) = f(y, x);
+    otherwise the witness is the differing pair of least key."""
+    n = f.n_vars // 2
+    BiquadraticForm.from_form(f, n)  # a ValueError unless f has bidegree (2, 2)
+    diff = f - swap_xy(f)
+    if diff.is_zero():
+        return SymmetryVerdict(True)
+    key, exps = min((exponent_key(n, e), e) for e in diff.terms)
+    swapped = _swap_exponents(n, exps)
+    return SymmetryVerdict(
+        False, (key, f.coefficient(exps), exponent_key(n, swapped), f.coefficient(swapped))
+    )
 
 
 def dim_nary(n: int) -> int:
@@ -304,12 +263,12 @@ def builtin(name: str):
 
 
 def hessian_map_rank(n: int) -> int:
-    """Exact rank of p -> hessian_biquadratic(p) over the quartic monomial basis."""
+    """Exact rank of p -> hessian_form(p) over the quartic monomial basis."""
     from .certificates import rank  # certificates imports this module
     monos = bidegree_basis(n, 2, 2)
     rows = []
     for exps in _monomials(n, 4):
-        f = hessian_biquadratic(Form.monomial(n, exps)).to_form()
+        f = hessian_form(Form.monomial(n, exps))
         rows.append([f.coefficient(m) for m in monos])
     return rank(rows)
 
@@ -320,8 +279,8 @@ def antisymmetric_dimension(n: int) -> int:
     monos = bidegree_basis(n, 2, 2)
     rows = []
     for exps in monos:
-        b = BiquadraticForm.from_form(Form.monomial(2 * n, exps), n)
-        f = (b + swap_xy(b).scale(-1)).to_form()
+        f = Form.monomial(2 * n, exps)
+        f = f - swap_xy(f)
         rows.append([f.coefficient(m) for m in monos])
     return rank(rows)
 

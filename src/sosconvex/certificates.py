@@ -233,20 +233,6 @@ def _gram_sums(z: Sequence[Monomial], upper: list[int]) -> dict[Monomial, int]:
     return dict(zip(gram.monomials, gram.sums(upper)))
 
 
-def gram_expand(z: Sequence[Monomial], q: SymRationalMatrix) -> Form:
-    """The exact polynomial z^T Q z over a monomial basis z."""
-    if len(z) != q.dim:
-        raise ValueError(f"basis has {len(z)} monomials but Q is {q.dim}x{q.dim}")
-    if not z:
-        raise ValueError("empty monomial basis")
-    nv = len(z[0])
-    if any(len(m) != nv for m in z):
-        raise ValueError("monomials have mixed variable counts")
-    upper, lcd = _integer_grid(q)
-    sums = _gram_sums(z, upper)
-    return Form(nv, 2 * sum(z[0]), {m: Fraction(c, lcd) for m, c in sums.items()})
-
-
 @dataclass
 class SosCertificate:
     """z^T Q z representation with an optional nonnegative multiplier."""
@@ -295,6 +281,9 @@ class SosVerification:
 
 
 def _as_form(target) -> Form:
+    """The Form of a target. The benchmark harness and the corpus generator
+    pass a biq file's BiquadraticForm to verify_sos_certificate,
+    verify_refutation and search.check_sos, which alone unwrap it."""
     if isinstance(target, BiquadraticForm):
         return target.to_form()
     if isinstance(target, Form):
@@ -358,11 +347,10 @@ def _basis(form: Form) -> list[Monomial]:
     return bidegree_basis(form.n_vars // 2, split[0] // 2, split[1] // 2)
 
 
-def sos_basis(target) -> list[Monomial]:
+def sos_basis(target: Form) -> list[Monomial]:
     """The pruned basis z over which every SOS decomposition of the target
     is z^T Q z with Q PSD; empty when only the zero form qualifies."""
-    tf = _as_form(target)
-    return _prune_basis(_basis(tf), tf)
+    return _prune_basis(_basis(target), target)
 
 
 def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:

@@ -121,13 +121,22 @@ def cmd_dims(args) -> int:
     return EXIT_TRUE
 
 
+def _read_target(path: str) -> tuple[Form, int | None]:
+    """The target of a form or biq file, and the block size of a biq file:
+    the number of x variables, at which certificates split x from y."""
+    target = from_text(_read(path), ("form", "biq"))
+    if isinstance(target, BiquadraticForm):
+        return target.to_form(), target.n
+    return target, None
+
+
 def cmd_verify(args) -> int:
-    target = from_text(_read(args.target), ("form", "biq"))
+    target, block = _read_target(args.target)
     witness = from_text(_read(args.certificate), ("dual", "certificate"))
     is_dual = isinstance(witness, DualCertificate)
     monomials = witness.monomials if is_dual else witness.z
     if (
-        isinstance(target, Form)
+        block is None
         and monomials
         and len(monomials[0]) == 2 * target.n_vars
         and target.degree % 2 == 0
@@ -147,21 +156,17 @@ def cmd_check(args) -> int:
     # the search is the only command that needs numpy, so only check loads it
     from .search import check_sos, check_sos_convexity
 
-    target = from_text(_read(args.target), ("form", "biq"))
+    target, block = _read_target(args.target)
     if args.sos_convex:
-        if not isinstance(target, Form):
+        if block is not None:
             print("error: --sos-convex needs a plain form", file=sys.stderr)
             return EXIT_ERROR
         outcome = check_sos_convexity(target)
+        block = target.n_vars
     else:
         multiplier = None
         if args.nonneg_mult is not None:
-            if isinstance(target, BiquadraticForm):
-                multiplier = parse_poly_expression(
-                    args.nonneg_mult, 2 * target.n, block=target.n
-                )
-            else:
-                multiplier = parse_poly_expression(args.nonneg_mult, target.n_vars)
+            multiplier = parse_poly_expression(args.nonneg_mult, target.n_vars, block=block)
         outcome = check_sos(target, multiplier=multiplier)
     print(f"status: {outcome.status}")
     if outcome.residual is not None:
@@ -170,9 +175,6 @@ def cmd_check(args) -> int:
         print(f"diagnostics: {outcome.diagnostics}")
     if outcome.status == "ExactCertificate":
         out_path = args.out or args.target + ".cert"
-        block = target.n if isinstance(target, BiquadraticForm) else None
-        if args.sos_convex:
-            block = target.n_vars
         _write(out_path, certificate_to_text(outcome.certificate, block=block))
         print(f"certificate: {out_path}")
         return EXIT_TRUE

@@ -29,7 +29,7 @@ from .certificates import (
     ldlt_psd_check,
     sos_basis,
 )
-from .forms import FormatError, RationalTokens, _content_lines, as_frac
+from .forms import Form, FormatError, RationalTokens, _content_lines, as_frac
 
 
 @dataclass
@@ -47,13 +47,12 @@ class DualCertificate:
             raise ValueError("repeated monomial in the functional")
 
 
-def pairing(cert: DualCertificate, target) -> Fraction:
-    """Exact value <c, t> of the functional on a Form or BiquadraticForm."""
-    tf = _as_form(target)
-    if any(len(m) != tf.n_vars for m in cert.monomials):
+def pairing(cert: DualCertificate, target: Form) -> Fraction:
+    """Exact value <c, t> of the functional on a form."""
+    if any(len(m) != target.n_vars for m in cert.monomials):
         raise ValueError("functional and target variable counts disagree")
     values = dict(zip(cert.monomials, cert.c))
-    return sum((values.get(m, 0) * t for m, t in tf.terms.items()), Fraction(0))
+    return sum((values.get(m, 0) * t for m, t in target.terms.items()), Fraction(0))
 
 
 def moment_matrix(cert: DualCertificate, z: Sequence[Monomial]) -> SymRationalMatrix:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .biquadratic import BiquadraticForm, hessian_biquadratic, _monomials
+from .biquadratic import _monomials, hessian_form
 from .certificates import LdltReport, SymRationalMatrix, ldlt_psd_check, rank
 from .forms import Form, as_frac, complement_basis, evaluate_terms, hessian
 
@@ -319,7 +319,7 @@ def find_additional_zero(alpha: Sequence, fp: FaceParams) -> BiquadPoint:
 
     v, k, (aa, bb, cc) = _zero_system(alpha, fp)
     exact = (fp.a, fp.b, v[0], v[1], v[4], k)
-    hp = hessian_biquadratic(face_form(alpha, fp)).to_form()
+    hp = hessian_form(face_form(alpha, fp))
 
     candidates = []
     with mpmath.workdps(ZERO_DPS):
@@ -390,16 +390,19 @@ def find_additional_zero(alpha: Sequence, fp: FaceParams) -> BiquadPoint:
 
 
 def tangent_hessian_check(
-    b: BiquadraticForm, x0: Sequence, y0: Sequence
+    b: Form, x0: Sequence, y0: Sequence
 ) -> tuple[SymRationalMatrix, LdltReport]:
-    """Second-derivative matrix of (x, y) -> b(x, y) at a rational zero,
-    restricted to the tangent space of the bi-sphere at (x0, y0)."""
+    """Second-derivative matrix of (x, y) -> b(x, y), a form in 2n variables
+    with x-block first, at a rational zero, restricted to the tangent space
+    of the bi-sphere at (x0, y0)."""
     x0 = [as_frac(v) for v in x0]
     y0 = [as_frac(v) for v in y0]
-    if b.evaluate(x0, y0) != 0:
+    if len(x0) != len(y0):
+        raise ValueError("x0 and y0 must have the same length")
+    if b.evaluate(x0 + y0) != 0:
         raise ValueError("the form does not vanish at the given point")
-    n = b.n
-    hess = [[as_frac(f.evaluate(x0 + y0)) for f in row] for row in hessian(b.to_form()).entries]
+    n = len(x0)
+    hess = [[as_frac(f.evaluate(x0 + y0)) for f in row] for row in hessian(b).entries]
     zero = [Fraction(0)] * n
     basis = [v + zero for v in complement_basis(x0)] + [zero + v for v in complement_basis(y0)]
     # B H B^T, with the tangent basis vectors as the rows of B
@@ -428,19 +431,19 @@ def witness_evaluations(fp: FaceParams) -> list[WitnessEvaluation]:
     fp.require_nonzero()
     a, b = fp.a, fp.b
     qs = q_basis(fp)
-    hqs = [hessian_biquadratic(q) for q in qs]
+    hqs = [hessian_form(q) for q in qs]
     out: list[WitnessEvaluation] = []
     v1x, v1y = [Fraction(0), b, Fraction(1)], [a, Fraction(0), Fraction(1)]
     v3x, v3y = [a, b, Fraction(1)], [Fraction(1), Fraction(0), Fraction(1)]
     for idx, hq in enumerate(hqs, start=1):
-        out.append(WitnessEvaluation("v1", idx, hq.evaluate(v1x, v1y), True))
+        out.append(WitnessEvaluation("v1", idx, hq.evaluate(v1x + v1y), True))
     s3 = math.sqrt(3.0)
     v2x = [0.0, (2.0 + s3) * float(b), 1.0]
     v2y = [float(a), 0.0, 1.0]
     for idx, hq in enumerate(hqs, start=1):
-        out.append(WitnessEvaluation("v2", idx, float(hq.evaluate(v2x, v2y)), False))
+        out.append(WitnessEvaluation("v2", idx, float(hq.evaluate(v2x + v2y)), False))
     for idx, hq in enumerate(hqs, start=1):
-        out.append(WitnessEvaluation("v3", idx, hq.evaluate(v3x, v3y), True))
+        out.append(WitnessEvaluation("v3", idx, hq.evaluate(v3x + v3y), True))
     return out
 
 
@@ -454,5 +457,5 @@ def gram_identity_holds(alpha: Sequence, fp: FaceParams) -> bool:
         for j in range(5):
             if m.rows[i][j] != 0:
                 acc = acc + (s[i] * s[j]).scale(m.rows[i][j])
-    hp = hessian_biquadratic(face_form(vals, fp)).to_form()
+    hp = hessian_form(face_form(vals, fp))
     return acc == hp

@@ -254,20 +254,19 @@ def _basis_fiber(z: tuple[Monomial, ...]) -> GramParameterization:
     return gram.fiber
 
 
-def parameterize(target, z: Sequence[Monomial]) -> GramParameterization:
+def parameterize(target: Form, z: Sequence[Monomial]) -> GramParameterization:
     """The closed-form Gram fiber of the target over the basis z."""
-    tf = _as_form(target)
     z = tuple(tuple(m) for m in z)
     if not z:
         raise ValueError("empty monomial basis")
-    if any(len(m) != tf.n_vars for m in z):
+    if any(len(m) != target.n_vars for m in z):
         raise ValueError("basis and target variable counts disagree")
     fiber = _basis_fiber(z)
-    for mono in tf.terms:
+    for mono in target.terms:
         if mono not in fiber._gram.ids:
             raise ValueError(f"target monomial {mono} is not representable over the basis")
     zero = as_frac(0)
-    return fiber.with_target([tf.terms.get(mono, zero) for mono in fiber.monomials])
+    return fiber.with_target([target.terms.get(mono, zero) for mono in fiber.monomials])
 
 
 # -- numeric search --------------------------------------------------------------
@@ -612,7 +611,7 @@ def _integer_point(v: np.ndarray, scale: int) -> tuple[int, ...] | None:
     return tuple(t // g for t in ints) if g else None
 
 
-def witness_refutation(target, pz: GramParameterization) -> SearchOutcome | None:
+def witness_refutation(target: Form, pz: GramParameterization) -> SearchOutcome | None:
     """A Refuted outcome from a point (x, y) where the target is negative.
 
     For a target whose terms all have bidegree (2, 2) at n = n_vars / 2, the
@@ -632,10 +631,9 @@ def witness_refutation(target, pz: GramParameterization) -> SearchOutcome | None
     to _refuted, the one gate. Both screens only skip candidates. None for
     any other target, or when no candidate is accepted.
     """
-    tf = _as_form(target)
-    if _bidegree(tf) != (2, 2):
+    if _bidegree(target) != (2, 2):
         return None
-    n = tf.n_vars // 2
+    n = target.n_vars // 2
     # the monomial x_i x_j y_k y_l as (i, j, n + k, n + l)
     quads = [tuple(i for i, e in enumerate(mono) for _ in range(e)) for mono in pz.monomials]
     # target = sum of K[i, j, k, l] x_i x_j y_k y_l, K symmetric in i, j and in k, l
@@ -669,7 +667,7 @@ def witness_refutation(target, pz: GramParameterization) -> SearchOutcome | None
                     continue
                 g = math.gcd(*moments)
                 value = Fraction(total, pz._target_den)
-                outcome = _refuted(tf, pz.monomials, [v // g for v in moments], (xi, yi, value))
+                outcome = _refuted(target, pz.monomials, [v // g for v in moments], (xi, yi, value))
                 if outcome is not None:
                     outcome.diagnostics = f"the target is {value} < 0 at x = {xi}, y = {yi}"
                     return outcome

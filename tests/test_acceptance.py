@@ -13,13 +13,12 @@ from fractions import Fraction as F
 from operator import mul
 
 from sosconvex.biquadratic import (
-    BiquadraticForm,
     antisymmetric_dimension,
     builtin,
     dim_hessian,
     dim_nary,
     dim_symmetric,
-    hessian_biquadratic,
+    hessian_form,
     hessian_map_rank,
     is_symmetric,
     _monomials,
@@ -110,8 +109,9 @@ def test_criterion_02_dual_certificate_replication():
     ]
     with criterion(2, 1.0):
         c = builtin("c_dual")
-        assert pairing(c, builtin("b_thm22")) == -37
-        mm = moment_matrix(c, sos_basis(builtin("b_thm22")))
+        b = builtin("b_thm22").to_form()
+        assert pairing(c, b) == -37
+        mm = moment_matrix(c, sos_basis(b))
         assert [[int(v) for v in row] for row in mm.rows] == reference
         assert ldlt_psd_check(mm).verdict is Verdict.POSITIVE_DEFINITE
 
@@ -140,7 +140,7 @@ def test_criterion_05_hessian_symmetry_property():
         rng = random.Random(1005)
         for _ in range(200):
             p = random_quartic(rng)
-            assert is_symmetric(hessian_biquadratic(p))
+            assert is_symmetric(hessian_form(p))
             if not p.is_zero():
                 assert euler_recover(hessian(p), 4) == p
 
@@ -206,9 +206,7 @@ def test_criterion_09_end_to_end_sos_convexity():
             outcome = check_sos_convexity(target)
             assert outcome.is_certified()
             assert outcome.residual <= 1e-6
-            assert verify_sos_certificate(
-                hessian_biquadratic(target).to_form(), outcome.certificate
-            )
+            assert verify_sos_certificate(hessian_form(target), outcome.certificate)
             # cross-check against the explicit M certificate: s^T M s = h_p
             # with M exactly PSD pins the same conclusion independently
             assert gram_identity_holds(alphas + [a5], fp)
@@ -217,7 +215,7 @@ def test_criterion_09_end_to_end_sos_convexity():
 
 def test_criterion_10_non_sos_search_behavior(tmp_path):
     with criterion(10, 60.0):
-        b = builtin("b_thm22")
+        b = builtin("b_thm22").to_form()
         pz = parameterize(b, bidegree_basis(3, 1, 1))
         reports = list(douglas_rachford(pz))
         assert reports and not any(r.converged for r in reports)  # soundness: no false certificate
@@ -228,14 +226,14 @@ def test_criterion_10_non_sos_search_behavior(tmp_path):
 
 def test_criterion_11_tangent_ingredients():
     f = builtin("f_lemma32")
-    hf = hessian_biquadratic(f)
+    hf = hessian_form(f)
     e1 = [F(1), F(0), F(0)]
     e2 = [F(0), F(1), F(0)]
     with criterion(11, 1.0):
-        assert hf.evaluate(e1, e2) == 0
+        assert hf.evaluate(e1 + e2) == 0
         _, report = tangent_hessian_check(hf, e1, e2)
         assert report.verdict is Verdict.POSITIVE_DEFINITE
-        hq = hessian_biquadratic(builtin("q_reduction"))
+        hq = hessian_form(builtin("q_reduction"))
         mat, _ = tangent_hessian_check(hq, e1, e2)
         assert all(v == 0 for row in mat.rows for v in row)
 
@@ -250,10 +248,10 @@ def test_criterion_11_tangent_ingredients():
     assert len(span) == 10
     extra_x = [F(1), F(1), F(-1)]
     extra_y = [F(1), F(1), F(-2)]
-    assert hf.evaluate(extra_x, extra_y) == 0
+    assert hf.evaluate(extra_x + extra_y) == 0
     for mono in span:
         g = Form(3, 4, {mono: F(1)})
-        obstruction = hessian_biquadratic(g).evaluate(extra_x, extra_y)
+        obstruction = hessian_form(g).evaluate(extra_x + extra_y)
         if obstruction < 0:
             print(f"  extension {mono}: impossible, h_g = {obstruction} "
                   "at the additional zero")

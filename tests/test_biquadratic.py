@@ -12,9 +12,7 @@ from sosconvex.biquadratic import (
     BUILTIN_FILES,
     BiquadraticForm,
     _monomials,
-    _quadratic_in_y,
     antisymmetric_dimension,
-    biquadratic_from_polymatrix,
     biquadratic_from_text,
     biquadratic_to_text,
     builtin,
@@ -25,6 +23,7 @@ from sosconvex.biquadratic import (
     hessian_form,
     hessian_map_rank,
     is_symmetric,
+    key_exponents,
     swap_xy,
 )
 from sosconvex.certificates import SosCertificate
@@ -41,6 +40,39 @@ def random_quartic(rng, n=3):
             exps[rng.randrange(n)] += 1
         p = p + Form(n, 4, {tuple(exps): F(rng.randint(-9, 9), rng.randint(1, 4))})
     return p
+
+
+def quadratic_in_y(a):
+    """y^T A(x) y as a Form over the x-variables of A's entries, then y,
+    summed entry by entry over the pairs i <= j: the reference that
+    hessian_form(p) is checked against, term order included."""
+    n, m = a.n_vars, a.dim
+    terms = {}
+    for i in range(m):
+        for j in range(i, m):
+            # A is symmetric: entries (i, j) and (j, i) both feed y_i y_j
+            y = [0] * m
+            y[i] += 1
+            y[j] += 1
+            weight = 1 if i == j else 2
+            for exps, c in a[i + 1, j + 1].terms.items():
+                terms[exps + tuple(y)] = weight * c
+    return Form(n + m, a.entry_degree + 2, terms)
+
+
+def same_view(b, c):
+    """Two views of one bidegree-(2, 2) form at one block size."""
+    return b.n == c.n and b.to_form() == c.to_form()
+
+
+def keyed_value(b, x, y):
+    """b(x, y) summed over its biq terms: c x_i x_j y_k y_l per key (i, j, k, l)."""
+    total = F(0)
+    for exps, c in b.to_form().terms.items():
+        xs = [i for i, e in enumerate(exps[: b.n]) for _ in range(e)]
+        ys = [k for k, e in enumerate(exps[b.n :]) for _ in range(e)]
+        total += c * x[xs[0]] * x[xs[1]] * y[ys[0]] * y[ys[1]]
+    return total
 
 
 def sympy_hessian_form(p):
@@ -60,26 +92,27 @@ def sympy_hessian_form(p):
 class TestForms:
     def test_coefficient_key_normalization(self):
         b = BiquadraticForm(3, {(1, 2, 1, 3): F(5)})
-        assert b.coefficient(2, 1, 3, 1) == 5
+        assert b.to_form().coefficient(key_exponents(3, (2, 1, 3, 1))) == 5
 
     def test_unnormalized_key_rejected(self):
         with pytest.raises(ValueError):
             BiquadraticForm(3, {(2, 1, 3, 1): F(5)})
 
     def test_evaluate_matches_form(self):
+        # the Form puts the x-block first: its value at x + y is b(x, y)
         rng = random.Random(2)
         b = hessian_biquadratic(random_quartic(rng))
         x = [F(1), F(-2), F(3)]
         y = [F(2), F(1), F(-1)]
-        assert b.evaluate(x, y) == b.to_form().evaluate(x + y)
+        assert keyed_value(b, x, y) == b.to_form().evaluate(x + y)
 
     def test_form_roundtrip(self):
         b = builtin("b_thm22")
-        assert BiquadraticForm.from_form(b.to_form(), 3) == b
+        assert same_view(BiquadraticForm.from_form(b.to_form(), 3), b)
 
     def test_text_roundtrip(self):
         b = builtin("b_thm22")
-        assert biquadratic_from_text(biquadratic_to_text(b)) == b
+        assert same_view(biquadratic_from_text(biquadratic_to_text(b)), b)
 
     def test_malformed_text(self):
         with pytest.raises(FormatError):
@@ -112,36 +145,39 @@ class TestView:
     @given(biquadratics())
     def test_form_and_text_roundtrip(self, b):
         assert b.to_form() is b.to_form()
-        assert BiquadraticForm.from_form(b.to_form(), b.n) == b
-        assert biquadratic_from_text(biquadratic_to_text(b)) == b
+        assert same_view(BiquadraticForm.from_form(b.to_form(), b.n), b)
+        assert same_view(biquadratic_from_text(biquadratic_to_text(b)), b)
 
     @view_settings
     @given(biquadratics(), st.data())
     def test_evaluate_matches_form(self, b, data):
         point = st.lists(rationals, min_size=b.n, max_size=b.n)
         x, y = data.draw(point), data.draw(point)
-        assert b.evaluate(x, y) == b.to_form().evaluate(x + y)
+        assert keyed_value(b, x, y) == b.to_form().evaluate(x + y)
 
     @view_settings
     @given(biquadratics())
     def test_coefficient_ignores_order_within_pairs(self, b):
+        f = b.to_form()
         for (i, j), (k, l) in ((p, q) for p in _pairs(b.n) for q in _pairs(b.n)):
-            c = b.coefficient(i, j, k, l)
-            assert c == b.coefficient(j, i, k, l) == b.coefficient(i, j, l, k)
-            assert c == b.coefficient(j, i, l, k)
+            c = f.coefficient(key_exponents(b.n, (i, j, k, l)))
+            assert c == f.coefficient(key_exponents(b.n, (j, i, k, l)))
+            assert c == f.coefficient(key_exponents(b.n, (i, j, l, k)))
+            assert c == f.coefficient(key_exponents(b.n, (j, i, l, k)))
 
     @view_settings
     @given(biquadratics())
     def test_swap_is_involution_and_symmetrizes(self, b):
-        assert swap_xy(swap_xy(b)) == b
-        assert is_symmetric(b + swap_xy(b))
+        f = b.to_form()
+        assert swap_xy(swap_xy(f)) == f
+        assert is_symmetric(f + swap_xy(f))
 
 
 class TestHessian:
     def test_hessian_biquadratic_symmetric(self):
         rng = random.Random(7)
         for _ in range(25):
-            assert is_symmetric(hessian_biquadratic(random_quartic(rng)))
+            assert is_symmetric(hessian_form(random_quartic(rng)))
 
     def test_hessian_form_agrees_for_quartics(self):
         p = random_quartic(random.Random(9))
@@ -165,7 +201,7 @@ class TestHessian:
     def test_one_pass_matches_the_hessian_matrix(self, p):
         # the one-pass build against y^T H y from the PolyMatrix of second
         # partials, term order included: evaluation in floats sums in it
-        expected = _quadratic_in_y(hessian(p))
+        expected = quadratic_in_y(hessian(p))
         got = hessian_form(p)
         assert got == expected and got.degree == expected.degree
         assert list(got.terms.items()) == list(expected.terms.items())
@@ -174,18 +210,25 @@ class TestHessian:
             assert b.n == p.n_vars and b.to_form() == expected
 
     def test_choi_matrix_gives_choi_biquadratic(self):
-        assert biquadratic_from_polymatrix(builtin("choi_matrix")) == builtin("choi_biquadratic")
+        choi = builtin("choi_biquadratic")
+        assert quadratic_in_y(builtin("choi_matrix")) == choi.to_form() and choi.n == 3
 
     def test_choi_biquadratic_not_symmetric(self):
-        verdict = is_symmetric(builtin("choi_biquadratic"))
+        verdict = is_symmetric(builtin("choi_biquadratic").to_form())
         assert not verdict
         key, c1, swapped, c2 = verdict.witness
         assert {key, swapped} == {(1, 1, 2, 2), (2, 2, 1, 1)}
         assert {c1, c2} == {F(0), F(2)}
 
+    def test_symmetry_needs_bidegree_two_two(self):
+        # the witness names monomials by key, which only bidegree (2, 2) has
+        sextic = Form.linear([1, -2, 3]) ** 6
+        with pytest.raises(ValueError, match="bidegree"):
+            is_symmetric(hessian_form(sextic))
+
     def test_swap_is_involution(self):
-        b = builtin("choi_biquadratic")
-        assert swap_xy(swap_xy(b)) == b
+        b = builtin("choi_biquadratic").to_form()
+        assert swap_xy(b) != b and swap_xy(swap_xy(b)) == b
 
 
 class TestDimensions:
@@ -223,12 +266,16 @@ class TestDimensions:
 
 class TestCorpus:
     def test_b_thm22_is_symmetric(self):
-        assert is_symmetric(builtin("b_thm22"))
+        assert is_symmetric(builtin("b_thm22").to_form())
 
     def test_b_thm22_spot_values(self):
-        b = builtin("b_thm22")
-        assert b.coefficient(3, 3, 3, 3) == b.coefficient(1, 1, 1, 1) == 12
-        assert b.coefficient(2, 2, 1, 2) == 23
+        b = builtin("b_thm22").to_form()
+
+        def coefficient(*key):
+            return b.coefficient(key_exponents(3, key))
+
+        assert coefficient(3, 3, 3, 3) == coefficient(1, 1, 1, 1) == 12
+        assert coefficient(2, 2, 1, 2) == 23
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):

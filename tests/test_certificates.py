@@ -17,10 +17,10 @@ from sosconvex.certificates import (
     Verdict,
     _basis,
     _gram_sums,
+    _integer_grid,
     certificate_from_text,
     certificate_to_text,
     det,
-    gram_expand,
     gram_index,
     is_even_power_sum,
     ldlt_psd_check,
@@ -201,6 +201,22 @@ class TestLdltAgainstReference:
         m = SymRationalMatrix([[F(v) for v in row] for row in rows])
         assert_matches_reference(m)
         assert ldlt_psd_check(m).verdict is Verdict.NOT_PSD
+
+
+def gram_expand(z, q):
+    """The exact polynomial z^T Q z over a monomial basis z, summed on the
+    integer grid L Q by the verifier's _gram_sums: the oracle that the
+    search's fiber points are checked against."""
+    if len(z) != q.dim:
+        raise ValueError(f"basis has {len(z)} monomials but Q is {q.dim}x{q.dim}")
+    if not z:
+        raise ValueError("empty monomial basis")
+    nv = len(z[0])
+    if any(len(m) != nv for m in z):
+        raise ValueError("monomials have mixed variable counts")
+    upper, lcd = _integer_grid(q)
+    sums = _gram_sums(z, upper)
+    return Form(nv, 2 * sum(z[0]), {m: F(c, lcd) for m, c in sums.items()})
 
 
 def textbook_expand(z, q):

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -51,6 +52,12 @@ def write_x4_sum(tmp_path):
 
 # a face query at the alpha5 bound that runs the zero search
 FACE_ZERO = ["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "1", "-1", "--bound", "--zero"]
+
+
+def z_lines(path):
+    """The lines of a certificate file's Z: section."""
+    lines = Path(path).read_text().splitlines()
+    return lines[lines.index("Z:") + 1 : lines.index("Q:")]
 
 
 def negative_pairing(out):
@@ -200,13 +207,14 @@ class TestVerify:
         assert main(["verify", b_form_file, str(dual)]) == EXIT_FALSE
 
     def test_rejected_refutation_exit_two(self, tmp_path):
-        from sosconvex.biquadratic import biquadratic_to_text, builtin
+        from sosconvex.biquadratic import BiquadraticForm, biquadratic_to_text, builtin
 
         dual = tmp_path / "c.dcert"
         main(["builtin", "c_dual", str(dual)])
         # the functional pairs positively with -b, so the refutation fails
         target = tmp_path / "negb.biq"
-        target.write_text(biquadratic_to_text(builtin("b_thm22").scale(F(-1))))
+        negb = builtin("b_thm22").to_form().scale(F(-1))
+        target.write_text(biquadratic_to_text(BiquadraticForm.from_form(negb, 3)))
         assert main(["verify", str(target), str(dual)]) == EXIT_UNKNOWN
 
     @pytest.mark.parametrize("kind", ["biq", "form"])
@@ -585,6 +593,40 @@ class TestCheck:
     def test_zero_denominator_multiplier_rejected(self, b_file, capsys):
         assert main(["check", b_file, "--nonneg-mult", "1/0*x1^2"]) == EXIT_ERROR
         assert "bad rational" in capsys.readouterr().err
+
+
+class TestTargetBlock:
+    """A biq file is read once into its Form and its block size n. The block
+    splits each Z: line of a certificate into x | y, as the number of
+    variables of p does for an sos-convexity certificate, and only a form
+    file is read as a Hessian target when the witness has twice its
+    variables."""
+
+    def test_biq_target_is_never_read_as_a_hessian(self, b_file, capsys):
+        # pow4_n6.cert is over 12 variables, twice the 6 of b_thm22: against
+        # a form file of 6 variables it would be checked against a Hessian
+        cert = Path(__file__).parents[1] / "perfbench" / "corpus" / "verify" / "pow4_n6.cert"
+        assert main(["verify", b_file, str(cert)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: multiplier and target variable counts disagree\n"
+
+    def test_sos_convex_needs_a_plain_form(self, b_file, capsys):
+        assert main(["check", b_file, "--sos-convex"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --sos-convex needs a plain form\n"
+
+    def test_multiplier_certificate_is_split_at_the_block(self, tmp_path, b_file):
+        out = tmp_path / "mult.cert"
+        argv = ["check", b_file, "--nonneg-mult", "x1^2+x2^2", "--out", str(out)]
+        assert main(argv) == EXIT_TRUE
+        z = z_lines(out)
+        assert z and all(re.fullmatch(r"\d+ \d+ \d+ \| \d+ \d+ \d+", line) for line in z)
+
+    def test_sos_convex_certificate_is_split_at_the_variable_count(self, tmp_path):
+        target = tmp_path / "p.form"
+        target.write_text(form_to_text(parse_poly_expression("x1^4+x2^4", 2)))
+        out = tmp_path / "p.cert"
+        assert main(["check", str(target), "--sos-convex", "--out", str(out)]) == EXIT_TRUE
+        z = z_lines(out)
+        assert z and all(re.fullmatch(r"\d+ \d+ \| \d+ \d+", line) for line in z)
 
 
 class TestFace:

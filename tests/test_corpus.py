@@ -3,19 +3,23 @@
 The benchmark's certify and refute workloads (perfbench/corpus/manifest.json)
 are run here once each, in the benchmark's three modes, and each CLI call of
 its verify workload once, so a status or exit-code regression fails the test
-suite and not only the benchmark.
+suite and not only the benchmark. TestHarnessContract checks what the
+benchmark scripts take from the package.
 """
 
+import ast
+import importlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sosconvex.biquadratic import biquadratic_from_text, hessian_form
-from sosconvex.certificates import sos_basis
+from sosconvex.biquadratic import biquadratic_from_text, builtin, hessian_biquadratic, hessian_form
+from sosconvex.certificates import sos_basis, verify_sos_certificate
 from sosconvex.cli import main
-from sosconvex.forms import form_from_text
+from sosconvex.dual import verify_refutation
+from sosconvex.forms import Form, form_from_text
 from sosconvex import search
 from sosconvex.search import check_sos, check_sos_convexity
 
@@ -116,3 +120,42 @@ def test_witness_search_stops_at_its_first_step(monkeypatch):
     outcome = search.witness_refutation(hessian, pz)
     assert outcome.status == "Refuted" and outcome.point is not None
     assert len(eighs) == 2
+
+
+class TestHarnessContract:
+    """What the benchmark scripts use of the package, read without running
+    them: perfbench/harness.py and perfbench/gen_corpus.py stay as they are
+    between benchmark changes, so the package keeps what they import and the
+    BiquadraticForm targets they pass."""
+
+    @pytest.mark.parametrize("script", ["harness.py", "gen_corpus.py"])
+    def test_every_imported_name_exists(self, script):
+        tree = ast.parse((CORPUS.parent / script).read_text(encoding="utf-8"))
+        imports = [
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sosconvex"
+            for alias in node.names
+        ]
+        assert imports
+        for module, name in imports:
+            # an attribute of the module, or else one of its submodules
+            if not hasattr(importlib.import_module(module), name):
+                importlib.import_module(f"{module}.{name}")
+
+    def test_a_biq_target_is_not_a_form(self):
+        # the harness's refute gate converts every Form target with
+        # BiquadraticForm.from_form(target, w.ordering.n), and a
+        # DualCertificate has no ordering: a biq target that were a Form
+        # would end that gate with an AttributeError
+        p = Form.linear([1, -2, 3]) ** 4
+        assert not isinstance(builtin("b_thm22"), Form)
+        assert not isinstance(hessian_biquadratic(p), Form)
+
+    def test_the_entry_points_accept_a_biq_target(self):
+        b = builtin("b_thm22")
+        assert check_sos(b).status == "Refuted"
+        assert verify_refutation(builtin("c_dual"), b)
+        assert verify_sos_certificate(b, builtin("q22_cert"))
+        p = Form.linear([1, -2, 3]) ** 4
+        assert verify_sos_certificate(hessian_biquadratic(p), check_sos_convexity(p).certificate)

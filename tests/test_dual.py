@@ -35,18 +35,18 @@ REFERENCE_MOMENT = [
 
 class TestPairing:
     def test_reference_pairing_value(self):
-        assert pairing(builtin("c_dual"), builtin("b_thm22")) == -37
+        assert pairing(builtin("c_dual"), builtin("b_thm22").to_form()) == -37
 
     def test_pairing_is_linear(self):
         cert = builtin("c_dual")
-        b = builtin("b_thm22")
+        b = builtin("b_thm22").to_form()
         assert pairing(cert, b.scale(F(3))) == -111
 
     def test_block_size_mismatch(self):
         # a functional on quartics in 4 variables cannot pair with one in 6
         cert = DualCertificate(_monomials(4, 4), [F(0)] * 35)
         with pytest.raises(ValueError):
-            pairing(cert, builtin("b_thm22"))
+            pairing(cert, builtin("b_thm22").to_form())
 
 
 @st.composite
@@ -66,12 +66,12 @@ def bases_and_functionals(draw):
 
 class TestMomentMatrix:
     def test_matches_reference(self):
-        z = sos_basis(builtin("b_thm22"))
+        z = sos_basis(builtin("b_thm22").to_form())
         mm = moment_matrix(builtin("c_dual"), z)
         assert [[int(v) for v in row] for row in mm.rows] == REFERENCE_MOMENT
 
     def test_positive_definite(self):
-        z = sos_basis(builtin("b_thm22"))
+        z = sos_basis(builtin("b_thm22").to_form())
         report = ldlt_psd_check(moment_matrix(builtin("c_dual"), z))
         assert report.verdict is Verdict.POSITIVE_DEFINITE
 
@@ -93,7 +93,7 @@ class TestRefutation:
 
     def test_nonnegative_pairing_rejected(self):
         cert = builtin("c_dual")
-        result = verify_refutation(cert, builtin("b_thm22").scale(F(-1)))
+        result = verify_refutation(cert, builtin("b_thm22").to_form().scale(F(-1)))
         assert not result.accepted and result.pairing_value == 37
 
     def test_non_psd_moment_rejected(self):
@@ -106,7 +106,7 @@ class TestRefutation:
     def test_empty_basis_admits_only_the_zero_form(self):
         # no square x_i^2 y_j^2 of x1 x2 y1 y2 is reachable, so pruning
         # empties the basis and any negative pairing refutes
-        b = BiquadraticForm(2, {(1, 2, 1, 2): F(1)})
+        b = BiquadraticForm(2, {(1, 2, 1, 2): F(1)}).to_form()
         assert sos_basis(b) == []
         cert = dual_from_text("ORDER: lex\nC:\n" + "0\n" * 4 + "-1\n" + "0\n" * 4)
         result = verify_refutation(cert, b)
@@ -144,7 +144,7 @@ class TestSerialization:
         assert cert.monomials[:2] == [(0, 0, 2, 0, 0, 2), (0, 0, 2, 0, 1, 1)]
         assert cert.monomials[-1] == (2, 0, 0, 2, 0, 0)
         assert all(v.denominator == 1 for v in cert.c)
-        assert pairing(cert, builtin("b_thm22")) == -37
+        assert pairing(cert, builtin("b_thm22").to_form()) == -37
 
     def test_parse_lex_infers_block_size(self):
         text = "ORDER: lex\nC:\n" + "".join(f"{i}/3\n" for i in range(9))
@@ -176,7 +176,7 @@ class TestSerialization:
         cert = dual_from_text("ORDER: lex\nC:\n" + "".join(f"{values[m]}\n" for m in lex))
         assert cert.monomials == lex
         assert dict(zip(cert.monomials, cert.c)) == values
-        b = builtin("b_thm22")
+        b = builtin("b_thm22").to_form()
         assert pairing(cert, b) == -37
         result = verify_refutation(cert, b)
         assert result.accepted and result.pairing_value == -37

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sosconvex import face
-from sosconvex.biquadratic import builtin, hessian_biquadratic
+from sosconvex.biquadratic import builtin, hessian_form
 from sosconvex.certificates import Verdict, ldlt_psd_check, rank
 from sosconvex.face import (
     FaceParams,
@@ -56,7 +56,7 @@ class TestBases:
     def test_s_normalization_hq_is_12_s_squared(self):
         fp = FaceParams(F(2), F(3))
         for q, s in zip(q_basis(fp)[:4], s_basis(fp)[:4]):
-            assert hessian_biquadratic(q).to_form() == (s * s).scale(12)
+            assert hessian_form(q) == (s * s).scale(12)
 
     def test_all_s_vanish_at_u1_and_u2(self):
         fp = FaceParams(F(3, 2), F(-2))
@@ -225,30 +225,36 @@ class TestAdditionalZero:
 class TestTangentCheck:
     def test_hf_positive_definite_at_u1(self):
         f = builtin("f_lemma32")
-        hf = hessian_biquadratic(f)
+        hf = hessian_form(f)
         e1, e2 = [1, 0, 0], [0, 1, 0]
-        assert hf.evaluate([F(1), F(0), F(0)], [F(0), F(1), F(0)]) == 0
+        assert hf.evaluate([F(1), F(0), F(0), F(0), F(1), F(0)]) == 0
         _, report = tangent_hessian_check(hf, e1, e2)
         assert report.verdict is Verdict.POSITIVE_DEFINITE
 
     def test_hq_identically_zero_at_u1(self):
         q = builtin("q_reduction")
-        hq = hessian_biquadratic(q)
+        hq = hessian_form(q)
         mat, _ = tangent_hessian_check(hq, [1, 0, 0], [0, 1, 0])
         assert all(v == 0 for row in mat.rows for v in row)
 
     def test_x1_fourth_at_e2_e2(self):
         x1 = Form.variable(3, 1)
-        h = hessian_biquadratic(x1**4)
+        h = hessian_form(x1**4)
         mat, report = tangent_hessian_check(h, [0, 1, 0], [0, 1, 0])
         assert report.is_psd()
         # brute-force eigen-sign oracle: the matrix is PSD but not PD
         assert mat.det() == 0
 
     def test_nonzero_point_rejected(self):
-        hf = hessian_biquadratic(builtin("f_lemma32"))
+        hf = hessian_form(builtin("f_lemma32"))
         with pytest.raises(ValueError):
             tangent_hessian_check(hf, [1, 0, 0], [1, 0, 0])
+
+    def test_blocks_of_unequal_length_rejected(self):
+        # six coordinates in all, split 4 + 2 instead of 3 + 3
+        hf = hessian_form(builtin("f_lemma32"))
+        with pytest.raises(ValueError, match="same length"):
+            tangent_hessian_check(hf, [1, 0, 0, 0], [1, 0])
 
 
 class TestWitnesses:

@@ -203,7 +203,7 @@ def parse_in_every_format(token):
     biq = biquadratic_from_text(f"biq n=1\n{token} 1 1 1 1\n")
     cert = certificate_from_text(f"Z:\n1\nQ:\n1\n{token}\n")
     dual = dual_from_text(f"ORDER: lex\nC:\n{token}\n")
-    return [form.coefficient((2,)), biq.coefficient(1, 1, 1, 1), cert.q[1, 1], dual.c[0]]
+    return [form.coefficient((2,)), biq.to_form().coefficient((2, 2)), cert.q[1, 1], dual.c[0]]
 
 
 class TestRationalTokens:

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sosconvex import search
-from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_biquadratic, hessian_form
+from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_form
 from sosconvex.certificates import (
     SosCertificate,
     SymRationalMatrix,
     _prune_basis,
     bidegree_basis,
-    gram_expand,
     gram_index,
     rank,
     sos_basis,
@@ -37,6 +36,12 @@ from sosconvex.search import (
     rationalize_and_certify,
     witness_refutation,
 )
+from test_certificates import gram_expand
+
+
+def form_of(name):
+    """The Form of a builtin biq target: the search works on Forms."""
+    return builtin(name).to_form()
 
 
 def bilinears():
@@ -89,7 +94,7 @@ def snap_fibers():
     # targets with integer and with rational coefficients (T_{3,1} at the
     # alpha5 bound has denominators such as 307), on bases of 9, 6 and 9
     targets = {
-        "b_thm22": builtin("b_thm22"),
+        "b_thm22": form_of("b_thm22"),
         "linear_power": Form.linear([1, -2, 3]) ** 4,
         "face_T31": hessian_form(face_at_bound(3, 1, [2, 1, 2, 1])),
     }
@@ -98,8 +103,8 @@ def snap_fibers():
 
 def stalled_fiber():
     # b_thm22 over its pruned basis: no PSD Gram matrix, so DR never converges
-    b = builtin("b_thm22")
-    return parameterize(b, _prune_basis(bilinears(), b.to_form()))
+    b = form_of("b_thm22")
+    return parameterize(b, _prune_basis(bilinears(), b))
 
 
 def face_at_bound(a, b, alphas):
@@ -109,27 +114,26 @@ def face_at_bound(a, b, alphas):
 
 class TestParameterize:
     def test_single_monomial_fiber(self):
-        target = BiquadraticForm(1, {(1, 1, 1, 1): F(12)})
+        target = BiquadraticForm(1, {(1, 1, 1, 1): F(12)}).to_form()
         pz = parameterize(target, [(1, 1)])
         assert pz.snap([5], [7]).rows == [[F(12)]]
         assert fiber_dimension(pz) == 0
 
     def test_nine_bilinear_kernel_dimension(self):
         # 45 Gram parameters, 36 coefficient constraints, surjective map
-        pz = parameterize(builtin("b_thm22"), bilinears())
+        pz = parameterize(form_of("b_thm22"), bilinears())
         assert len(pz.counts) == 36
         assert fiber_dimension(pz) == 9
 
     def test_every_fiber_point_expands_to_target(self):
-        target = builtin("b_thm22")
+        target = form_of("b_thm22")
         pz = parameterize(target, bilinears())
-        tf = target.to_form()
         rng = random.Random(5)
         base = snap_fractions(pz, [F(0)] * 45)
-        assert gram_expand(pz.z, base) == tf
+        assert gram_expand(pz.z, base) == target
         for _ in range(3):
             point = snap_fractions(pz, random_upper(pz, rng))
-            assert gram_expand(pz.z, point) == tf
+            assert gram_expand(pz.z, point) == target
             # the difference of two fiber points is a kernel direction
             diff = [[p - b for p, b in zip(*rows)] for rows in zip(point.rows, base.rows)]
             assert gram_expand(pz.z, SymRationalMatrix(diff)).is_zero()
@@ -137,8 +141,8 @@ class TestParameterize:
     @pytest.mark.parametrize(
         "target, z",
         [
-            (builtin("b_thm22"), bidegree_basis(3, 1, 1)),
-            (builtin("choi_biquadratic"), bidegree_basis(3, 1, 1)),
+            (form_of("b_thm22"), bidegree_basis(3, 1, 1)),
+            (form_of("choi_biquadratic"), bidegree_basis(3, 1, 1)),
             (Form.linear([1, -2, 3]) ** 4, sos_basis_for(Form.linear([1, -2, 3]) ** 4)),
         ],
         ids=["b_thm22", "choi", "linear_power"],
@@ -160,7 +164,7 @@ class TestParameterize:
 
     def test_roundings_expand_exactly_to_target(self):
         # no PSD assumption: a random symmetric matrix far from the cone
-        target = builtin("b_thm22")
+        target = form_of("b_thm22")
         pz = parameterize(target, bilinears())
         rng = np.random.default_rng(2)
         g = rng.standard_normal((9, 9))
@@ -168,7 +172,7 @@ class TestParameterize:
         candidates = list(search._roundings(upper))
         assert len(candidates) > 1
         for nums, dens in candidates:
-            assert gram_expand(pz.z, pz.snap(nums, dens)) == target.to_form()
+            assert gram_expand(pz.z, pz.snap(nums, dens)) == target
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
@@ -212,7 +216,7 @@ class TestParameterize:
 class TestProjections:
     def test_diagonal_target_feasible_quickly(self):
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
-        h = hessian_biquadratic(p)
+        h = hessian_form(p)
         pz = parameterize(h, bilinears())
         *earlier, last = douglas_rachford(pz)
         assert last.converged and not any(r.converged for r in earlier)
@@ -220,14 +224,14 @@ class TestProjections:
         assert last.fiber_distance <= 1e-8
 
     def test_multiplier_target_numerically_feasible(self):
-        b = builtin("b_thm22")
+        b = form_of("b_thm22")
         mult = Form(6, 2, {(2, 0, 0, 0, 0, 0): F(1), (0, 2, 0, 0, 0, 0): F(1)})
         outcome = check_sos(b, multiplier=mult)
         assert outcome.is_certified()
         assert outcome.residual <= 1e-6
 
     def test_builtin_b_stalls_on_bilinears(self):
-        pz = parameterize(builtin("b_thm22"), bilinears())
+        pz = parameterize(form_of("b_thm22"), bilinears())
         reports = list(douglas_rachford(pz))
         assert reports and not any(r.converged for r in reports)
 
@@ -306,7 +310,7 @@ class TestProjections:
     def test_deterministic_given_seed(self, monkeypatch):
         # the random restart draws from the fixed seed 0: two runs yield
         # identical reports
-        pz = parameterize(builtin("choi_biquadratic"), bilinears())
+        pz = parameterize(form_of("choi_biquadratic"), bilinears())
         monkeypatch.setattr(search, "CHUNKS", (25, 25, 50, 100, 300))
         monkeypatch.setattr(search, "RESTARTS", 2)
 
@@ -422,7 +426,7 @@ class TestSharedWitnessParts:
     """Witnesses over one basis share their parts, so keeping many is cheap."""
 
     def test_refutations_of_one_target_share_their_monomials(self):
-        b = builtin("choi_biquadratic")
+        b = form_of("choi_biquadratic")
         first, second = check_sos(b), check_sos(b)
         assert first.status == second.status == "Refuted"
         assert first.dual.monomials is second.dual.monomials
@@ -445,7 +449,7 @@ class TestSharedWitnessParts:
 
     def test_binding_a_target_leaves_the_cache_alone(self):
         z = bilinears()
-        b, choi = builtin("b_thm22"), builtin("choi_biquadratic")
+        b, choi = form_of("b_thm22"), form_of("choi_biquadratic")
         first, second = parameterize(b, z), parameterize(choi, z)
         assert first.z is second.z
         assert first.index is second.index
@@ -453,12 +457,12 @@ class TestSharedWitnessParts:
         # each keeps its own target, and snaps onto its own fiber
         assert first.target != second.target
         upper = [F(0)] * 45
-        assert gram_expand(z, snap_fractions(first, upper)) == b.to_form()
-        assert gram_expand(z, snap_fractions(second, upper)) == choi.to_form()
+        assert gram_expand(z, snap_fractions(first, upper)) == b
+        assert gram_expand(z, snap_fractions(second, upper)) == choi
         assert search._basis_fiber(tuple(z)).target == []
 
     def test_one_index_per_basis_for_the_search_and_both_verifiers(self):
-        for target in (hessian_form(face_at_bound(1, 1, [1, 2, 3, 4])), builtin("b_thm22")):
+        for target in (hessian_form(face_at_bound(1, 1, [1, 2, 3, 4])), form_of("b_thm22")):
             z = tuple(sos_basis(target))
             # a fiber outlives no index: once the index is dropped, the fiber
             # built over it is dropped too
@@ -486,7 +490,7 @@ class TestSharedWitnessParts:
 class TestRounding:
     def test_perturbed_feasible_point_recovers_exact(self):
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
-        h = hessian_biquadratic(p)
+        h = hessian_form(p)
         pz = parameterize(h, bilinears())
         g = least_norm_point(pz)
         rng = np.random.default_rng(3)
@@ -496,7 +500,7 @@ class TestRounding:
 
     def test_failure_is_falsy_with_reason(self):
         # the shipped b has no PSD Gram at all, so every rounding must fail
-        b = builtin("b_thm22")
+        b = form_of("b_thm22")
         pz = parameterize(b, bilinears())
         g = least_norm_point(pz)
         result = rationalize_and_certify(g, pz, b)
@@ -594,10 +598,10 @@ class TestRefutation:
     """Refutations come from the gap of the DR run, not from a shipped file."""
 
     def test_builtin_b_refuted_exactly(self):
-        assert_integer_refutation(check_sos(builtin("b_thm22")), builtin("b_thm22"))
+        assert_integer_refutation(check_sos(form_of("b_thm22")), form_of("b_thm22"))
 
     def test_scaled_b_still_refuted(self):
-        scaled = builtin("b_thm22").scale(F(5, 3))
+        scaled = form_of("b_thm22").scale(F(5, 3))
         assert_integer_refutation(check_sos(scaled), scaled)
 
     @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
@@ -613,7 +617,7 @@ class TestRefutation:
                 yield report
 
         monkeypatch.setattr(search, "douglas_rachford", counted)
-        b = builtin(name)
+        b = form_of(name)
         outcome = check_sos(b)
         assert_integer_refutation(outcome, b)
         assert sum(iterations) <= 25
@@ -622,7 +626,7 @@ class TestRefutation:
 
     def test_refutation_search_returns_a_refuted_outcome(self):
         # b_thm22's start point is not separated; its first chunk's end is
-        b = builtin("b_thm22")
+        b = form_of("b_thm22")
         pz = stalled_fiber()
         first = next(r for r in douglas_rachford(pz) if r.iterations)
         assert first.iterations == 25
@@ -644,18 +648,21 @@ class TestRefutation:
 
     @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
     def test_plain_form_target_refuted(self, name):
-        # the search form, not the target's type, makes a target refutable
-        form = builtin(name).to_form()
-        assert_integer_refutation(check_sos(form), form)
+        # the search form, not the target's type, makes a target refutable:
+        # the biq view and its Form give the same refutation
+        form = form_of(name)
+        outcome, view = check_sos(form), check_sos(builtin(name))
+        assert_integer_refutation(outcome, form)
+        assert (view.dual.monomials, view.dual.c) == (outcome.dual.monomials, outcome.dual.c)
 
     def test_choi_form_refuted(self):
         # PSD but not SOS; its pruned basis leaves squares the gap never sees
-        choi = builtin("choi_biquadratic")
+        choi = form_of("choi_biquadratic")
         assert_integer_refutation(check_sos(choi), choi)
 
     def test_nonconvex_quartic_not_sos_convex(self):
         p = Form(3, 4, {(4, 0, 0): F(1), (2, 2, 0): F(-6), (0, 4, 0): F(1), (0, 0, 4): F(1)})
-        assert_integer_refutation(check_sos_convexity(p), hessian_biquadratic(p))
+        assert_integer_refutation(check_sos_convexity(p), hessian_form(p))
 
     @pytest.mark.parametrize(
         "a, b, alphas", [(1, 1, [1, 1, 1, 1]), (2, 3, [1, 2, 3, 4])], ids=["T11", "T23"]
@@ -665,7 +672,7 @@ class TestRefutation:
         # pairing's margin keeps the rounded functional separating
         fp = FaceParams(a, b)
         p = face_form(alphas + [alpha5_lower_bound(alphas, fp) - F(1, 10)], fp)
-        assert_integer_refutation(check_sos_convexity(p), hessian_biquadratic(p))
+        assert_integer_refutation(check_sos_convexity(p), hessian_form(p))
 
     @pytest.mark.parametrize(
         "mode, expr, n",
@@ -694,8 +701,8 @@ class TestRefutation:
         motzkin = parse_poly_expression("x1^4*x2^2+x1^2*x2^4-3*x1^2*x2^2*x3^2+x3^6", 3)
         sextic = parse_poly_expression("x1^6+x2^6-4*x1^2*x2^4", 2)
         runs = [
-            lambda: check_sos(builtin("b_thm22")),
-            lambda: check_sos(builtin("choi_biquadratic")),
+            lambda: check_sos(form_of("b_thm22")),
+            lambda: check_sos(form_of("choi_biquadratic")),
             lambda: check_sos(motzkin),
             lambda: check_sos_convexity(sextic),
         ]
@@ -719,7 +726,7 @@ class TestRefutation:
             assert (a.dual.monomials, a.dual.c) == (b.dual.monomials, b.dual.c)
 
     def test_moment_matrix_all_positive(self):
-        mm = moment_matrix(builtin("c_dual"), sos_basis(builtin("b_thm22")))
+        mm = moment_matrix(builtin("c_dual"), sos_basis(form_of("b_thm22")))
         floated = np.array([[float(v) for v in row] for row in mm.rows])
         vals, vecs = np.linalg.eigh(floated)
         assert vals[0] > 0
@@ -728,8 +735,7 @@ class TestRefutation:
 
 
 def witness_on(target):
-    tf = target.to_form() if isinstance(target, BiquadraticForm) else target
-    return witness_refutation(tf, parameterize(tf, sos_basis(tf)))
+    return witness_refutation(target, parameterize(target, sos_basis(target)))
 
 
 class TestWitness:
@@ -781,7 +787,7 @@ class TestWitness:
 
     @pytest.mark.parametrize("name", ["b_thm22", "choi_biquadratic"])
     def test_no_witness_on_nonnegative_forms(self, name):
-        assert witness_on(builtin(name)) is None
+        assert witness_on(form_of(name)) is None
 
     def test_no_witness_off_bidegree_two_two(self):
         sextic = hessian_form(parse_poly_expression("x1^6+x2^6-4*x1^2*x2^4", 2))
@@ -821,7 +827,7 @@ class TestWitness:
         assert check_sos_convexity(p).status == "Stalled"
         assert len(calls) == 1
         calls.clear()
-        b = builtin("b_thm22")
+        b = form_of("b_thm22")
         check_sos(b, multiplier=parse_poly_expression("x1^2+x2^2", 6, block=3))
         assert not calls
 
@@ -832,7 +838,7 @@ class TestEndToEnd:
         outcome = check_sos_convexity(p)
         assert outcome.is_certified()
         assert verify_sos_certificate(
-            hessian_biquadratic(p).to_form(), outcome.certificate
+            hessian_form(p), outcome.certificate
         )
 
     def test_face_members_certified(self):
@@ -845,9 +851,9 @@ class TestEndToEnd:
             assert outcome.is_certified()
 
     def test_builtin_b_is_refuted_not_certified(self):
-        outcome = check_sos(builtin("b_thm22"))
+        outcome = check_sos(form_of("b_thm22"))
         assert outcome.status == "Refuted"
-        assert verify_refutation(outcome.dual, builtin("b_thm22"))
+        assert verify_refutation(outcome.dual, form_of("b_thm22"))
 
     def test_certificates_are_never_unsound(self):
         # forms just below the sos-convexity boundary must not certify
@@ -902,7 +908,7 @@ class TestPowerSumProperty:
         p = sum((Form.linear(c) ** 4 for c in forms[1:]), Form.linear(forms[0]) ** 4)
         outcome = check_sos_convexity(p)
         assert outcome.status == "ExactCertificate"
-        assert verify_sos_certificate(hessian_biquadratic(p), outcome.certificate)
+        assert verify_sos_certificate(hessian_form(p), outcome.certificate)
 
 
 def sextic_power_sum_draw(seed):
@@ -957,19 +963,31 @@ class TestEdgeOfDecision:
         assert verify_sos_certificate(hessian_form(p), outcome.certificate)
 
 
-def face_member_draws(seed, draws):
-    """T_{a,b} members: per draw, a and b = choice(+-1..3) and alpha_1..4 =
-    randint(1, 16) / choice(1, 2, 4) from Random(seed), each with alpha5 at
-    the bound, at the bound + 1/100 and at 0.9 times the (negative) bound."""
+# (label, alpha5 as a function of the alpha5 bound): members of T_{a,b} at
+# the bound, at the bound + 1/100 and at 0.9 times the (negative) bound, and
+# face forms below the bound by 1/10, 1/100 and 1/1000
+MEMBER_OFFSETS = (
+    ("bound", lambda bound: bound),
+    ("+1/100", lambda bound: bound + F(1, 100)),
+    ("0.9", lambda bound: bound * F(9, 10)),
+)
+BELOW_OFFSETS = tuple(
+    (f"-{d}", lambda bound, d=d: bound - d) for d in (F(1, 10), F(1, 100), F(1, 1000))
+)
+
+
+def face_member_draws(seed, draws, offsets=MEMBER_OFFSETS):
+    """Face forms: per draw, a and b = choice(+-1..3) and alpha_1..4 =
+    randint(1, 16) / choice(1, 2, 4) from Random(seed), and for each
+    (label, alpha5) of offsets, the face form with alpha5(bound)."""
     rng = random.Random(seed)
     for draw in range(draws):
         a, b = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-3, -2, -1, 1, 2, 3])
         alphas = [F(rng.randint(1, 16), rng.choice([1, 2, 4])) for _ in range(4)]
         fp = FaceParams(a, b)
         bound = alpha5_lower_bound(alphas, fp)
-        for offset, alpha5 in (("bound", bound), ("+1/100", bound + F(1, 100)),
-                               ("0.9", bound * F(9, 10))):
-            yield draw, offset, face_form(alphas + [alpha5], fp)
+        for offset, alpha5 in offsets:
+            yield draw, offset, face_form(alphas + [alpha5(bound)], fp)
 
 
 class TestFaceMemberLedger:
@@ -991,6 +1009,31 @@ class TestFaceMemberLedger:
         }
         assert not failed
         assert all(statuses[key] != "Refuted" for key in self.KNOWN_UNDECIDED)
+
+
+class TestBelowBoundLedger:
+    """Face forms below the alpha5 bound are not sos-convex, so every draw
+    must be refuted. Of face_member_draws(18, 60, BELOW_OFFSETS), 157 are:
+    60 at -1/10, 56 at -1/100 and 41 at -1/1000. The other 23 end Stalled
+    and are not run here: draws 2, 25, 29 and 33 at -1/100, and 2, 5, 7, 9,
+    11, 14, 24, 25, 27, 28, 29, 33, 35, 50, 51, 53, 54, 58 and 59 at
+    -1/1000. A search change must not lose any of the 157."""
+
+    KNOWN_UNDECIDED = {
+        *((draw, "-1/100") for draw in (2, 25, 29, 33)),
+        *((draw, "-1/1000") for draw in (2, 5, 7, 9, 11, 14, 24, 25, 27, 28, 29, 33, 35, 50,
+                                         51, 53, 54, 58, 59)),
+    }
+
+    def test_decided_draws_are_refuted(self):
+        statuses = {
+            (draw, offset): check_sos_convexity(p).status
+            for draw, offset, p in face_member_draws(18, 60, BELOW_OFFSETS)
+            if (draw, offset) not in self.KNOWN_UNDECIDED
+        }
+        counts = [sum(offset == label for _, offset in statuses) for label, _ in BELOW_OFFSETS]
+        assert counts == [60, 56, 41]
+        assert set(statuses.values()) == {"Refuted"}
 
 
 class TestBelowBoundProperty:

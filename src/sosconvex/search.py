@@ -24,17 +24,18 @@ and its fiber projection is the same combination of shadows, so no
 evaluation needs a second eigh or projection. A candidate whose residual
 norm exceeds that of the point it extrapolates from is rejected for the
 plain step T(x), and the history is cleared; a singular solve or a
-non-finite candidate counts as rejected. A restart converges at a shadow
+non-finite candidate counts as rejected. The run converges at a shadow
 within the target's own tolerance pz.tol of the fiber and the PSD cone.
-Each restart is one loop with one history that runs the fixed chunks of
-CHUNKS, 3,000 evaluations, and ends only when it converges or the chunks
-do; douglas_rachford yields a DRReport at each chunk end, so chunk ends move
-no iterate, and one before the first evaluation, on the start point.
-check_sos is one loop over the reports: it rounds a report that ends near
-the fiber or on a PSD shadow, and tries a refutation from every report it
-does not certify, so an easy target is decided at the start point, with no
-evaluation. Chunks start short and double: early points are tried early,
-and a long run yields few reports.
+One run per target, from the least-norm fiber point, is one loop with one
+history that runs the fixed chunks of CHUNKS, 3,000 evaluations, and ends
+only when it converges or the chunks do; douglas_rachford yields a DRReport
+at each chunk end, so chunk ends move no iterate, and one before the first
+evaluation, on the start point. check_sos is one loop over the reports: it
+rounds a report that ends near the fiber or on a PSD shadow, and tries a
+refutation from every report it does not certify, so an easy target is
+decided at the start point, with no evaluation. The first chunks double,
+so early points are tried early; after 200 evaluations a report comes every
+50, so that a slowly converging sextic is rounded often enough to certify.
 Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
 entrywise, once to the grid 1/D and once to continued fractions with
 denominators at most D, for each D of the fixed DENOMINATOR_BOUNDS, each
@@ -119,14 +120,12 @@ from .forms import Form, as_frac, shared_fraction
 # precision: rounding finds the exact Gram matrix only from close by (Peyrl-Parrilo)
 DR_TOL = 1e-15
 
-# The DR evaluations of each chunk of a restart, 3,000 in all, and the
-# restarts: the first from the least-norm fiber point, the others from random
-# points (seed 0). Over the T_{a,b}, below-bound and sextic draws of the tests'
-# recipes and the benchmark corpus, converged restarts take at most 598
-# evaluations and decisions come within a restart's 3,000; one sextic is
-# decided after the first restart, certified on its third
-CHUNKS = (25, 25, 50, 100, 400, 800, 1600)
-RESTARTS = 3
+# The DR evaluations of each chunk of the one run, 3,000 in all: reports after
+# 25, 50, 100 and 200, then every 50. Over the T_{a,b}, below-bound and sextic
+# draws of the tests' recipes and the benchmark corpus, converged runs take at
+# most 598 evaluations, every corpus instance is decided within 200, and the
+# slowest sextics certify at 1,550 and 1,750; chunks of 100 after 200 lose one
+CHUNKS = (25, 25, 50, 100) + (50,) * 56
 
 
 class GramParameterization:
@@ -291,7 +290,7 @@ _EYE = np.eye(ANDERSON_MEMORY)
 
 
 class _Anderson:
-    """The type-II Anderson history of one DR restart, and its pending step.
+    """The type-II Anderson history of one DR run, and its pending step.
 
     hist[k] holds one difference, between consecutive accepted points, of
     the rows of a (3, d^2) stack: the residual g = T(x) - x, T(x) and the
@@ -361,21 +360,19 @@ class _Anderson:
 
 
 def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
-    """Restarted Douglas-Rachford search for a PSD point of the fiber,
-    yielding a DRReport at the start and at each chunk end (CHUNKS) of each
-    restart.
+    """Douglas-Rachford search for a PSD point of the fiber, yielding a
+    DRReport at the start and at each chunk end (CHUNKS).
 
-    The first of RESTARTS restarts starts from project(0), the least-norm
-    fiber point; later ones from projections of random symmetric matrices.
-    A restart is one loop of DR reflections between the PSD cone and the
-    affine fiber, with one safeguarded Anderson history (_Anderson.step); the
-    monitored iterate is the shadow P_fiber(P_psd(x)), which converges to a
-    feasible point when one exists and whose residual settles at the gap
-    when none does. Each evaluation of the DR map T makes one eigh and one fiber
-    residual: y = P_psd(x), r = residual(y), shadow = y + r. P is affine, so
+    The run starts from project(0), the least-norm fiber point, and is one
+    loop of DR reflections between the PSD cone and the affine fiber, with
+    one safeguarded Anderson history (_Anderson.step); the monitored iterate
+    is the shadow P_fiber(P_psd(x)), which converges to a feasible point
+    when one exists and whose residual settles at the gap when none does.
+    Each evaluation of the DR map T makes one eigh and one fiber residual:
+    y = P_psd(x), r = residual(y), shadow = y + r. P is affine, so
     P(2y - x) = 2 shadow - P(x), and T(x) = x + P(2y - x) - y has
     P(T(x)) = shadow: P of the next point is carried, and computed once per
-    restart. y is PSD, so lambda_min(shadow) >= -d * max|r|: the shadow's
+    run. y is PSD, so lambda_min(shadow) >= -d * max|r|: the shadow's
     spectrum is needed only once the fiber distance max|r| is within pz.tol,
     and for the report of a chunk that ends unconverged, which is on the
     fiber point P(x) of the next point x. The start report, with 0
@@ -385,32 +382,29 @@ def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
     A chunk end only yields, so chunk ends move no iterate. iterations
     counts a chunk's evaluations, rejected Anderson candidates included, and
     every evaluated shadow is checked for convergence. A converged report is
-    the last one; otherwise a restart ends with its last chunk. The caller
+    the last one; otherwise the run ends with its last chunk. The caller
     may stop pulling at any report, and no further evaluation runs.
     """
-    rng = np.random.default_rng(0)
     dim = len(pz.z)
-    for restart in range(RESTARTS):
-        x = np.zeros((dim, dim)) if restart == 0 else rng.standard_normal((dim, dim))
-        x = pz.project((x + x.T) / 2.0)
-        px = pz.project(x)
-        # the start point goes to the exact gates before any evaluation
-        start_distance = float(np.abs(pz.residual(px)).max())
-        yield DRReport(0, float(np.linalg.eigvalsh(px)[0]), start_distance, px)
-        anderson = _Anderson(x.size)
-        for budget in CHUNKS:
-            for it in range(budget):
-                y = _project_psd(x)
-                r = pz.residual(y)
-                fiber_dist = float(np.abs(r).max())
-                shadow = y + r[pz.index]
-                if fiber_dist <= pz.tol:
-                    shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
-                    if shadow_eig >= -pz.tol:
-                        yield DRReport(it + 1, shadow_eig, fiber_dist, shadow, converged=True)
-                        return
-                x, px = anderson.step(x, 2.0 * shadow - px - y, shadow)
-            yield DRReport(budget, float(np.linalg.eigvalsh(px)[0]), fiber_dist, px)
+    x = pz.project(np.zeros((dim, dim)))
+    px = pz.project(x)
+    # the start point goes to the exact gates before any evaluation
+    start_distance = float(np.abs(pz.residual(px)).max())
+    yield DRReport(0, float(np.linalg.eigvalsh(px)[0]), start_distance, px)
+    anderson = _Anderson(x.size)
+    for budget in CHUNKS:
+        for it in range(budget):
+            y = _project_psd(x)
+            r = pz.residual(y)
+            fiber_dist = float(np.abs(r).max())
+            shadow = y + r[pz.index]
+            if fiber_dist <= pz.tol:
+                shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
+                if shadow_eig >= -pz.tol:
+                    yield DRReport(it + 1, shadow_eig, fiber_dist, shadow, converged=True)
+                    return
+            x, px = anderson.step(x, 2.0 * shadow - px - y, shadow)
+        yield DRReport(budget, float(np.linalg.eigvalsh(px)[0]), fiber_dist, px)
 
 
 # -- exact rounding --------------------------------------------------------------
@@ -716,8 +710,7 @@ def check_sos(target, multiplier: Form | None = None) -> SearchOutcome:
 
     last_reason = ""
     best = None
-    witness_tried = False
-    for report in douglas_rachford(pz):
+    for index, report in enumerate(douglas_rachford(pz)):
         if best is None or report.residual < best.residual:
             best = report
         # a chunk that ends near the fiber or on a PSD shadow (a fiber point
@@ -737,9 +730,8 @@ def check_sos(target, multiplier: Form | None = None) -> SearchOutcome:
             outcome = refutation_search(tf, pz, report.fiber_point)
             # a point where the target is negative refutes it at any chunk,
             # so the witness search runs once, after the gap of the first
-            # chunk of evaluations fails
-            if outcome is None and not witness_tried and report.iterations > 0:
-                witness_tried = True
+            # chunk of evaluations, the report after the start one, fails
+            if outcome is None and index == 1:
                 outcome = witness_refutation(tf, pz)
             if outcome is not None:
                 return outcome

@@ -261,9 +261,10 @@ class TestProjections:
         assert len(eighs) == 200
         assert len(projections) <= 2
 
-    def test_random_start_on_a_stalled_fiber_stays_finite(self, monkeypatch):
+    def test_long_run_on_a_stalled_fiber_stays_finite(self, monkeypatch):
         # no PSD point exists, so some Anderson candidates are rejected and
-        # the history cleared; the run neither blows up nor raises
+        # the history cleared; a run of 4,000 evaluations in one chunk
+        # neither blows up nor raises
         accepted = []
         step = search._Anderson.step
 
@@ -275,12 +276,10 @@ class TestProjections:
             return result
 
         monkeypatch.setattr(search._Anderson, "step", traced)
-        # the second restart starts from a random symmetric matrix
-        monkeypatch.setattr(search, "CHUNKS", (2000,))
-        monkeypatch.setattr(search, "RESTARTS", 2)
+        monkeypatch.setattr(search, "CHUNKS", (4000,))
         reports = list(douglas_rachford(stalled_fiber()))
         assert not any(r.converged for r in reports)
-        assert sum(r.iterations for r in reports) == 4000
+        assert [r.iterations for r in reports] == [0, 4000]
         for r in reports:
             assert np.isfinite(r.fiber_point).all() and math.isfinite(r.min_eigenvalue)
         assert any(accepted) and not all(accepted)
@@ -307,12 +306,11 @@ class TestProjections:
         assert np.array_equal(nxt, x + g)
         assert anderson.count == 0 and not anderson.pending
 
-    def test_deterministic_given_seed(self, monkeypatch):
-        # the random restart draws from the fixed seed 0: two runs yield
-        # identical reports
+    def test_two_runs_yield_identical_reports(self, monkeypatch):
+        # the run starts from the least-norm fiber point and draws nothing
+        # at random: two runs yield identical reports
         pz = parameterize(form_of("choi_biquadratic"), bilinears())
         monkeypatch.setattr(search, "CHUNKS", (25, 25, 50, 100, 300))
-        monkeypatch.setattr(search, "RESTARTS", 2)
 
         def summary(r):
             return r.iterations, r.min_eigenvalue, r.fiber_distance, r.converged
@@ -340,26 +338,25 @@ class TestSearchLoop:
         next(reports)
         assert len(eighs) == 50
 
-    def test_chunk_ends_on_a_stalled_fiber(self, monkeypatch):
-        # a restart that never converges runs the whole schedule, the four
-        # short chunks and the doubling ones from 400, and no further: the
+    def test_chunk_ends_on_a_stalled_fiber(self):
+        # a run that never converges runs the whole schedule, the four
+        # doubling chunks to 200 and then chunks of 50, and no further: one
         # start report evaluates nothing, and no report follows the last chunk
-        monkeypatch.setattr(search, "RESTARTS", 1)
         reports = list(douglas_rachford(stalled_fiber()))
         ends = list(itertools.accumulate(r.iterations for r in reports))
-        assert ends == [0, 25, 50, 100, 200, 600, 1400, 3000]
+        assert ends == [0, 25, 50, 100, *range(200, 3001, 50)]
+        assert [r.iterations for r in reports].count(0) == 1
         assert not any(r.converged for r in reports)
 
     def test_chunk_ends_within_the_budget(self, monkeypatch):
-        # a restart that never converges spends its budget in the four short
-        # chunks, then in doubling ones from 400; a shorter schedule is
-        # honoured to the evaluation, restart after restart
+        # a run that never converges spends its budget of 3,000 in the four
+        # doubling chunks to 200, then in chunks of 50; a shorter schedule is
+        # honoured to the evaluation, once
         ends = list(itertools.accumulate(search.CHUNKS))
-        assert ends == [25, 50, 100, 200, 600, 1400, 3000]
+        assert ends == [25, 50, 100, *range(200, 3001, 50)]
         monkeypatch.setattr(search, "CHUNKS", (25, 25, 50, 100, 400, 100))
-        monkeypatch.setattr(search, "RESTARTS", 2)
         reports = list(douglas_rachford(stalled_fiber()))
-        assert [r.iterations for r in reports] == [0, 25, 25, 50, 100, 400, 100] * 2
+        assert [r.iterations for r in reports] == [0, 25, 25, 50, 100, 400, 100]
         assert not any(r.converged for r in reports)
 
     def test_chunk_ends_move_no_iterate(self, monkeypatch):
@@ -395,7 +392,6 @@ class TestSearchLoop:
         square_sum = Form(2, 2, {(2, 0): F(1), (0, 2): F(1)})
         indefinite = Form(2, 2, {(2, 0): F(1), (1, 1): F(-3), (0, 2): F(1)})
         monkeypatch.setattr(search, "CHUNKS", (25, 25, 50, 100, 400))
-        monkeypatch.setattr(search, "RESTARTS", 2)
         outcome = check_sos(indefinite, multiplier=square_sum)
         assert outcome.status == "Stalled"
         search_form = square_sum * indefinite
@@ -407,6 +403,21 @@ class TestSearchLoop:
             f"stalled with min eigenvalue {best.min_eigenvalue:.3e}, "
             f"fiber distance {best.fiber_distance:.3e}"
         )
+
+    def test_an_undecided_search_runs_once(self, monkeypatch):
+        # no Gram matrix of the indefinite target times x1^2 + x2^2 is PSD,
+        # and under a multiplier no refutation is sought: the one run spends
+        # the whole schedule, one eigh per evaluation, from one start report
+        square_sum = Form(2, 2, {(2, 0): F(1), (0, 2): F(1)})
+        indefinite = Form(2, 2, {(2, 0): F(1), (1, 1): F(-3), (0, 2): F(1)})
+        calls = []
+        project_psd = search._project_psd
+        monkeypatch.setattr(search, "_project_psd", lambda x: calls.append(1) or project_psd(x))
+        assert check_sos(indefinite, multiplier=square_sum).status == "Stalled"
+        assert len(calls) == sum(search.CHUNKS) == 3000
+        search_form = square_sum * indefinite
+        reports = list(douglas_rachford(parameterize(search_form, sos_basis(search_form))))
+        assert [r.iterations for r in reports].count(0) == 1
 
     @pytest.mark.parametrize(
         "multiplier",
@@ -823,7 +834,6 @@ class TestWitness:
         fp = FaceParams(2, 3)
         p = face_form([1, 1, 1, 1, alpha5_lower_bound([1, 1, 1, 1], fp) - F(1, 1000)], fp)
         monkeypatch.setattr(search, "CHUNKS", (25, 25, 50, 100, 200))
-        monkeypatch.setattr(search, "RESTARTS", 2)
         assert check_sos_convexity(p).status == "Stalled"
         assert len(calls) == 1
         calls.clear()
@@ -925,10 +935,10 @@ def sextic_power_sum_draw(seed):
 class TestSexticLedger:
     """Ternary sextic power sums are sos-convex by construction, so every
     draw must certify. Of sextic_power_sum_draw(101..140), the 25 seeds of
-    CERTIFIED do, 137 only at the 3,000th evaluation of its first restart;
-    the other 15, 108, 109, 110, 111, 114, 115, 117, 123, 125, 127, 128,
-    133, 138, 139 and 140, end Stalled, and a search change must not lose
-    any of the 25."""
+    CERTIFIED do, the slowest, 118 and 137, at the 1,550th and 1,750th
+    evaluation of the 3,000 the search runs; the other 15, 108, 109, 110,
+    111, 114, 115, 117, 123, 125, 127, 128, 133, 138, 139 and 140, end
+    Stalled, and a search change must not lose any of the 25."""
 
     CERTIFIED = (*range(101, 108), 112, 113, 116, *range(118, 123), 124, 126,
                  *range(129, 133), *range(134, 138))
@@ -1014,10 +1024,11 @@ class TestFaceMemberLedger:
 class TestBelowBoundLedger:
     """Face forms below the alpha5 bound are not sos-convex, so every draw
     must be refuted. Of face_member_draws(18, 60, BELOW_OFFSETS), 157 are:
-    60 at -1/10, 56 at -1/100 and 41 at -1/1000. The other 23 end Stalled
-    and are not run here: draws 2, 25, 29 and 33 at -1/100, and 2, 5, 7, 9,
-    11, 14, 24, 25, 27, 28, 29, 33, 35, 50, 51, 53, 54, 58 and 59 at
-    -1/1000. A search change must not lose any of the 157."""
+    60 at -1/10, 56 at -1/100 and 41 at -1/1000. The other 23, which
+    KNOWN_UNDECIDED lists, end Stalled: draws 2, 25, 29 and 33 at -1/100,
+    and 2, 5, 7, 9, 11, 14, 24, 25, 27, 28, 29, 33, 35, 50, 51, 53, 54, 58
+    and 59 at -1/1000. A search change must not lose any of the 157, and
+    none of the 23 may be certified."""
 
     KNOWN_UNDECIDED = {
         *((draw, "-1/100") for draw in (2, 25, 29, 33)),
@@ -1029,11 +1040,13 @@ class TestBelowBoundLedger:
         statuses = {
             (draw, offset): check_sos_convexity(p).status
             for draw, offset, p in face_member_draws(18, 60, BELOW_OFFSETS)
-            if (draw, offset) not in self.KNOWN_UNDECIDED
         }
-        counts = [sum(offset == label for _, offset in statuses) for label, _ in BELOW_OFFSETS]
+        assert len(statuses) == 180
+        decided = statuses.keys() - self.KNOWN_UNDECIDED
+        counts = [sum(offset == label for _, offset in decided) for label, _ in BELOW_OFFSETS]
         assert counts == [60, 56, 41]
-        assert set(statuses.values()) == {"Refuted"}
+        assert {statuses[key] for key in decided} == {"Refuted"}
+        assert all(statuses[key] != "ExactCertificate" for key in self.KNOWN_UNDECIDED)
 
 
 class TestBelowBoundProperty:

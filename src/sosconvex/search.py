@@ -45,7 +45,9 @@ and one clearly not PSD there is skipped. One that passes is snapped onto
 the fiber by the same per-monomial correction in integer arithmetic over
 one common denominator, and goes to verify_sos_certificate, the one exact
 gate, whose LDL^T check runs first; the first candidate it accepts is the
-certificate. The screen only skips; it never accepts.
+certificate. The screen only skips; it never accepts. DENOMINATOR_BOUNDS is
+the one ladder of the search: the refutations below round their float
+vectors at the same bounds, each scaled to max |v_i| = D (_integer_point).
 
 The basis comes from the target alone: when every term has the same even
 (x-degree, y-degree) split of the variables at n_vars/2, as the Hessian
@@ -59,9 +61,9 @@ iterations converges, and the gap Y = P_psd(f) - f at the fiber point f a
 chunk ends on tends to a PSD matrix, constant over the pairs reaching each
 monomial, that pairs negatively with every Gram matrix of the target: the
 moments of a separating functional on the fiber's monomials (Banjac et al.,
-the DR gap vector). After every chunk, refutation_search rounds them to
-primitive integer functionals on those monomials, screens each with one
-eigvalsh of its moment matrix against the same SCREEN_TOL. A target
+the DR gap vector). After every chunk, refutation_search rounds them at each
+bound to primitive integer functionals on those monomials, screens each with
+one eigvalsh of its moment matrix against the same SCREEN_TOL. A target
 monomial that no product of two basis monomials reaches, any one over an
 empty basis, is refuted before any search by the functional that is
 nonzero only there, and so is a square z_r^2 with a negative coefficient
@@ -77,11 +79,11 @@ where it is negative refutes it too: the functional that evaluates there has
 a rank-1 moment matrix and pairs with the target to its value, which the
 outcome's point holds. check_sos runs witness_refutation once, after the
 first chunk of evaluations whose gap does not refute: alternating
-eigen-steps in floats, and after each step integer rounding, an exact sign
-check on ints and the gate, so it stops at the first step that yields a
-refuting point. For ternary quartics the route is complete: a convex
-ternary quartic is sos-convex (the paper's theorem), so when the Hessian
-form is not SOS there is an open set of points where it is negative,
+eigen-steps in floats, and after each step integer rounding at each bound,
+an exact sign check on ints and the gate, so it stops at the first step
+that yields a refuting point. For ternary quartics the route is complete:
+a convex ternary quartic is sos-convex (the paper's theorem), so when the
+Hessian form is not SOS there is an open set of points where it is negative,
 rational ones among them, though the float search can miss a thin one.
 Sextic Hessian forms, bidegree (4, 2), are left to the gap: for fixed y
 they are quartic in x, so their x step is no eigenproblem.
@@ -534,6 +536,13 @@ def _refuted(target, monomials, c, point=None) -> SearchOutcome | None:
     return None
 
 
+def _integer_point(v: np.ndarray, bound: int) -> tuple[int, ...] | None:
+    """v scaled to max|v_i| = bound, rounded and divided by its gcd."""
+    ints = [round(t) for t in (bound / float(np.abs(v).max())) * v]
+    g = math.gcd(*ints)
+    return tuple(t // g for t in ints) if g else None
+
+
 def refutation_search(target, pz: GramParameterization, f: np.ndarray) -> SearchOutcome | None:
     """A Refuted outcome from the DR gap at a fiber point f.
 
@@ -545,7 +554,7 @@ def refutation_search(target, pz: GramParameterization, f: np.ndarray) -> Search
     the pruned basis. Shifts on the moments of the z_r^2, within the margin
     that keeps the pairing negative, move a moment matrix that is singular
     or slightly indefinite into the PSD cone. Each shift, and each of its
-    roundings to the primitive integer vectors round(D m) / gcd, is screened
+    roundings _integer_point(m, D), D in DENOMINATOR_BOUNDS, is screened
     in floats like a primal rounding: skipped when its moment matrix has
     lambda_min below -SCREEN_TOL * max(1, max|M|), which an exactly PSD
     matrix never reads, so a singular PSD gap is rounded too and the screen
@@ -573,11 +582,8 @@ def refutation_search(target, pz: GramParameterization, f: np.ndarray) -> Search
         m[squares] += shift
         if _relative_lambda_min(m[pz.index]) < -SCREEN_TOL:
             continue
-        values = m.tolist()
-        for den in (4**k for k in range(1, 9)):
-            ints = [round(den * v) for v in values]
-            g = math.gcd(*ints)
-            key = tuple(v // g for v in ints) if g else None
+        for bound in DENOMINATOR_BOUNDS:
+            key = _integer_point(m, bound)
             if key is None or key in seen:
                 continue
             seen.add(key)
@@ -589,20 +595,9 @@ def refutation_search(target, pz: GramParameterization, f: np.ndarray) -> Search
     return None
 
 
-# Witness points: the random starts and alternating eigen-steps of the float
-# search, and the integer scales at which each negative point is rounded. A
-# start whose float value is not below -WITNESS_TOL * max|K| is not rounded.
+# Witness points: the random starts and alternating eigen-steps of the float search.
 WITNESS_STARTS = 8
 WITNESS_STEPS = 12
-WITNESS_SCALES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
-WITNESS_TOL = 1e-12
-
-
-def _integer_point(v: np.ndarray, scale: int) -> tuple[int, ...] | None:
-    """v scaled to max|v_i| = scale, rounded and divided by its gcd."""
-    ints = [round(t) for t in (scale / float(np.abs(v).max())) * v]
-    g = math.gcd(*ints)
-    return tuple(t // g for t in ints) if g else None
 
 
 def witness_refutation(target: Form, pz: GramParameterization) -> SearchOutcome | None:
@@ -614,10 +609,11 @@ def witness_refutation(target: Form, pz: GramParameterization) -> SearchOutcome 
     random x (seed 0), WITNESS_STEPS alternating steps take y as the bottom
     eigenvector of A(x), then x as that of C(y), one eigh on the stack of
     starts per half step; each step lowers the value. After every step the
-    negative points, most negative first, are rounded to integer vectors at
-    each of WITNESS_SCALES, each integer point once over all steps, and the
-    target's sign there is checked on ints over its common denominator; the
-    first point the gate accepts is returned. At a point where it is
+    points whose float value is below 0, most negative first, are rounded
+    by _integer_point at each bound of DENOMINATOR_BOUNDS, each integer
+    point once over all steps, and the target's sign there is checked on
+    ints over its common denominator; the first point the gate accepts is
+    returned. At a point where it is
     negative, the point-evaluation functional, with the integer moments
     x^a y^b on pz.monomials divided by their gcd, has the rank-1 moment
     matrix v v^T, v the basis evaluated at the point, and pairs with the
@@ -638,7 +634,6 @@ def witness_refutation(target: Form, pz: GramParameterization) -> SearchOutcome 
     kt += kt.transpose(0, 1, 3, 2)
     kmat = kt.reshape(n * n, n * n) / 4.0
     x = np.random.default_rng(0).standard_normal((WITNESS_STARTS, n))
-    floor = -WITNESS_TOL * float(np.abs(kmat).max())
     seen = set()
     for _ in range(WITNESS_STEPS):
         a = ((x[:, :, None] * x[:, None, :]).reshape(WITNESS_STARTS, -1) @ kmat).reshape(-1, n, n)
@@ -647,10 +642,10 @@ def witness_refutation(target: Form, pz: GramParameterization) -> SearchOutcome 
         values, vecs = np.linalg.eigh(c)
         x = vecs[:, :, 0]
         for s in np.argsort(values[:, 0]):
-            if not values[s, 0] < floor:
+            if not values[s, 0] < 0:
                 break
-            for scale in WITNESS_SCALES:
-                xi, yi = _integer_point(x[s], scale), _integer_point(y[s], scale)
+            for bound in DENOMINATOR_BOUNDS:
+                xi, yi = _integer_point(x[s], bound), _integer_point(y[s], bound)
                 if xi is None or yi is None or (xi, yi) in seen:
                     continue
                 seen.add((xi, yi))

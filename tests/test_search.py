@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sosconvex import search
 from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_form
@@ -842,6 +842,34 @@ class TestWitness:
         assert not calls
 
 
+class TestOneLadder:
+    """Gram matrices, gap functionals and witness points all round at the
+    bounds of DENOMINATOR_BOUNDS, the one ladder of the search."""
+
+    @pytest.fixture
+    def t11_below(self):
+        fp = FaceParams(1, 1)
+        return hessian_form(face_form([1, 1, 1, 1, alpha5_lower_bound([1, 1, 1, 1], fp) - 1], fp))
+
+    def test_witness_points_round_at_the_bounds(self, t11_below, monkeypatch):
+        # at the full ladder the point is x = (-1, 2, -2), y = (2, 0, 1); at
+        # 256 alone both vectors are scaled to max |coordinate| 256
+        monkeypatch.setattr(search, "DENOMINATOR_BOUNDS", (256,))
+        x, y, value = witness_on(t11_below).point
+        assert max(abs(v) for v in x + y) == 256
+        assert t11_below.evaluate(x + y) == value < 0
+
+    def test_no_bounds_no_refutation(self, t11_below, monkeypatch):
+        choi = form_of("choi_biquadratic")
+        pz = parameterize(choi, sos_basis(choi))
+        start = next(douglas_rachford(pz))
+        assert_integer_refutation(search.refutation_search(choi, pz, start.fiber_point), choi)
+        assert witness_on(t11_below) is not None
+        monkeypatch.setattr(search, "DENOMINATOR_BOUNDS", ())
+        assert search.refutation_search(choi, pz, start.fiber_point) is None
+        assert witness_on(t11_below) is None
+
+
 class TestEndToEnd:
     def test_x4_sum_certified(self):
         p = sum((Form.variable(3, i) ** 4 for i in (2, 3)), Form.variable(3, 1) ** 4)
@@ -1023,18 +1051,13 @@ class TestFaceMemberLedger:
 
 class TestBelowBoundLedger:
     """Face forms below the alpha5 bound are not sos-convex, so every draw
-    must be refuted. Of face_member_draws(18, 60, BELOW_OFFSETS), 157 are:
-    60 at -1/10, 56 at -1/100 and 41 at -1/1000. The other 23, which
-    KNOWN_UNDECIDED lists, end Stalled: draws 2, 25, 29 and 33 at -1/100,
-    and 2, 5, 7, 9, 11, 14, 24, 25, 27, 28, 29, 33, 35, 50, 51, 53, 54, 58
-    and 59 at -1/1000. A search change must not lose any of the 157, and
-    none of the 23 may be certified."""
+    must be refuted. Of face_member_draws(18, 60, BELOW_OFFSETS), 171 are:
+    60 at -1/10, 60 at -1/100 and 51 at -1/1000. The other 9, which
+    KNOWN_UNDECIDED lists, end Stalled: draws 7, 11, 25, 28, 29, 33, 50, 53
+    and 59 at -1/1000. A search change must not lose any of the 171, and
+    none of the 9 may be certified."""
 
-    KNOWN_UNDECIDED = {
-        *((draw, "-1/100") for draw in (2, 25, 29, 33)),
-        *((draw, "-1/1000") for draw in (2, 5, 7, 9, 11, 14, 24, 25, 27, 28, 29, 33, 35, 50,
-                                         51, 53, 54, 58, 59)),
-    }
+    KNOWN_UNDECIDED = {(draw, "-1/1000") for draw in (7, 11, 25, 28, 29, 33, 50, 53, 59)}
 
     def test_decided_draws_are_refuted(self):
         statuses = {
@@ -1044,13 +1067,15 @@ class TestBelowBoundLedger:
         assert len(statuses) == 180
         decided = statuses.keys() - self.KNOWN_UNDECIDED
         counts = [sum(offset == label for _, offset in decided) for label, _ in BELOW_OFFSETS]
-        assert counts == [60, 56, 41]
+        assert counts == [60, 60, 51]
         assert {statuses[key] for key in decided} == {"Refuted"}
         assert all(statuses[key] != "ExactCertificate" for key in self.KNOWN_UNDECIDED)
 
 
 class TestBelowBoundProperty:
-    """Face forms below the alpha5 bound are not sos-convex: never certified."""
+    """Face forms below the alpha5 bound by a factor 1 + delta, delta at
+    least 1/100, are not sos-convex: refuted, with a functional
+    verify_refutation accepts."""
 
     @settings(
         derandomize=True,
@@ -1062,17 +1087,18 @@ class TestBelowBoundProperty:
         st.integers(-3, 3).filter(bool),
         st.integers(-3, 3).filter(bool),
         st.lists(st.fractions(F(1, 4), 4, max_denominator=4), min_size=4, max_size=4),
-        st.sampled_from([F(1, 10), F(1, 2)]),
+        st.sampled_from([F(1, 100), F(1, 10), F(1, 2)]),
     )
-    def test_face_forms_below_bound_never_certify(self, a, b, alphas, delta):
+    # no witness point is found; its gap functional is rounded at 2^19
+    @example(1, -3, [F(1, 2), F(1, 2), F(4, 3), F(1, 2)], F(1, 100))
+    def test_face_forms_below_bound_are_refuted(self, a, b, alphas, delta):
         fp = FaceParams(a, b)
         # the bound is negative, so bound * (1 + delta) lies below it
         alpha5 = alpha5_lower_bound(alphas, fp) * (1 + delta)
         p = face_form(alphas + [alpha5], fp)
         outcome = check_sos_convexity(p)
-        assert outcome.status != "ExactCertificate"
-        if outcome.status == "Refuted":
-            assert verify_refutation(outcome.dual, hessian_form(p))
+        assert outcome.status == "Refuted", outcome.diagnostics
+        assert verify_refutation(outcome.dual, hessian_form(p))
 
 
 class TestNegativeSquare:

@@ -38,9 +38,18 @@ from .forms import (
 
 
 class SymRationalMatrix:
-    """Dense symmetric matrix of exact rationals."""
+    """Symmetric matrix of exact rationals, held as its upper triangle.
 
-    __slots__ = ("dim", "rows")
+    upper is one tuple of the dim (dim + 1) / 2 entries, row by row from the
+    diagonal, in the order of GramIndex.upper: the exact verifiers read only
+    the triangle, and an accepted certificate keeps its matrix for as long as
+    it is held. SymRationalMatrix(rows) takes a full square grid, checks that
+    it is symmetric and keeps its triangle; from_upper takes a triangle as it
+    is. m[i, j] is the entry at 1-based (i, j), and rows the full grid, a new
+    list of row lists on each read.
+    """
+
+    __slots__ = ("dim", "upper")
 
     def __init__(self, rows: Sequence[Sequence]):
         dim = len(rows)
@@ -54,16 +63,44 @@ class SymRationalMatrix:
                 j = next(j for j in range(i + 1, dim) if row[j] != col[j])
                 raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
         self.dim = dim
-        self.rows = grid
+        self.upper = tuple(v for i, row in enumerate(grid) for v in row[i:])
+
+    @classmethod
+    def from_upper(cls, dim: int, upper: Sequence[Fraction]) -> SymRationalMatrix:
+        """The matrix whose upper triangle, row by row from the diagonal, is upper."""
+        if dim < 1 or len(upper) != dim * (dim + 1) // 2:
+            raise ValueError(f"a {dim}x{dim} upper triangle needs {dim * (dim + 1) // 2} entries")
+        m = object.__new__(cls)
+        m.dim = dim
+        m.upper = tuple(upper)
+        return m
+
+    def _segments(self) -> list[tuple[Fraction, ...]]:
+        """Row r of the triangle, from its diagonal on, for each r."""
+        segments, p = [], 0
+        for r in range(self.dim):
+            segments.append(self.upper[p : p + self.dim - r])
+            p += self.dim - r
+        return segments
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        rows = []
+        for r, segment in enumerate(self._segments()):
+            rows.append([row[r] for row in rows] + list(segment))
+        return rows
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.rows[i - 1][j - 1]
+        i, j = sorted(ij)
+        if i < 1 or j > self.dim:
+            raise IndexError(f"entry ({ij[0]},{ij[1]}) is outside a {self.dim}x{self.dim} matrix")
+        # row i - 1 of the triangle starts at (i - 1) dim - (i - 1)(i - 2) / 2
+        return self.upper[(i - 1) * self.dim - (i - 1) * (i - 2) // 2 + j - i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymRationalMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.dim == other.dim and self.upper == other.upper
 
     def det(self) -> Fraction:
         return det(self.rows)
@@ -139,13 +176,24 @@ def ldlt_psd_check(s: SymRationalMatrix) -> LdltReport:
     nonzero pivot, by Sylvester's identity), and the LDL^T pivot of Q at step
     k is the ratio of consecutive Bareiss pivots, bareiss_k / (prev * s_k^2).
     A skipped zero row leaves prev unchanged.
+
+    It reads s.upper alone: row i of the full matrix is column i of the
+    triangle above its diagonal, then row segment i, so one pass over the
+    triangle gives every s_i, and the working rows are the segments, each
+    from its diagonal; the residual stays symmetric, so it needs no more.
     """
     n = s.dim
-    scales = [math.lcm(*(v.denominator for v in row)) for row in s.rows]
-    # upper triangle only, row i from its diagonal: the residual stays symmetric
+    segments = s._segments()
+    scales = [1] * n
+    for i, seg in enumerate(segments):
+        for j, v in enumerate(seg, i):
+            d = v.denominator
+            if d != 1:
+                scales[i] = math.lcm(scales[i], d)
+                scales[j] = math.lcm(scales[j], d)
     a = [
-        [v.numerator * (si // v.denominator) * sj for v, sj in zip(row[i:], scales[i:])]
-        for i, (row, si) in enumerate(zip(s.rows, scales))
+        [v.numerator * (si // v.denominator) * sj for v, sj in zip(seg, scales[i:])]
+        for i, (seg, si) in enumerate(zip(segments, scales))
     ]
     # live[i] is False while row i is zero: a step with f == 0 leaves it zero
     live = [any(row) for row in a]
@@ -215,8 +263,9 @@ gram_index = functools.lru_cache(maxsize=32)(GramIndex)
 
 
 def _integer_grid(q: SymRationalMatrix) -> tuple[list[int], int]:
-    """The upper triangle of L Q, row by row, on ints, L the lcm of Q's denominators."""
-    upper = [v for i, row in enumerate(q.rows) for v in row[i:]]
+    """The upper triangle of L Q, row by row, on ints, L the lcm of Q's
+    denominators: q.upper scaled, in the order of GramIndex.upper."""
+    upper = q.upper
     lcd = math.lcm(*{v.denominator for v in upper})
     return [v.numerator * (lcd // v.denominator) for v in upper], lcd
 

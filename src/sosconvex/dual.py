@@ -56,11 +56,13 @@ def pairing(cert: DualCertificate, target: Form) -> Fraction:
 
 
 def moment_matrix(cert: DualCertificate, z: Sequence[Monomial]) -> SymRationalMatrix:
-    """M[r, s] = c(z_r z_s) over the monomial basis z, by the ids of gram_index(z)."""
+    """M[r, s] = c(z_r z_s) over the monomial basis z, its upper triangle
+    read by the ids of gram_index(z)."""
     values = dict(zip(cert.monomials, cert.c))
     gram = gram_index(tuple(map(tuple, z)))
-    by_id = [values.get(m, 0) for m in gram.monomials]
-    return SymRationalMatrix([[by_id[m] for m in row] for row in gram.rows])
+    zero = Fraction(0)
+    by_id = [values.get(m, zero) for m in gram.monomials]
+    return SymRationalMatrix.from_upper(len(z), [by_id[m] for m in gram.upper])
 
 
 @dataclass

@@ -450,12 +450,12 @@ def witness_evaluations(fp: FaceParams) -> list[WitnessEvaluation]:
 def gram_identity_holds(alpha: Sequence, fp: FaceParams) -> bool:
     """Exact check that s^T M s equals the Hessian form of sum alpha_i q_i."""
     vals = _alphas(alpha)
-    m = gram_M(vals, fp)
+    rows = gram_M(vals, fp).rows
     s = s_basis(fp)
     acc = Form.zero(6, 4)
     for i in range(5):
         for j in range(5):
-            if m.rows[i][j] != 0:
-                acc = acc + (s[i] * s[j]).scale(m.rows[i][j])
+            if rows[i][j] != 0:
+                acc = acc + (s[i] * s[j]).scale(rows[i][j])
     hp = hessian_form(face_form(vals, fp))
     return acc == hp

@@ -92,6 +92,7 @@ they are quartic in x, so their x step is no eigenproblem.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,7 +196,9 @@ class GramParameterization:
         numerator is a_k T C + r_m C / c_m. Each distinct value is taken in
         lowest terms from forms.shared_fraction: a certificate outlives the
         search and its entries repeat a few values, so equal entries, within
-        one certificate and across certificates, share one object.
+        one certificate and across certificates, share one object, and the
+        matrix holds only the d (d + 1) / 2 entries of its upper triangle
+        (SymRationalMatrix.from_upper), not d row lists.
         """
         lcd = math.lcm(*dens)
         scaled = [n * (lcd // q) for n, q in zip(nums, dens)]
@@ -211,10 +214,7 @@ class GramParameterization:
         for n in set(entries):
             g = math.gcd(n, den)
             values[n] = shared_fraction(n // g, den // g)
-        upper, rows = [values[n] for n in entries], []
-        for r, p in enumerate(self._gram.diagonal):
-            rows.append([row[r] for row in rows] + upper[p : p + len(self.z) - r])
-        return SymRationalMatrix(rows)
+        return SymRationalMatrix.from_upper(len(self.z), [values[n] for n in entries])
 
 
 @dataclass
@@ -600,17 +600,27 @@ WITNESS_STARTS = 8
 WITNESS_STEPS = 12
 
 
+@functools.cache
+def _witness_starts(n: int) -> np.ndarray:
+    """The WITNESS_STARTS random x of the witness search at n (seed 0), drawn
+    once per n and read-only, shared by every call."""
+    x = np.random.default_rng(0).standard_normal((WITNESS_STARTS, n))
+    x.flags.writeable = False
+    return x
+
+
 def witness_refutation(target: Form, pz: GramParameterization) -> SearchOutcome | None:
     """A Refuted outcome from a point (x, y) where the target is negative.
 
     For a target whose terms all have bidegree (2, 2) at n = n_vars / 2, the
     target is y^T A(x) y with A(x) quadratic in x: for fixed x a quadratic
-    form in y, and for fixed y one in x, x^T C(y) x. From WITNESS_STARTS
-    random x (seed 0), WITNESS_STEPS alternating steps take y as the bottom
-    eigenvector of A(x), then x as that of C(y), one eigh on the stack of
-    starts per half step; each step lowers the value. After every step the
-    points whose float value is below 0, most negative first, are rounded
-    by _integer_point at each bound of DENOMINATOR_BOUNDS, each integer
+    form in y, and for fixed y one in x, x^T C(y) x. From the WITNESS_STARTS
+    random x of _witness_starts(n), WITNESS_STEPS alternating steps take y
+    as the bottom eigenvector of A(x), then x as that of C(y), one eigh on
+    the stack of starts per half step; each step lowers the value. After
+    every step the points whose float value is below 0, most negative
+    first, are rounded by _integer_point at each bound of
+    DENOMINATOR_BOUNDS, each integer
     point once over all steps, and the target's sign there is checked on
     ints over its common denominator; the first point the gate accepts is
     returned. At a point where it is
@@ -633,7 +643,7 @@ def witness_refutation(target: Form, pz: GramParameterization) -> SearchOutcome 
     kt += kt.transpose(1, 0, 2, 3)
     kt += kt.transpose(0, 1, 3, 2)
     kmat = kt.reshape(n * n, n * n) / 4.0
-    x = np.random.default_rng(0).standard_normal((WITNESS_STARTS, n))
+    x = _witness_starts(n)
     seen = set()
     for _ in range(WITNESS_STEPS):
         a = ((x[:, :, None] * x[:, None, :]).reshape(WITNESS_STARTS, -1) @ kmat).reshape(-1, n, n)

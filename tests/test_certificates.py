@@ -138,6 +138,74 @@ def rational_matrices(draw, square=False):
     return rows
 
 
+@st.composite
+def symmetric_grids(draw):
+    """Full symmetric grids of rationals and ints, up to 7x7, as lists of rows."""
+    d = draw(st.integers(1, 7))
+    entries = st.one_of(rationals, st.integers(-5, 5))
+    upper = iter(draw(st.lists(entries, min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2)))
+    rows = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            rows[i][j] = rows[j][i] = next(upper)
+    return rows
+
+
+class TestSymRationalMatrix:
+    """The matrix holds its upper triangle; rows and m[i, j] read the full matrix."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(symmetric_grids())
+    def test_triangle_holds_the_grid(self, rows):
+        m = SymRationalMatrix(rows)
+        d = len(rows)
+        assert m.rows == rows
+        assert m.upper == tuple(rows[i][j] for i in range(d) for j in range(i, d))
+        assert SymRationalMatrix.from_upper(d, m.upper) == m
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                assert m[i, j] == m[j, i] == rows[i - 1][j - 1]
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(symmetric_grids().filter(lambda rows: len(rows) > 1), st.data())
+    def test_asymmetric_grid_names_its_first_position(self, rows, data):
+        # entries drawn apart on either side of the diagonal: the error names
+        # the first pair in row order, (i, j) with i < j, that differs
+        d = len(rows)
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        for i, j in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3)):
+            if data.draw(st.booleans()):
+                i, j = j, i
+            rows[i][j] += data.draw(st.sampled_from([1, F(-1, 3), F(5, 7)]))
+        first = next(((i, j) for i, j in pairs if rows[i][j] != rows[j][i]), None)
+        if first is None:
+            SymRationalMatrix(rows)
+            return
+        message = f"matrix is not symmetric at ({first[0] + 1},{first[1] + 1})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SymRationalMatrix(rows)
+
+    @pytest.mark.parametrize("ij", [(0, 0), (0, 1), (1, 0), (3, 1), (2, 3), (-1, -1), (-1, 2)])
+    def test_index_outside_one_to_dim_raises(self, ij):
+        # 1-based: (0, 0) once read the last diagonal entry, rows[-1][-1]
+        m = SymRationalMatrix([[1, 2], [2, 3]])
+        assert (m[1, 1], m[1, 2], m[2, 1], m[2, 2]) == (1, 2, 2, 3)
+        with pytest.raises(IndexError):
+            m[ij]
+
+    def test_from_upper_needs_a_whole_triangle(self):
+        with pytest.raises(ValueError):
+            SymRationalMatrix.from_upper(3, (F(1),) * 5)
+
+    def test_rows_are_built_on_each_read(self):
+        m = SymRationalMatrix([[1, 2], [2, 3]])
+        rows = m.rows
+        rows[0][0] += 1
+        assert m.rows == [[1, 2], [2, 3]] and m.rows is not m.rows
+        with pytest.raises(AttributeError):
+            m.rows = rows
+
+
 def sympy_matrix(rows):
     return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
 

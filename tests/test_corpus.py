@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from sosconvex.biquadratic import biquadratic_from_text, builtin, hessian_biquadratic, hessian_form
-from sosconvex.certificates import sos_basis, verify_sos_certificate
+from sosconvex.certificates import (
+    SymRationalMatrix,
+    certificate_from_text,
+    sos_basis,
+    verify_sos_certificate,
+)
 from sosconvex.cli import main
 from sosconvex.dual import verify_refutation
 from sosconvex.forms import Form, form_from_text
@@ -109,6 +114,15 @@ def test_power_sum_certified_from_the_start_report(chunks):
     assert chunks == [0]
 
 
+def test_search_certificate_keeps_one_triangle():
+    # the 36 x 36 Gram matrix of pow4_n6 is one tuple of its 666 upper-triangle
+    # entries, with no per-row lists and no instance dict beside it
+    q = check_sos_convexity(load(BY_ID["pow4_n6"]["target"])).certificate.q
+    assert SymRationalMatrix.__slots__ == ("dim", "upper")
+    assert type(q.upper) is tuple and len(q.upper) == 666
+    assert not hasattr(q, "__dict__")
+
+
 def test_witness_search_stops_at_its_first_step(monkeypatch):
     # face_T23_below is refuted at a point of the first alternating step:
     # one eigh for y and one for x, not the 2 * WITNESS_STEPS of a full run
@@ -151,6 +165,26 @@ class TestHarnessContract:
         p = Form.linear([1, -2, 3]) ** 4
         assert not isinstance(builtin("b_thm22"), Form)
         assert not isinstance(hessian_biquadratic(p), Form)
+
+    @pytest.mark.parametrize("source", ["search", "parsed"])
+    def test_the_gram_reads_work(self, source):
+        # the oracle's key and sum, gen_corpus.py's tampered copy and the
+        # gate's denominator bits read rows and dim of a certificate's matrix
+        if source == "search":
+            cert = check_sos_convexity(load(BY_ID["pow4_n3"]["target"])).certificate
+        else:
+            text = (CORPUS / "verify" / "pow4_n3.cert").read_text(encoding="utf-8")
+            cert = certificate_from_text(text)
+        q = cert.q
+        assert q.dim == len(cert.z) == len(q.rows)
+        for r in range(q.dim):
+            for s in range(q.dim):
+                assert q.rows[r][s] == q.rows[s][r] == q[r + 1, s + 1]
+        hash(tuple(map(tuple, q.rows)))  # the oracle's cache key
+        rows = [list(r) for r in q.rows]
+        rows[0][0] += 1
+        assert q.rows[0][0] == rows[0][0] - 1
+        assert SymRationalMatrix(rows) != q
 
     def test_the_entry_points_accept_a_biq_target(self):
         b = builtin("b_thm22")

@@ -29,6 +29,7 @@ from sosconvex.dual import RefutationResult, moment_matrix, verify_refutation
 from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
 from sosconvex.forms import Form, as_frac
 from sosconvex.search import (
+    WITNESS_STARTS,
     check_sos,
     check_sos_convexity,
     douglas_rachford,
@@ -820,6 +821,16 @@ class TestWitness:
 
         monkeypatch.setattr(search, "verify_refutation", refuse)
         assert witness_on(h) is None and calls
+
+    def test_starts_drawn_once_per_n(self):
+        # every call at one n reads the same read-only array of the seed-0 draws
+        first = search._witness_starts(3)
+        assert search._witness_starts(3) is first and not first.flags.writeable
+        assert np.array_equal(first, np.random.default_rng(0).standard_normal((WITNESS_STARTS, 3)))
+        fp = FaceParams(1, 1)
+        h = hessian_form(face_form([1, 1, 1, 1, alpha5_lower_bound([1, 1, 1, 1], fp) - 1], fp))
+        assert witness_on(h) is not None
+        assert search._witness_starts(3) is first
 
     def test_searched_once_and_not_with_a_multiplier(self, monkeypatch):
         calls = []

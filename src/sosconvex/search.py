@@ -37,9 +37,12 @@ decided at the start point, with no evaluation. The first chunks double,
 so early points are tried early; after 200 evaluations a report comes every
 50, so that a slowly converging sextic is rounded often enough to certify.
 Rounding is to exact rationals in the manner of Peyrl-Parrilo: round Q
-entrywise, once to the grid 1/D and once to continued fractions with
-denominators at most D, for each D of the fixed DENOMINATOR_BOUNDS, each
-rounding held as integer numerators and denominators. Each rounding is
+entrywise to the grid 1/(D T), once for each D of the fixed
+DENOMINATOR_BOUNDS, T the lcm of the target's denominators, each rounding
+held as integer numerators and denominators (_roundings). A Gram matrix
+whose denominators divide D T, as those of the paper's gram_M do on the
+T_{a,b} members of the tests, lies on that grid, singular or not, and a
+point within half a grid step of it rounds onto it exactly. Each rounding is
 first screened in floats (_relative_lambda_min of its fiber projection),
 and one clearly not PSD there is skipped. One that passes is snapped onto
 the fiber by the same per-monomial correction in integer arithmetic over
@@ -419,59 +422,34 @@ SCREEN_TOL = 1e-9
 DENOMINATOR_BOUNDS = (2, 16, 256, 4096) + tuple(2**k for k in range(16, 22))
 
 
-def _limit_denominator(v: float, bound: int) -> tuple[int, int]:
-    """The closest rational to v with denominator at most bound, as a reduced
-    numerator and denominator: Fraction(v).limit_denominator(bound) on
-    integers (best approximation from the continued fraction convergents)."""
-    n, d = v.as_integer_ratio()
-    if d <= bound:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = n, d
-    while True:
-        a = num // den
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
-    k = (bound - q0) // q1
-    # the semiconvergent (p0 + k p1) / (q0 + k q1) lies 1 / (q1 (q0 + k q1))
-    # from p1 / q1, and p1 / q1 lies den / (q1 d) from v; ties go to p1 / q1
-    if 2 * den * (q0 + k * q1) <= d:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
-
-
-def _roundings(values) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _roundings(values, target_den: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Distinct rational roundings of values, simplest denominators first,
     each as reduced numerators and denominators.
 
-    For each bound D of DENOMINATOR_BOUNDS the grid 1/D comes first, then
-    continued fractions with denominators at most D: neither alone suffices,
-    since the grid misses rational points with small odd denominators and
-    continued fractions pick needlessly large denominators when the grid
-    would do. The continued fractions are computed only once the grid
-    rounding is rejected. A ValueError says that a value times a bound
-    overflows, as one within a few powers of two of the largest float does.
+    For each bound D of DENOMINATOR_BOUNDS, values round to the grid
+    1/(D T), T the lcm of the target's denominators (target_den): a Gram
+    matrix of the target whose entries have denominators dividing D T lies
+    on that grid, singular ones included, so it is recovered exactly from
+    close by. T scales the grid only when a double holds it exactly (T <
+    2^53), so that every D T is exact and v * D T one rounded product;
+    otherwise the grid is 1/D. A ValueError says that a value times a grid
+    denominator overflows, as one within a few powers of two of the largest
+    float does.
     """
     values = [float(v) for v in values]
-
-    def per_bound(bound):
-        try:
-            grid = [round(v * bound) for v in values]
-        except OverflowError:
-            raise ValueError(f"a Gram entry times {bound} is beyond float range") from None
-        gcds = [math.gcd(n, bound) for n in grid]
-        yield tuple(n // g for n, g in zip(grid, gcds)), tuple(bound // g for g in gcds)
-        yield tuple(zip(*(_limit_denominator(v, bound) for v in values)))
-
+    scale = target_den if target_den < 2**53 else 1
     seen = set()
     for bound in DENOMINATOR_BOUNDS:
-        for rounded in per_bound(bound):
-            if rounded not in seen:
-                seen.add(rounded)
-                yield rounded
+        den = bound * scale
+        try:
+            grid = [round(v * den) for v in values]
+        except OverflowError:
+            raise ValueError(f"a Gram entry times {den} is beyond float range") from None
+        gcds = [math.gcd(n, den) for n in grid]
+        rounded = tuple(n // g for n, g in zip(grid, gcds)), tuple(den // g for g in gcds)
+        if rounded not in seen:
+            seen.add(rounded)
+            yield rounded
 
 
 def _relative_lambda_min(m: np.ndarray) -> float:
@@ -493,9 +471,10 @@ def rationalize_and_certify(
 ):
     """Round a numeric fiber point to an exactly verified SOS certificate.
 
-    Takes each rounding of g's entries in order and screens it in floats:
-    its fiber projection is skipped when its lambda_min is below
-    -SCREEN_TOL * max(1, max|Q|). An exactly PSD matrix reads within
+    Takes the rounding of g's entries on each grid 1/(D T) of _roundings,
+    coarsest first, and screens it in floats: its fiber projection is
+    skipped when its lambda_min is below -SCREEN_TOL * max(1, max|Q|).
+    An exactly PSD matrix reads within
     rounding error of 0 there, so the screen only skips roundings the exact
     check would reject; it never accepts one. A rounding that passes is
     snapped to the fiber in integer arithmetic, wrapped as a certificate for
@@ -507,7 +486,7 @@ def rationalize_and_certify(
         multiplier = unit_multiplier(len(pz.z[0]))
     check = None
     # halved before the sum, so that no entry near the largest float overflows
-    for nums, dens in _roundings((g / 2.0 + g.T / 2.0)[pz._upper]):
+    for nums, dens in _roundings((g / 2.0 + g.T / 2.0)[pz._upper], pz._target_den):
         lam = _screen(pz, nums, dens)
         if lam < -SCREEN_TOL:
             check = SosVerification(

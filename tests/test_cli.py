@@ -575,6 +575,15 @@ class TestCheck:
         assert main(["check", str(target), *mode, "--out", str(cert)]) == EXIT_TRUE
         assert main(["verify", str(target), str(cert)]) == EXIT_TRUE
 
+    @pytest.mark.parametrize("mode", CHECK_MODES, ids=["sos", "sos-convex", "nonneg-mult"])
+    def test_coefficient_with_a_huge_denominator_certifies(self, tmp_path, mode):
+        # 3^700 is beyond float range, so the Gram entries round on the grids
+        # 1/D, not 1/(D 3^700): no grid denominator overflows
+        target, cert = tmp_path / "tiny.form", tmp_path / "tiny.cert"
+        target.write_text(f"form n=2 d=2\n1 2 0\n1/{3**700} 0 2\n")
+        assert main(["check", str(target), *mode, "--out", str(cert)]) == EXIT_TRUE
+        assert main(["verify", str(target), str(cert)]) == EXIT_TRUE
+
     @pytest.mark.parametrize("body", ["form n=1 d=0\n-3 0\n", "form n=1 d=2\n-1 2\n"],
                              ids=["-3", "-x1^2"])
     def test_negative_square_under_a_multiplier_stalls_without_a_search(

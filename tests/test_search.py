@@ -26,7 +26,7 @@ from sosconvex.certificates import (
 )
 from sosconvex.cli import parse_poly_expression
 from sosconvex.dual import RefutationResult, moment_matrix, verify_refutation
-from sosconvex.face import FaceParams, alpha5_lower_bound, face_form
+from sosconvex.face import FaceParams, alpha5_lower_bound, face_form, gram_M, s_basis
 from sosconvex.forms import Form, as_frac
 from sosconvex.search import (
     WITNESS_STARTS,
@@ -164,16 +164,21 @@ class TestParameterize:
             assert np.abs(pz.project(x) - dense).max() <= 1e-10
 
     def test_roundings_expand_exactly_to_target(self):
-        # no PSD assumption: a random symmetric matrix far from the cone
-        target = form_of("b_thm22")
-        pz = parameterize(target, bilinears())
+        # no PSD assumption: a random symmetric matrix far from the cone,
+        # rounded on the grids 1/(D T), T = 1 for b_thm22 and T > 1 for the
+        # T_{3,1} member at the bound
         rng = np.random.default_rng(2)
-        g = rng.standard_normal((9, 9))
-        upper = (g + g.T)[np.triu_indices(9)]
-        candidates = list(search._roundings(upper))
-        assert len(candidates) > 1
-        for nums, dens in candidates:
-            assert gram_expand(pz.z, pz.snap(nums, dens)) == target
+        for target in (form_of("b_thm22"), hessian_form(face_at_bound(3, 1, [2, 1, 2, 1]))):
+            pz = parameterize(target, sos_basis(target))
+            d = len(pz.z)
+            g = rng.standard_normal((d, d))
+            upper = (g + g.T)[np.triu_indices(d)]
+            candidates = list(search._roundings(upper, pz._target_den))
+            assert 1 < len(candidates) <= len(search.DENOMINATOR_BOUNDS)
+            for nums, dens in candidates:
+                assert all(pz._target_den * max(search.DENOMINATOR_BOUNDS) % q == 0 for q in dens)
+                assert gram_expand(pz.z, pz.snap(nums, dens)) == target
+        assert pz._target_den > 1
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
@@ -188,15 +193,6 @@ class TestParameterize:
         # one Fraction object per distinct value
         values = [v for row in snapped.rows for v in row]
         assert len({id(v) for v in values}) == len(set(values))
-
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(
-        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-        st.integers(1, 2**22),
-    )
-    def test_limit_denominator_matches_fractions(self, v, bound):
-        f = F(v).limit_denominator(bound)
-        assert search._limit_denominator(v, bound) == (f.numerator, f.denominator)
 
     def test_unrepresentable_monomial_reported(self):
         target = Form(2, 4, {(3, 1): F(1), (1, 3): F(1)})
@@ -541,9 +537,10 @@ class TestRounding:
         assert len(calls) == 1
 
     def test_one_ldlt_per_screened_candidate(self, monkeypatch):
-        # (c x)^2 / 7 has the singular Gram matrix c c^T / 7: near a fixed
-        # perturbation of it, the coarse roundings leave its face, are not
-        # PSD and the float screen skips them; every one it passes gets
+        # (c x)^2 + (x1^6 + x1^4 x2^2 + x1^2 x2^4 + x2^6) / 7 has the Gram
+        # matrix c c^T + I / 7; g moves it along a fiber direction n to about
+        # 1% inside the PSD boundary, so the coarse roundings land outside
+        # the cone and the float screen skips them; every one it passes gets
         # exactly one LDL^T inside rationalize_and_certify
         from sosconvex import certificates
 
@@ -565,10 +562,15 @@ class TestRounding:
                 monkeypatch.setattr(module, "ldlt_psd_check", counted_ldlt)
         monkeypatch.setattr(search, "_screen", counted_screen)
         c = Form(2, 3, {(3, 0): F(1), (2, 1): F(-2), (1, 2): F(1), (0, 3): F(1)})
-        target = (c * c).scale(F(1, 7))
+        squares = Form(2, 6, {(6, 0): F(1), (4, 2): F(1), (2, 4): F(1), (0, 6): F(1)})
+        target = c * c + squares.scale(F(1, 7))
         pz = parameterize(target, sos_basis(target))
         v = np.array([1.0, -2.0, 1.0, 1.0])
-        g = np.outer(v, v) / 7 + 1e-6 * np.add.outer(range(4), range(4))
+        # n adds to z_1 z_3 and z_2 z_4 what it takes from z_2^2 and z_3^2
+        n = np.zeros((4, 4))
+        n[0, 2] = n[2, 0] = n[1, 3] = n[3, 1] = 1
+        n[1, 1] = n[2, 2] = -2
+        g = np.outer(v, v) + np.eye(4) / 7 + 0.0585 * n
         assert rationalize_and_certify(g, pz, target)
         passed = sum(v >= -search.SCREEN_TOL for v in screened)
         assert 0 < passed < len(screened)
@@ -988,6 +990,8 @@ class TestSexticLedger:
         outcome = check_sos_convexity(p)
         assert outcome.status == "ExactCertificate", outcome.diagnostics
         assert verify_sos_certificate(hessian_form(p), outcome.certificate)
+        # the grid 1/(D T) keeps every denominator below 2^20
+        assert max(v.denominator for v in outcome.certificate.q.upper) < 2**20
 
 
 class TestEdgeOfDecision:
@@ -1025,10 +1029,11 @@ BELOW_OFFSETS = tuple(
 )
 
 
-def face_member_draws(seed, draws, offsets=MEMBER_OFFSETS):
-    """Face forms: per draw, a and b = choice(+-1..3) and alpha_1..4 =
+def face_member_alphas(seed, draws, offsets=MEMBER_OFFSETS):
+    """Face parameters: per draw, a and b = choice(+-1..3) and alpha_1..4 =
     randint(1, 16) / choice(1, 2, 4) from Random(seed), and for each
-    (label, alpha5) of offsets, the face form with alpha5(bound)."""
+    (label, alpha5) of offsets, the draw, the label, FaceParams(a, b) and
+    alpha_1..4 with alpha5(bound)."""
     rng = random.Random(seed)
     for draw in range(draws):
         a, b = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-3, -2, -1, 1, 2, 3])
@@ -1036,28 +1041,37 @@ def face_member_draws(seed, draws, offsets=MEMBER_OFFSETS):
         fp = FaceParams(a, b)
         bound = alpha5_lower_bound(alphas, fp)
         for offset, alpha5 in offsets:
-            yield draw, offset, face_form(alphas + [alpha5(bound)], fp)
+            yield draw, offset, fp, alphas + [alpha5(bound)]
+
+
+def face_member_draws(seed, draws, offsets=MEMBER_OFFSETS):
+    """The face forms of face_member_alphas, as (draw, label, form)."""
+    for draw, offset, fp, alpha in face_member_alphas(seed, draws, offsets):
+        yield draw, offset, face_form(alpha, fp)
 
 
 class TestFaceMemberLedger:
     """Every member of T_{a,b} is sos-convex (the paper's theorem), so every
-    draw must certify; KNOWN_UNDECIDED lists the draws the search does not
-    decide yet, and none of them may be refuted."""
-
-    KNOWN_UNDECIDED = {(9, "+1/100"), (23, "bound"), (27, "+1/100")}
+    draw must certify, and it does with the paper's own Gram matrix: the
+    certificate's Q is S^T M S, M = gram_M(alpha, fp) over s_1..s_5 of
+    s_basis(fp) and S their coefficients over the certificate's basis."""
 
     def test_random_members_certify(self):
-        statuses = {
-            (draw, offset): check_sos_convexity(p).status
-            for draw, offset, p in face_member_draws(11, 30)
-        }
-        assert len(statuses) == 90
-        failed = {
-            key: status for key, status in statuses.items()
-            if status != "ExactCertificate" and key not in self.KNOWN_UNDECIDED
-        }
-        assert not failed
-        assert all(statuses[key] != "Refuted" for key in self.KNOWN_UNDECIDED)
+        certified = 0
+        for draw, offset, fp, alpha in face_member_alphas(11, 30):
+            outcome = check_sos_convexity(face_form(alpha, fp))
+            assert outcome.status == "ExactCertificate", (draw, offset, outcome.diagnostics)
+            z = [tuple(m) for m in outcome.certificate.z]
+            s = [[sk.terms.get(m, 0) for m in z] for sk in s_basis(fp)]
+            m = gram_M(alpha, fp).rows
+            expected = [
+                [sum(s[i][r] * m[i][j] * s[j][c] for i in range(5) for j in range(5))
+                 for c in range(len(z))]
+                for r in range(len(z))
+            ]
+            assert outcome.certificate.q == SymRationalMatrix(expected), (draw, offset)
+            certified += 1
+        assert certified == 90
 
 
 class TestBelowBoundLedger:

@@ -90,6 +90,10 @@ Hessian form is not SOS there is an open set of points where it is negative,
 rational ones among them, though the float search can miss a thin one.
 Sextic Hessian forms, bidegree (4, 2), are left to the gap: for fixed y
 they are quartic in x, so their x step is no eigenproblem.
+
+Every eigh, eigvalsh and Anderson solve calls numpy's LAPACK gufuncs
+(_eigh, _eigvalsh, _solve), the routines np.linalg calls for float64 input:
+the same floats, without about 4 us of Python wrapper per call.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .biquadratic import hessian_form
 from .certificates import (
@@ -275,11 +280,16 @@ def parameterize(target: Form, z: Sequence[Monomial]) -> GramParameterization:
 
 # -- numeric search --------------------------------------------------------------
 
+# np.linalg's float64 kernels, unwrapped: a singular _solve gives NaN, not an error
+_eigh = _umath_linalg.eigh_lo
+_eigvalsh = _umath_linalg.eigvalsh_lo
+_solve = _umath_linalg.solve1
+
 
 def _project_psd(x: np.ndarray) -> np.ndarray:
     """Projection onto the PSD cone of the symmetric matrix whose lower
-    triangle is x's (eigh reads only that triangle)."""
-    vals, vecs = np.linalg.eigh(x)
+    triangle is x's (_eigh reads only that triangle, and x is finite)."""
+    vals, vecs = _eigh(x)
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
@@ -325,8 +335,9 @@ class _Anderson:
         plus the Tikhonov term. P is affine and the combination's weights
         sum to one, so its projection is shadow - dS^T gamma; one product of
         gamma with the T and shadow rows of the history gives both. A
-        singular solve or a non-finite candidate falls back to the plain
-        step T(x), as rejected.
+        singular solve never raises: it gives a non-finite gamma, and so a
+        non-finite candidate, which falls back to the plain step T(x), as
+        rejected.
         """
         g = g.ravel()
         gg = float(g @ g)
@@ -350,16 +361,13 @@ class _Anderson:
         m = min(self.count, ANDERSON_MEMORY)
         if m:
             a = gram[:m, :m] + (ANDERSON_REG * gg) * _EYE[:m, :m]
-            try:
-                gamma = np.linalg.solve(a, self.hist[:m, 0] @ g)
-            except np.linalg.LinAlgError:
-                gamma = None
-            if gamma is not None:
-                both = now[1:].ravel() - gamma @ self.hist[:m, 1:].reshape(m, -1)
-                xa, pa = both[: g.size], both[g.size :]
-                if math.isfinite(xa.sum()):
-                    self.pending = True
-                    return xa.reshape(x.shape), pa.reshape(x.shape)
+            with np.errstate(invalid="ignore"):
+                gamma = _solve(a, self.hist[:m, 0] @ g)
+            both = now[1:].ravel() - gamma @ self.hist[:m, 1:].reshape(m, -1)
+            xa, pa = both[: g.size], both[g.size :]
+            if math.isfinite(xa.sum()):
+                self.pending = True
+                return xa.reshape(x.shape), pa.reshape(x.shape)
             self.count = 0
         return now[1].reshape(x.shape), now[2].reshape(x.shape)
 
@@ -395,7 +403,7 @@ def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
     px = pz.project(x)
     # the start point goes to the exact gates before any evaluation
     start_distance = float(np.abs(pz.residual(px)).max())
-    yield DRReport(0, float(np.linalg.eigvalsh(px)[0]), start_distance, px)
+    yield DRReport(0, float(_eigvalsh(px)[0]), start_distance, px)
     anderson = _Anderson(x.size)
     for budget in CHUNKS:
         for it in range(budget):
@@ -404,12 +412,12 @@ def douglas_rachford(pz: GramParameterization) -> Iterator[DRReport]:
             fiber_dist = float(np.abs(r).max())
             shadow = y + r[pz.index]
             if fiber_dist <= pz.tol:
-                shadow_eig = float(np.linalg.eigvalsh(shadow)[0])
+                shadow_eig = float(_eigvalsh(shadow)[0])
                 if shadow_eig >= -pz.tol:
                     yield DRReport(it + 1, shadow_eig, fiber_dist, shadow, converged=True)
                     return
             x, px = anderson.step(x, 2.0 * shadow - px - y, shadow)
-        yield DRReport(budget, float(np.linalg.eigvalsh(px)[0]), fiber_dist, px)
+        yield DRReport(budget, float(_eigvalsh(px)[0]), fiber_dist, px)
 
 
 # -- exact rounding --------------------------------------------------------------
@@ -454,7 +462,7 @@ def _roundings(values, target_den: int) -> Iterator[tuple[tuple[int, ...], tuple
 
 def _relative_lambda_min(m: np.ndarray) -> float:
     """lambda_min(m) / max(1, max|m|): every float screen skips below -SCREEN_TOL."""
-    return float(np.linalg.eigvalsh(m)[0]) / max(1.0, float(np.abs(m).max()))
+    return float(_eigvalsh(m)[0]) / max(1.0, float(np.abs(m).max()))
 
 
 def _screen(pz: GramParameterization, nums: Sequence[int], dens: Sequence[int]) -> float:
@@ -626,9 +634,9 @@ def witness_refutation(target: Form, pz: GramParameterization) -> SearchOutcome 
     seen = set()
     for _ in range(WITNESS_STEPS):
         a = ((x[:, :, None] * x[:, None, :]).reshape(WITNESS_STARTS, -1) @ kmat).reshape(-1, n, n)
-        y = np.linalg.eigh(a)[1][:, :, 0]
+        y = _eigh(a)[1][:, :, 0]
         c = ((y[:, :, None] * y[:, None, :]).reshape(WITNESS_STARTS, -1) @ kmat.T).reshape(-1, n, n)
-        values, vecs = np.linalg.eigh(c)
+        values, vecs = _eigh(c)
         x = vecs[:, :, 0]
         for s in np.argsort(values[:, 0]):
             if not values[s, 0] < 0:

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sosconvex import search
 from sosconvex.biquadratic import BiquadraticForm, builtin, hessian_form
@@ -234,24 +235,25 @@ class TestProjections:
 
     def test_stalled_iterations_skip_the_shadow_spectrum(self, monkeypatch):
         # one eigh per iteration for the PSD projection; the shadow's
-        # eigvalsh only when the fiber distance is within tolerance, and
-        # once for each report, the start report included
+        # eigvalsh only when the fiber distance is within tolerance, which
+        # it never is on this fiber, and once for each report, the start
+        # report included
         pz = stalled_fiber()
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        eigvalsh = search._eigvalsh
+        monkeypatch.setattr(search, "_eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         reports = list(itertools.islice(douglas_rachford(pz), 5))
         assert not any(r.converged for r in reports)
         assert [r.iterations for r in reports] == [0, 25, 25, 50, 100]
-        assert len(calls) <= len(reports)
+        assert len(calls) == len(reports)
 
     def test_one_eigh_per_iteration_and_two_projections_per_restart(self, monkeypatch):
         # the start point and its projection; P of every later point is
         # carried, across chunk ends too, and the start report evaluates nothing
         pz = stalled_fiber()
         eighs, projections = [], []
-        eigh, project = np.linalg.eigh, pz.project
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
+        eigh, project = search._eigh, pz.project
+        monkeypatch.setattr(search, "_eigh", lambda a: eighs.append(1) or eigh(a))
         monkeypatch.setattr(pz, "project", lambda x: projections.append(1) or project(x))
         reports = list(itertools.islice(douglas_rachford(pz), 5))
         assert sum(r.iterations for r in reports) == 200
@@ -318,14 +320,102 @@ class TestProjections:
         assert [summary(r) for r in r1] == [summary(r) for r in r2]
 
 
+def symmetric_arrays(shape):
+    """Float64 arrays of shape (..., n, n), each matrix symmetric."""
+    entries = hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
+    return entries.map(lambda a: a + np.swapaxes(a, -1, -2))
+
+
+def numpy_linalg_solve(a, b):
+    # np.linalg.solve, with the NaN that search._solve gives for a singular a
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full(len(b), np.nan)
+
+
+@functools.cache
+def kernel_fibers():
+    # a stalled fiber, Choi's form, b_thm22 times x1^2 + x2^2 over its
+    # 15-monomial basis, and the T_{3,1} member at the bound over 7
+    mult = Form(6, 2, {(2, 0, 0, 0, 0, 0): F(1), (0, 2, 0, 0, 0, 0): F(1)})
+    targets = {
+        "b_thm22_multiplier": mult * form_of("b_thm22"),
+        "T31_at_bound": hessian_form(face_at_bound(3, 1, [2, 1, 2, 1])),
+    }
+    fibers = {name: parameterize(t, sos_basis(t)) for name, t in targets.items()}
+    fibers["choi"] = parameterize(form_of("choi_biquadratic"), bilinears())
+    fibers["stalled"] = stalled_fiber()
+    return fibers
+
+
+class TestKernels:
+    """search's LAPACK kernels give the floats of np.linalg.eigh, eigvalsh
+    and solve, bit for bit, on the shapes the search passes them."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 36).flatmap(lambda d: symmetric_arrays((d, d))))
+    def test_eigen_kernels_match_numpy_linalg(self, m):
+        vals, vecs = search._eigh(m)
+        expected = np.linalg.eigh(m)
+        assert vals.tobytes() == expected.eigenvalues.tobytes()
+        assert vecs.tobytes() == expected.eigenvectors.tobytes()
+        assert search._eigvalsh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 6).flatmap(lambda n: symmetric_arrays((WITNESS_STARTS, n, n))))
+    def test_stacked_eigh_matches_numpy_linalg(self, stack):
+        # the witness search's stack of one matrix per start
+        vals, vecs = search._eigh(stack)
+        expected = np.linalg.eigh(stack)
+        assert vals.tobytes() == expected.eigenvalues.tobytes()
+        assert vecs.tobytes() == expected.eigenvectors.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda m: st.tuples(
+                hnp.arrays(np.float64, (m, m), elements=st.floats(-1e3, 1e3)),
+                hnp.arrays(np.float64, m, elements=st.floats(-1e3, 1e3)),
+            )
+        )
+    )
+    def test_solve_matches_numpy_linalg_on_spd_systems(self, system):
+        # the Anderson system: a Gram matrix plus a positive diagonal
+        b, rhs = system
+        a = b @ b.T + np.eye(len(b))
+        assert search._solve(a, rhs).tobytes() == np.linalg.solve(a, rhs).tobytes()
+
+    @pytest.mark.parametrize("name", ["stalled", "choi", "b_thm22_multiplier", "T31_at_bound"])
+    def test_douglas_rachford_reports_match_numpy_linalg(self, monkeypatch, name):
+        pz = kernel_fibers()[name]
+        monkeypatch.setattr(search, "CHUNKS", search.CHUNKS[:5])
+
+        def summary(r):
+            return (
+                r.iterations,
+                r.min_eigenvalue,
+                r.fiber_distance,
+                r.converged,
+                r.fiber_point.tobytes(),
+            )
+
+        shipped = [summary(r) for r in douglas_rachford(pz)]
+        monkeypatch.setattr(search, "_eigh", np.linalg.eigh)
+        monkeypatch.setattr(search, "_eigvalsh", np.linalg.eigvalsh)
+        monkeypatch.setattr(search, "_solve", numpy_linalg_solve)
+        wrapped = [summary(r) for r in douglas_rachford(pz)]
+        assert len(shipped) > 1 and shipped == wrapped
+
+
 class TestSearchLoop:
     """check_sos is one loop over the reports douglas_rachford yields."""
 
     def test_one_pull_runs_one_chunk(self, monkeypatch):
         pz = stalled_fiber()
         eighs = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
+        eigh = search._eigh
+        monkeypatch.setattr(search, "_eigh", lambda a: eighs.append(1) or eigh(a))
         reports = douglas_rachford(pz)
         assert eighs == []
         start = next(reports)

@@ -3,7 +3,7 @@
 A biquadratic form is quartic overall and quadratic in each block:
 b(x, y) = sum over i<=j, k<=l of alpha_{ijkl} x_i x_j y_k y_l. The package
 computes on it as one quartic Form over 2n variables, x-block first, as it
-does on the Hessian form y^T H_p(x) y of any p (hessian_form). A
+does on the Hessian form y^T H_p(x) y of any p (forms.hessian_form). A
 BiquadraticForm is the bidegree-(2, 2) view of such a Form at block size n:
 what the `biq` text format reads and writes, where the CLI takes the block at
 which certificates split x from y, and what the benchmark harness imports.
@@ -11,16 +11,19 @@ The key (i, j, k, l) with i<=j, k<=l names the monomial x_i x_j y_k y_l at
 the boundaries only (the constructor, the text format and the symmetry
 witness); the stored value is the coefficient of the written monomial, with
 no factor-of-2 folding.
+
+This module is the package's edge: it imports certificates and dual, and
+within the package only the CLI imports it.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
+from .certificates import certificate_from_text, rank
+from .dual import dual_from_text
 from .forms import (
     Form,
     FormatError,
@@ -29,8 +32,11 @@ from .forms import (
     _build,
     _content_lines,
     _header,
+    _monomials,
+    bidegree_basis,
     fmt_frac,
     form_from_text,
+    hessian_form,
     polymatrix_from_text,
 )
 
@@ -116,43 +122,6 @@ def hessian_biquadratic(p: Form) -> BiquadraticForm:
     return BiquadraticForm.from_form(hessian_form(p), p.n_vars)
 
 
-@functools.lru_cache(maxsize=1024)
-def _hessian_terms(e: tuple[int, ...]) -> tuple[tuple[tuple[int, int], tuple[int, ...], int], ...]:
-    """The terms of y^T H(x) y for x^e: for each pair i <= j in the support of
-    e, in pair order, ((i, j), the exponents of x^(e - e_i - e_j) y_i y_j, and
-    the multiplier e_i (e_j - [i = j]) (2 - [i = j])) when that is nonzero."""
-    support = [t for t, et in enumerate(e) if et]
-    out = []
-    for s, i in enumerate(support):
-        for j in support[s:]:
-            k = e[i] * (e[i] - 1) if i == j else 2 * e[i] * e[j]
-            if k:
-                x = [et - (t == i) - (t == j) for t, et in enumerate(e)]
-                out.append(((i, j), (*x, *((t == i) + (t == j) for t in range(len(e)))), k))
-    return tuple(out)
-
-
-def hessian_form(p: Form) -> Form:
-    """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2.
-
-    The term c x^e gives c k to each term of _hessian_terms(e), a table kept
-    per exponent vector. For fixed (i, j) distinct terms reach distinct
-    monomials, and a stable sort by (i, j) gives the term order of y^T H y
-    summed entry by entry over the pairs i <= j of hessian(p), in which float
-    evaluation sums them. The table's exponents and nonzero products are a
-    valid Form by construction, so the Form is assembled without its
-    per-term checks.
-    """
-    if p.degree < 2:
-        raise ValueError("hessian requires degree >= 2")
-    found = [(pair, key, Fraction(c.numerator * k) if c.denominator == 1 else c * k)
-             for e, c in p.terms.items() for pair, key, k in _hessian_terms(e)]
-    found.sort(key=operator.itemgetter(0))
-    h = object.__new__(Form)
-    h.n_vars, h.degree, h.terms = 2 * p.n_vars, p.degree, {key: c for _, key, c in found}
-    return h
-
-
 class SymmetryVerdict:
     """Result of an x<->y symmetry check, with one differing pair on failure."""
 
@@ -235,9 +204,6 @@ def from_text(text: str, kinds: Sequence[str] = ("form", "polymat", "biq", "dual
     sections may come in any order. If that is not among kinds either,
     FormatError is raised before any parser runs. Parsers are looked up per
     call, so a wrapped one sees each parse."""
-    from .certificates import certificate_from_text  # both import this module
-    from .dual import dual_from_text
-
     words = next(filter(None, (raw.split("#", 1)[0].split() for raw in text.splitlines())), [""])
     head = words[0].lower()
     parsers = {"form": form_from_text, "polymat": polymatrix_from_text,
@@ -264,7 +230,6 @@ def builtin(name: str):
 
 def hessian_map_rank(n: int) -> int:
     """Exact rank of p -> hessian_form(p) over the quartic monomial basis."""
-    from .certificates import rank  # certificates imports this module
     monos = bidegree_basis(n, 2, 2)
     rows = []
     for exps in _monomials(n, 4):
@@ -275,7 +240,6 @@ def hessian_map_rank(n: int) -> int:
 
 def antisymmetric_dimension(n: int) -> int:
     """Dimension of the strictly antisymmetric complement, by basis enumeration."""
-    from .certificates import rank  # certificates imports this module
     monos = bidegree_basis(n, 2, 2)
     rows = []
     for exps in monos:
@@ -283,32 +247,6 @@ def antisymmetric_dimension(n: int) -> int:
         f = f - swap_xy(f)
         rows.append([f.coefficient(m) for m in monos])
     return rank(rows)
-
-
-# The exponent tuples are built once per shape and shared; each call returns a
-# fresh list of them, which its caller may change.
-
-
-@functools.cache
-def _monomial_tuple(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    if n == 1:
-        return ((d,),)
-    return tuple((e,) + rest for e in range(d, -1, -1) for rest in _monomial_tuple(n - 1, d - e))
-
-
-@functools.cache
-def _bidegree_tuple(n: int, dx: int, dy: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(xm + ym for xm in _monomial_tuple(n, dx) for ym in _monomial_tuple(n, dy))
-
-
-def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
-    """Monomials of degree d in n variables, lexicographically descending."""
-    return list(_monomial_tuple(n, d))
-
-
-def bidegree_basis(n: int, dx: int, dy: int) -> list[tuple[int, ...]]:
-    """Monomials of x-degree dx and y-degree dy over 2n split variables."""
-    return list(_bidegree_tuple(n, dx, dy))
 
 
 # -- text format ---------------------------------------------------------------

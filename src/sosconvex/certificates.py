@@ -23,14 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .biquadratic import BiquadraticForm, _monomials, bidegree_basis
 from .forms import (
     Form,
     FormatError,
     RationalTokens,
     _build,
     _content_lines,
+    _monomials,
     as_frac,
+    bidegree_basis,
     fmt_frac,
     form_from_text,
     form_to_text,
@@ -330,13 +331,13 @@ class SosVerification:
 
 
 def _as_form(target) -> Form:
-    """The Form of a target. The benchmark harness and the corpus generator
-    pass a biq file's BiquadraticForm to verify_sos_certificate,
-    verify_refutation and search.check_sos, which alone unwrap it."""
-    if isinstance(target, BiquadraticForm):
-        return target.to_form()
+    """The Form of a target, or a view's to_form(): the benchmark harness and
+    corpus generator pass biq BiquadraticForms to verify_sos_certificate,
+    verify_refutation and search.check_sos, which alone unwrap them."""
     if isinstance(target, Form):
         return target
+    if hasattr(target, "to_form"):
+        return target.to_form()
     raise TypeError("target must be a Form or BiquadraticForm")
 
 
@@ -419,10 +420,11 @@ def verify_sos_certificate(target, cert: SosCertificate) -> SosVerification:
     built only for a reported mismatch.
     """
     tf = _as_form(target)
-    if cert.multiplier.n_vars != tf.n_vars:
-        raise ValueError("multiplier and target variable counts disagree")
+    # the basis first: a multiplier left out of the file is inferred from it
     if any(len(m) != tf.n_vars for m in cert.z):
         raise ValueError("certificate basis and target variable counts disagree")
+    if cert.multiplier.n_vars != tf.n_vars:
+        raise ValueError("multiplier and target variable counts disagree")
     if len(cert.z) != cert.q.dim:
         raise ValueError(f"basis has {len(cert.z)} monomials but Q is {cert.q.dim}x{cert.q.dim}")
     report = ldlt_psd_check(cert.q)

@@ -21,7 +21,6 @@ from .biquadratic import (
     dim_nary,
     dim_symmetric,
     from_text,
-    hessian_form,
 )
 from .certificates import certificate_to_text, verify_sos_certificate
 from .dual import DualCertificate, verify_refutation
@@ -32,7 +31,7 @@ from .face import (
     find_additional_zero,
     gram_M,
 )
-from .forms import Form, FormatError, fmt_frac
+from .forms import Form, FormatError, fmt_frac, hessian_form
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1

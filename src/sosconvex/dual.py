@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .biquadratic import bidegree_basis, key_exponents
 from .certificates import (
     LdltReport,
     Monomial,
@@ -29,7 +28,7 @@ from .certificates import (
     ldlt_psd_check,
     sos_basis,
 )
-from .forms import Form, FormatError, RationalTokens, _content_lines, as_frac
+from .forms import Form, FormatError, RationalTokens, _content_lines, as_frac, bidegree_basis
 
 
 @dataclass
@@ -124,7 +123,8 @@ def dual_from_text(text: str) -> DualCertificate:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational: {ln!r}") from exc
     if order_name == "builtin36":
-        monomials = [key_exponents(3, (*p, *q)) for p in _PAIRS_36 for q in _PAIRS_36]
+        halves = [tuple(p.count(t) for t in (1, 2, 3)) for p in _PAIRS_36]
+        monomials = [x + y for x in halves for y in halves]
     elif order_name == "lex":
         # infer n from the vector length: len = (n(n+1)/2)^2
         n = 1

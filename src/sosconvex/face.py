@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .biquadratic import _monomials, hessian_form
 from .certificates import LdltReport, SymRationalMatrix, ldlt_psd_check, rank
-from .forms import Form, as_frac, complement_basis, evaluate_terms, hessian
+from .forms import Form, _monomials, as_frac, complement_basis, evaluate_terms, hessian, hessian_form
 
 
 @dataclass(frozen=True)

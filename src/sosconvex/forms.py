@@ -9,6 +9,8 @@ x1..xn are presentation only.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -181,9 +183,6 @@ class Form:
             return True
         return self.degree == other.degree and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n_vars, self.degree, frozenset(self.terms.items())))
-
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -285,6 +284,69 @@ def hessian(p: Form) -> PolyMatrix:
         for j in range(i, n):
             entries[i][j] = entries[j][i] = differentiate(grads[i], j + 1)
     return PolyMatrix(entries)
+
+
+@functools.lru_cache(maxsize=1024)
+def _hessian_terms(e: tuple[int, ...]) -> tuple[tuple[tuple[int, int], tuple[int, ...], int], ...]:
+    """The terms of y^T H(x) y for x^e: for each pair i <= j in the support of
+    e, in pair order, ((i, j), the exponents of x^(e - e_i - e_j) y_i y_j, and
+    the multiplier e_i (e_j - [i = j]) (2 - [i = j])) when that is nonzero."""
+    support = [t for t, et in enumerate(e) if et]
+    out = []
+    for s, i in enumerate(support):
+        for j in support[s:]:
+            k = e[i] * (e[i] - 1) if i == j else 2 * e[i] * e[j]
+            if k:
+                x = [et - (t == i) - (t == j) for t, et in enumerate(e)]
+                out.append(((i, j), (*x, *((t == i) + (t == j) for t in range(len(e)))), k))
+    return tuple(out)
+
+
+def hessian_form(p: Form) -> Form:
+    """y^T H_p(x) y as a Form in 2n variables, for any p of degree >= 2.
+
+    The term c x^e gives c k to each term of _hessian_terms(e), a table kept
+    per exponent vector. For fixed (i, j) distinct terms reach distinct
+    monomials, and a stable sort by (i, j) gives the term order of y^T H y
+    summed entry by entry over the pairs i <= j of hessian(p), in which float
+    evaluation sums them. The table's exponents and nonzero products are a
+    valid Form by construction, so the Form is assembled without its
+    per-term checks.
+    """
+    if p.degree < 2:
+        raise ValueError("hessian requires degree >= 2")
+    found = [(pair, key, Fraction(c.numerator * k) if c.denominator == 1 else c * k)
+             for e, c in p.terms.items() for pair, key, k in _hessian_terms(e)]
+    found.sort(key=operator.itemgetter(0))
+    h = object.__new__(Form)
+    h.n_vars, h.degree, h.terms = 2 * p.n_vars, p.degree, {key: c for _, key, c in found}
+    return h
+
+
+# The exponent tuples are built once per shape and shared; each call returns a
+# fresh list of them, which its caller may change.
+
+
+@functools.cache
+def _monomial_tuple(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    # index tuples in ascending order give exponents lexicographically descending
+    return tuple(tuple(map(c.count, range(n)))
+                 for c in itertools.combinations_with_replacement(range(n), d))
+
+
+@functools.cache
+def _bidegree_tuple(n: int, dx: int, dy: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(xm + ym for xm in _monomial_tuple(n, dx) for ym in _monomial_tuple(n, dy))
+
+
+def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
+    """Monomials of degree d in n variables, lexicographically descending."""
+    return list(_monomial_tuple(n, d))
+
+
+def bidegree_basis(n: int, dx: int, dy: int) -> list[tuple[int, ...]]:
+    """Monomials of x-degree dx and y-degree dy over 2n split variables."""
+    return list(_bidegree_tuple(n, dx, dy))
 
 
 def euler_recover(h: PolyMatrix, d: int) -> Form:

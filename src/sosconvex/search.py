@@ -108,7 +108,6 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .biquadratic import hessian_form
 from .certificates import (
     Monomial,
     SosCertificate,
@@ -124,7 +123,7 @@ from .certificates import (
     verify_sos_certificate,
 )
 from .dual import DualCertificate, RefutationResult, verify_refutation
-from .forms import Form, as_frac, shared_fraction
+from .forms import Form, as_frac, hessian_form, shared_fraction
 
 
 # DR converges within DR_TOL * max(1, max|target coefficient|), near float

@@ -399,6 +399,35 @@ class TestMalformedInput:
         assert main(["verify", b_file, str(twice)]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: duplicate section: 'Q:'\n"
 
+    @pytest.mark.parametrize(
+        "name, text, err",
+        [
+            ("c.cert", "Z:\n1 0\nQ:\n", "empty Q section"),
+            ("c.cert", "Z:\n1 0\nQ:\n1\n1 2\n", "bad Q row: '1 2'"),
+            ("d.dcert", "ORDER: lex\n", "missing C: section"),
+        ],
+        ids=["empty-q", "q-row-width", "dual-without-c"],
+    )
+    def test_malformed_witness_is_one_error_line(self, tmp_path, b_file, name, text, err, capsys):
+        witness = tmp_path / name
+        witness.write_text(text)
+        assert main(["verify", b_file, str(witness)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "expr, err",
+        [
+            ("x1^^2", "cannot parse term 'x1^^2'"),
+            ("x7^2", "variable index out of range in term 'x7^2'"),
+            ("+", "empty expression"),
+        ],
+    )
+    def test_malformed_multiplier_is_one_error_line(self, b_file, expr, err, capsys):
+        assert main(["check", b_file, "--nonneg-mult", expr]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
     def test_empty_witness(self, tmp_path, b_file, capsys):
         empty = tmp_path / "empty.cert"
         empty.write_text("# no content\n\n")
@@ -599,6 +628,15 @@ class TestCheck:
         assert main(["check", str(target), "--nonneg-mult", "x1^2"]) == EXIT_UNKNOWN
         assert capsys.readouterr().out.startswith("status: Stalled\n")
 
+    def test_constant_over_800_variables_certifies(self, tmp_path, capsys):
+        # the basis enumeration is not recursive, so a wide form certifies
+        target = tmp_path / "c.form"
+        target.write_text("form n=800 d=0\n1" + " 0" * 800 + "\n")
+        cert = tmp_path / "c.cert"
+        assert main(["check", str(target), "--sos", "--out", str(cert)]) == EXIT_TRUE
+        assert capsys.readouterr().out.startswith("status: ExactCertificate\n")
+        assert main(["verify", str(target), str(cert)]) == EXIT_TRUE
+
     def test_zero_denominator_multiplier_rejected(self, b_file, capsys):
         assert main(["check", b_file, "--nonneg-mult", "1/0*x1^2"]) == EXIT_ERROR
         assert "bad rational" in capsys.readouterr().err
@@ -616,7 +654,17 @@ class TestTargetBlock:
         # a form file of 6 variables it would be checked against a Hessian
         cert = Path(__file__).parents[1] / "perfbench" / "corpus" / "verify" / "pow4_n6.cert"
         assert main(["verify", b_file, str(cert)]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: multiplier and target variable counts disagree\n"
+        assert capsys.readouterr().err == "error: certificate basis and target variable counts disagree\n"
+
+    def test_inferred_multiplier_names_the_basis(self, tmp_path, capsys):
+        # without MULTIPLIER: the multiplier is the constant 1 over the
+        # basis's 2 variables, so the basis, not the multiplier, is at fault
+        target = tmp_path / "t.form"
+        target.write_text("form n=3 d=2\n1 2 0 0\n")
+        cert = tmp_path / "t.cert"
+        cert.write_text("Z:\n1 0\n0 1\nQ:\n2\n1 0\n0 1\n")
+        assert main(["verify", str(target), str(cert)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: certificate basis and target variable counts disagree\n"
 
     def test_sos_convex_needs_a_plain_form(self, b_file, capsys):
         assert main(["check", b_file, "--sos-convex"]) == EXIT_ERROR
@@ -672,6 +720,24 @@ class TestFace:
         assert code == EXIT_TRUE
         assert "alphas: 1/1 1/1 1/1 1/1 -4/7" in out
         assert "bound: -1/1" in out
+
+    def test_zero_search_on_the_axes_fails_after_the_query(self, capsys):
+        # aa = cc = 0 and bb = -4: both roots have x1 = 0 or x2 = 0
+        code = main(["face", "--a", "1", "--b", "1", "--alphas", "1", "2", "1", "2/3", "-1",
+                     "--bound", "--zero"])
+        assert code == EXIT_UNKNOWN
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "alphas: 1/1 2/1 1/1 2/3 -1/1\na: 1/1\nb: 1/1\nbound: -1/1\nmembership: true\n"
+            "det_closed: 0/1\ndet_brute: 0/1\n"
+        )
+        assert captured.err.startswith("zero search failed: ") and captured.err.count("\n") == 1
+
+    def test_bound_needs_positive_alphas(self, capsys):
+        code = main(["face", "--a", "1", "--b", "1", "--alphas", "1", "1", "1", "0", "0", "--bound"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: the bound needs alpha1..alpha4 > 0\n")
 
     def test_degenerate_params(self):
         code = main(["face", "--a", "0", "--b", "1", "--alphas", "1", "1", "1", "1", "0"])

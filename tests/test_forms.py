@@ -5,6 +5,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sosconvex.biquadratic import biquadratic_from_text
 from sosconvex.certificates import certificate_from_text
@@ -14,6 +15,7 @@ from sosconvex.forms import (
     FormatError,
     PolyMatrix,
     RationalTokens,
+    _monomials,
     complement_basis,
     differentiate,
     euler_recover,
@@ -72,6 +74,32 @@ class TestArithmetic:
     def test_evaluate_float(self):
         f = x(1) ** 2
         assert f.evaluate([0.5, 0, 0]) == pytest.approx(0.25)
+
+    def test_form_is_unhashable(self):
+        # equal forms may differ in their degree tag (both zero), so no
+        # hash could agree with ==
+        assert Form.zero(2, 2) == Form.zero(2, 4)
+        with pytest.raises(TypeError):
+            hash(Form.zero(2, 2))
+
+
+def recursive_monomials(n, d):
+    """Degree-d exponent vectors over n variables, lexicographically
+    descending, one recursion per variable."""
+    if n == 1:
+        return [(d,)]
+    return [(e, *rest) for e in range(d, -1, -1) for rest in recursive_monomials(n - 1, d - e)]
+
+
+class TestMonomials:
+    @given(st.integers(1, 7), st.integers(0, 6))
+    def test_matches_the_recursive_enumeration(self, n, d):
+        assert _monomials(n, d) == recursive_monomials(n, d)
+
+    def test_wide_forms_need_no_recursion(self):
+        assert _monomials(5000, 0) == [(0,) * 5000]
+        monos = _monomials(1000, 1)
+        assert len(monos) == 1000 and monos[0] == (1,) + (0,) * 999 and monos[-1][-1] == 1
 
 
 class TestCalculus:

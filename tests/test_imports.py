@@ -1,6 +1,7 @@
 """Every name a module of the package imports is referenced in that module."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,39 @@ def test_scan_sees_unused_and_quoted_names():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == {"Iterable"}
+
+
+def package_imports(tree: ast.Module) -> list[tuple[str, bool]]:
+    """(module, inside a function) for each `from .module import` at any depth."""
+    found = []
+
+    def visit(node, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                found.append((child.module, local))
+            visit(child, local or isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef))
+
+    visit(tree, False)
+    return found
+
+
+IMPORTS = {path.stem: package_imports(ast.parse(path.read_text(encoding="utf-8")))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_package_imports_are_acyclic():
+    graph = {module: {target for target, _ in found} for module, found in IMPORTS.items()}
+    graphlib.TopologicalSorter(graph).prepare()  # a CycleError on any cycle
+
+
+def test_biquadratic_is_imported_by_the_cli_alone():
+    importers = {module for module, found in IMPORTS.items()
+                 if any(target == "biquadratic" for target, _ in found)}
+    assert importers == {"cli"}
+
+
+def test_the_search_is_the_one_import_inside_a_function():
+    # only `check` loads numpy, through the search
+    local = [(module, target) for module, found in IMPORTS.items() for target, inside in found
+             if inside]
+    assert local == [("cli", "search")]

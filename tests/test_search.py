@@ -247,7 +247,7 @@ class TestProjections:
         assert [r.iterations for r in reports] == [0, 25, 25, 50, 100]
         assert len(calls) == len(reports)
 
-    def test_one_eigh_per_iteration_and_two_projections_per_restart(self, monkeypatch):
+    def test_one_eigh_per_iteration_and_at_most_two_projections_per_run(self, monkeypatch):
         # the start point and its projection; P of every later point is
         # carried, across chunk ends too, and the start report evaluates nothing
         pz = stalled_fiber()
@@ -738,6 +738,15 @@ class TestRefutation:
         assert_integer_refutation(outcome, b)
         assert outcome.refutation == verify_refutation(outcome.dual, b)
         assert outcome.point is None
+
+    def test_psd_fiber_point_has_no_gap(self):
+        # the identity is the one Gram matrix of x1^2 + x2^2 + x3^2 and is
+        # PSD: the gap P_psd(f) - f is exactly zero, so there is nothing to round
+        target = parse_poly_expression("x1^2+x2^2+x3^2", 3)
+        pz = parameterize(target, sos_basis(target))
+        f = next(douglas_rachford(pz)).fiber_point
+        assert not (search._project_psd(f) - f).any()
+        assert search.refutation_search(target, pz, f) is None
 
     def test_singular_psd_gap_refuted(self):
         # the gap of -(x1^6 + x2^6 + x3^6) has a singular PSD moment matrix;
